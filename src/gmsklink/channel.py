@@ -93,10 +93,10 @@ def awgn(signal: BasebandSignal, config: ChannelConfig) -> BasebandSignal:
     rng = substream(config.seed)
     n = len(signal.samples)
     scale = np.sqrt(var / 2.0)
-    noise = rng.normal(0.0, scale, size=n) + 1j * rng.normal(0.0, scale, size=n)
-    return BasebandSignal(
-        samples=signal.samples + noise, sample_rate=signal.sample_rate
-    )
+    noisy = np.array(signal.samples, dtype=complex)
+    noisy.real += rng.normal(0.0, scale, size=n)
+    noisy.imag += rng.normal(0.0, scale, size=n)
+    return BasebandSignal(samples=noisy, sample_rate=signal.sample_rate)
 
 
 def path_gain(budget: LinkBudget) -> float:

@@ -56,6 +56,8 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.ebno_points) == 0:
             raise ConfigError("ebno_points must be nonempty")
+        if any(math.isnan(e) for e in self.ebno_points):
+            raise ConfigError(f"ebno_points contains NaN: {self.ebno_points}")
 
 
 @dataclass(frozen=True)
@@ -85,7 +87,8 @@ def wilson_interval(errors: int, n: int, z: float = _WILSON_Z) -> tuple[float, f
 
 
 def _ebno_entropy(ebno_db: float) -> int:
-    return int(np.float64(ebno_db).view(np.uint64))
+    # + 0.0 maps -0.0 to +0.0, so equal Eb/N0 values key the same streams
+    return int(np.float64(ebno_db + 0.0).view(np.uint64))
 
 
 def _chunk_sizes(max_bits: int):

@@ -1,12 +1,16 @@
 """GMSK baseband modulator/demodulator and its closed-form BER model.
 
-The modulator is a classic continuous-phase implementation: Gaussian-filtered
-frequency pulses with modulation index 0.5, so every bit advances the carrier
-phase by +-pi/2.  The demodulator is a coherent threshold receiver: a Gaussian
-predetection lowpass (default 3-dB bandwidth 0.5/T), symbol-rate sampling,
-per-bit derotation by powers of j, and a sign decision.  Differential
-precoding at the transmitter (on by default) makes those decisions map
-directly to information bits.
+The modulator is continuous-phase: Gaussian-filtered frequency pulses with
+modulation index 0.5, so every bit advances the carrier phase by +-pi/2.  It
+is table-driven: each symbol period's samples are a power of j (the pulses
+that have ended) times a row of a small phasor table indexed by the window
+of symbols whose pulses are still in flight, so no sample needs its own
+phase accumulation or complex exponential.  The demodulator is a coherent
+threshold receiver: a Gaussian predetection lowpass (default 3-dB bandwidth
+0.5/T), evaluated only at the symbol-rate decision instants, per-bit
+derotation by powers of j, and a sign decision.  Differential precoding at
+the transmitter (on by default) makes those decisions map directly to
+information bits.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import oaconvolve
 from scipy.special import erfc, erfcinv
 
 from .errors import ConfigError, FramingError
@@ -27,8 +30,17 @@ MODULATION_INDEX = 0.5
 # anchors, clamped outside.  See README for the calibration discussion.
 ALPHA_ANCHORS = ((0.25, 0.68), (1.0, 0.85))
 
-# Exact powers of j for derotation (j**k = _JPOW[k % 4]).
+# Exact powers of j (j**k = _JPOW[k % 4]).
 _JPOW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
+
+# Window delays per modulator phasor table: a table has 4 * 2**_TABLE_BITS
+# rows of samples_per_symbol phasors, so it stays small for any pulse span.
+_TABLE_BITS = 8
+
+# Multiply-adds per receiver matrix product (decisions * 2 sps * 2), half
+# the size at which OpenBLAS starts worker threads: their CPU time would be
+# spent on top of the pass instead of saved from it.
+_PRODUCT_SIZE = 1 << 17
 
 
 def qfunc(x):
@@ -155,25 +167,85 @@ def _precode(bits: np.ndarray) -> np.ndarray:
     return out
 
 
+def _window_tables(cumtaps: np.ndarray) -> list:
+    """Phasor tables for the pulses still in flight, one per group of delays.
+
+    ``cumtaps`` is the running sum of the frequency pulse as a
+    ``(window, sps)`` array: row ``d`` is the phase, over pi, that one +1
+    symbol has built up ``d`` symbols after its pulse began.  The window is
+    split into groups of at most ``_TABLE_BITS`` delays; group ``[d0, d1)``
+    gets a table whose row ``i`` is ``exp(j pi sum_d s_d cumtaps[d])`` with
+    ``s_d = +1`` where bit ``d - d0`` of ``i`` is set and -1 elsewhere.
+    The first table is stacked four times, rotated by 1, j, -1 and -j, so
+    one lookup at ``r * 2**bits + i`` also applies the rotation ``j**r``.
+    Returns ``[(d0, d1, table), ...]``.
+    """
+    window, sps = cumtaps.shape
+    groups = -(-window // _TABLE_BITS)
+    edges = [g * window // groups for g in range(groups + 1)]
+    tables = []
+    for d0, d1 in zip(edges, edges[1:]):
+        width = d1 - d0
+        signs = 2.0 * ((np.arange(1 << width)[:, None] >> np.arange(width)) & 1) - 1.0
+        table = np.exp(1j * np.pi * (signs @ cumtaps[d0:d1]))
+        if d0 == 0:
+            table = (_JPOW[:, None, None] * table).reshape(-1, sps)
+        tables.append((d0, d1, table))
+    return tables
+
+
 def modulate(bits, config: ModemConfig) -> BasebandSignal:
     """Modulate a bit sequence onto a unit-envelope GMSK baseband waveform.
 
     Bit 1 maps to +1 frequency deviation, bit 0 to -1.  Output length is
     ``(len(bits) + 2 * pulse_span_symbols) * samples_per_symbol`` samples.
+
+    Sample ``m * sps + p`` has phase ``(pi/2) * (sum of the symbols whose
+    pulse has ended) + pi * sum_d sym[m - d] * cumtaps[d * sps + p]`` over
+    the ``2 * span + 1`` pulses still in flight.  The first term is an exact
+    rotation by a power of j; the second depends only on the local symbol
+    window and ``p``, so it is looked up in :func:`_window_tables`.  The
+    ``2 * span`` rows at each end, whose window reaches past the bit
+    sequence, are evaluated directly.
     """
     bits = _as_bits(bits)
     if bits.size == 0:
         raise ValueError("cannot modulate an empty bit sequence")
     sps = config.samples_per_symbol
     tx = _precode(bits) if config.differential_precoding else bits
-    symbols = 2.0 * tx - 1.0
-    impulses = np.zeros((bits.size - 1) * sps + 1)
-    impulses[::sps] = symbols
-    taps = gaussian_frequency_pulse(config)
-    phase = np.pi * np.cumsum(oaconvolve(impulses, taps))
-    return BasebandSignal(
-        samples=np.exp(1j * phase), sample_rate=config.bit_rate * sps
-    )
+    n = tx.size
+    window = 2 * config.pulse_span_symbols + 1
+    rows = n + window - 1
+    cumtaps = np.cumsum(gaussian_frequency_pulse(config)).reshape(window, sps)
+    symbols = 2 * tx.astype(np.intp) - 1
+    # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4
+    ended = np.zeros(rows, dtype=np.intp)
+    np.cumsum(symbols[:n - 1], out=ended[window:])
+    quarter_turns = (ended & 3).astype(np.uint16)
+    out = np.empty((rows, sps), dtype=complex)
+
+    # Interior rows window-1 .. n-1: every pulse in flight is a real symbol.
+    # Table indices are below 4 * 2**_TABLE_BITS, so uint16 holds them.
+    if n >= window:
+        interior = out[window - 1:n]
+        tx16 = tx.astype(np.uint16)
+        for d0, d1, table in _window_tables(cumtaps):
+            index = np.zeros(n - window + 1, dtype=np.uint16)
+            for d in range(d0, d1):
+                index |= tx16[window - 1 - d:n - d] << (d - d0)
+            if d0 == 0:
+                index |= quarter_turns[window - 1:n] << (d1 - d0)
+                np.take(table, index, axis=0, out=interior, mode="clip")
+            else:
+                interior *= table[index]
+
+    # Edge rows: pad the symbols with zeros and sum the window directly.
+    edge = np.r_[0:window - 1, max(n, window - 1):rows]
+    padded = np.zeros(n + 2 * (window - 1))
+    padded[window - 1:window - 1 + n] = symbols
+    local = padded[edge[:, None] + (window - 1) - np.arange(window)] @ cumtaps
+    out[edge] = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * local)
+    return BasebandSignal(samples=out.ravel(), sample_rate=config.bit_rate * sps)
 
 
 def receiver_lowpass(config: ModemConfig) -> np.ndarray:
@@ -192,6 +264,12 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
     Compensates the modulator and receiver-filter group delays internally;
     raises :class:`FramingError` when the signal length or sample rate is
     inconsistent with ``config`` and ``num_bits``.
+
+    The predetection lowpass is evaluated only at the ``num_bits`` decision
+    instants.  The samples are viewed as float frames of one symbol each
+    (``sps`` interleaved I/Q pairs), and decision ``k`` is the sum over the
+    few frames its filter window touches of ``frame[k + q + t] @ poly[t]``,
+    where ``poly[t]`` holds that frame's share of the taps for I and Q.
     """
     if num_bits < 1:
         raise ValueError("num_bits must be >= 1")
@@ -210,12 +288,40 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
             f"sample rate {signal.sample_rate} does not match config ({nominal_rate})"
         )
     h = receiver_lowpass(config)
-    y = oaconvolve(samples, h)
     pulse_len = (2 * span + 1) * sps
     delay = pulse_len // 2 + sps // 2 - 1 + (h.size - 1) // 2
-    k = np.arange(num_bits)
-    z = y[delay + k * sps] * _JPOW[(k + 1) % 4]
-    decisions = (z.real < 0).astype(np.uint8)
+    # The filter output at decision k is the sum over j of
+    # samples[delay - (h.size - 1) + k * sps + j] * h[-1 - j]; that window
+    # starts r samples into frame q + k.
+    q, r = divmod(delay - (h.size - 1), sps)
+    frames_per_decision = (r + h.size - 1) // sps + 1
+    taps = np.zeros(frames_per_decision * sps)
+    taps[r:r + h.size] = h[::-1]
+    poly = np.zeros((frames_per_decision, 2 * sps, 2))
+    poly[:, 0::2, 0] = taps.reshape(frames_per_decision, sps)
+    poly[:, 1::2, 1] = poly[:, 0::2, 0]
+    frames = np.ascontiguousarray(samples, dtype=complex).view(np.float64)
+    frames = frames.reshape(-1, 2 * sps)
+    # Zero frames stand in for the convolution's zero padding where the
+    # filter window reaches past either end of the signal.
+    lead = max(0, -q)
+    trail = max(0, q + num_bits + frames_per_decision - 1 - frames.shape[0])
+    if lead or trail:
+        frames = np.pad(frames, ((lead, trail), (0, 0)))
+        q += lead
+    quads = -(-num_bits // 4)
+    y = np.zeros((4 * quads, 2))
+    step = max(1, _PRODUCT_SIZE // (4 * sps))
+    for b0 in range(0, num_bits, step):
+        b1 = min(b0 + step, num_bits)
+        block = y[b0:b1]
+        np.matmul(frames[q + b0:q + b1], poly[0], out=block)
+        for t in range(1, frames_per_decision):
+            block += frames[q + t + b0:q + t + b1] @ poly[t]
+    # Derotating decision k by j**(k+1) leaves as its real part -Q, -I, +Q
+    # and +I of the filter output for k = 0, 1, 2 and 3 (mod 4).
+    z = y.reshape(quads, 8)[:, [1, 2, 5, 6]] * [-1.0, -1.0, 1.0, 1.0]
+    decisions = (z.ravel()[:num_bits] < 0).astype(np.uint8)
     if config.differential_precoding:
         return decisions
     out = decisions.copy()

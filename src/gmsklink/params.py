@@ -10,6 +10,7 @@ timing values).
 from __future__ import annotations
 
 import importlib.resources
+import math
 from dataclasses import dataclass
 
 from .channel import LinkBudget
@@ -31,7 +32,7 @@ def _parse_float(text: str) -> float:
 
 def _parse_int(text: str) -> int:
     value = _parse_float(text)
-    if value != int(value):
+    if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"expected an integer, got {text!r}")
     return int(value)
 

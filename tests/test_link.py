@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from gmsklink.errors import ConfigError
 from gmsklink.fec import conv_spec, golay_spec, none_spec, rs_spec
 from gmsklink.link import (BerPoint, StopRule, SweepSpec, crossover_ber,
                            run_point, run_sweep, semi_analytic_coded_ber,
@@ -36,6 +37,15 @@ class TestRunPoint:
         spec = SweepSpec(ebno_points=(4.0,), stop_rule=StopRule(50, 100_000),
                          seed=21)
         assert run_point(spec, 4.0) == run_point(spec, 4.0)
+
+    def test_negative_zero_ebno_keys_the_same_streams(self):
+        spec = SweepSpec(ebno_points=(0.0,), stop_rule=StopRule(10**9, 25_000),
+                         seed=3)
+        assert run_point(spec, -0.0).bit_errors == run_point(spec, 0.0).bit_errors
+
+    def test_nan_ebno_rejected(self):
+        with pytest.raises(ConfigError):
+            SweepSpec(ebno_points=(0.0, math.nan))
 
     def test_noise_free_limit_flags_low_confidence(self):
         spec = SweepSpec(ebno_points=(30.0,), stop_rule=StopRule(200, 100_000),

@@ -82,6 +82,12 @@ class TestParamsFile:
         with pytest.raises(ConfigError):
             load_config().with_overrides({"nope.nope": 1})
 
+    @pytest.mark.parametrize("line", ["route.trials = inf", "route.trials = -inf",
+                                      "run.seed = nan", "sweep.max_bits = 1e400"])
+    def test_non_finite_integer_rejected(self, line):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_params_text(line + "\n")
+
 
 class TestCliBasics:
     def test_missing_config_file_is_usage_error(self, tmp_path):
@@ -97,6 +103,15 @@ class TestCliBasics:
                         "--out", str(tmp_path))
         assert proc.returncode == 1
         assert "unknown key" in proc.stderr
+
+    @pytest.mark.parametrize("line", ["route.trials = inf", "run.seed = nan"])
+    def test_non_finite_integer_is_usage_error(self, tmp_path, line):
+        bad = tmp_path / "bad.params"
+        bad.write_text(line + "\n")
+        proc = _run_cli("route-sim", "--config", str(bad), "--out", str(tmp_path))
+        assert proc.returncode == 1
+        assert "expected an integer" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unknown_codec_is_usage_error(self, tmp_path):
         proc = _run_cli("ber-sweep", "--codecs", "hamming",
