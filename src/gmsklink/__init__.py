@@ -14,7 +14,7 @@ from .energy import (CodedVariant, EnergyBreakdown, PowerProfile,
                      total_energy_coded, total_energy_uncoded,
                      tx_energy_uncoded)
 from .errors import ConfigError, DecodeFailure, FramingError, RoutingError
-from .fec import (BlockLayout, CodecPowerProfile, CodeSpec, ReedSolomon,
+from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
                   apply_code, block_layout, conv_encode, conv_spec,
                   golay_decode, golay_encode, golay_spec, none_spec,
                   rs_decode, rs_encode, rs_spec, strip_code, viterbi_decode)

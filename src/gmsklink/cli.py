@@ -25,11 +25,10 @@ import numpy as np
 from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
                      crossover_distance)
 from .errors import ConfigError, RoutingError
-from .fec import (CodeSpec, conv_spec, golay, golay_spec, none_spec, rs_spec,
-                  ReedSolomon, conv_encode, viterbi_decode)
-from .link import StopRule, SweepSpec, run_sweep
+from .fec import CODECS, conv_encode, golay, golay_spec, reed_solomon, viterbi_decode
+from .link import StopRule, SweepSpec, ber_csv_text, run_sweep
 from .netsim import EnsembleSpec, compare_coded_uncoded
-from .params import load_config
+from .params import load_config, parse_codecs
 
 _EXIT_OK = 0
 _EXIT_USAGE = 1
@@ -54,18 +53,6 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(_EXIT_USAGE)
-
-
-def _codec_by_name(name: str, g_code_db: float) -> CodeSpec:
-    if name == "none":
-        return none_spec()
-    if name == "golay":
-        return golay_spec(g_code_db)
-    if name == "reed_solomon":
-        return rs_spec(g_code_db)
-    if name == "convolutional":
-        return conv_spec(g_code_db=g_code_db)
-    raise ConfigError(f"unknown codec {name!r}")
 
 
 def _write_atomic(path: str, text: str):
@@ -114,7 +101,7 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     curves = {}
     for name in codecs:
         spec = SweepSpec(ebno_points=tuple(grid),
-                         codec=_codec_by_name(name, g_code),
+                         codec=CODECS[name].spec(g_code),
                          modem=modem, stop_rule=stop, seed=seed)
         curves[name] = run_sweep(spec)
         print(f"swept {name}: {len(grid)} points", file=sys.stderr)
@@ -122,9 +109,9 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     outputs = {}
     for name, points in curves.items():
         rows = [(name, p) for p in points]
-        outputs[f"ber_{name}.csv"] = _ber_csv_text(rows)
+        outputs[f"ber_{name}.csv"] = ber_csv_text(rows)
     merged = [(name, p) for name in codecs for p in curves[name]]
-    outputs["ber_comparison.csv"] = _ber_csv_text(merged)
+    outputs["ber_comparison.csv"] = ber_csv_text(merged)
     plots = ", \\\n     ".join(
         f"'ber_{name}.csv' skip 1 using 1:3 with linespoints title '{name}'"
         for name in codecs
@@ -134,16 +121,6 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     for fname, text in outputs.items():
         _write_atomic(os.path.join(out_dir, fname), text)
     return _EXIT_OK
-
-
-def _ber_csv_text(rows) -> str:
-    lines = ["ebno_db,codec,ber,errors,bits,ci_low,ci_high,low_confidence_flag"]
-    for codec_name, p in rows:
-        lines.append(
-            f"{p.ebno_db!r},{codec_name},{p.measured_ber!r},{p.bit_errors},"
-            f"{p.bits_simulated},{p.ci_low!r},{p.ci_high!r},{int(p.low_confidence)}"
-        )
-    return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------- energy-distance
@@ -181,28 +158,12 @@ def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
         lines.append(",".join(row + savings))
     scan_text = "\n".join(lines) + "\n"
 
-    # sensitivity: savings at 100 m per (variant, alpha), distance from the
-    # 47% published target, and the crossover distance per combination
-    target = 0.47
+    rows, selected = _sensitivity(cfg)
     sens = ["variant,alpha,savings_at_100m,crossover_m,abs_diff_from_0.47,selected"]
-    best = None
-    rows = []
-    for variant, a in itertools.product(CodedVariant, cfg["scan.alpha_list"]):
-        link = dataclasses.replace(budget, distance_m=100.0)
-        unc = total_energy_uncoded(power, timing, link, pe, a).e_per_info_bit
-        coded = total_energy_coded(power, timing, link, pe, a, spec,
-                                   codec_power, variant).e_per_info_bit
-        saving = 1.0 - coded / unc
-        d_star = crossover_distance(power, timing, budget, pe, a, spec,
-                                    codec_power, variant)
-        diff = abs(saving - target)
-        rows.append((variant.value, a, saving, d_star, diff))
-        if best is None or diff < best[4]:
-            best = (variant.value, a, saving, d_star, diff)
-    for variant_name, a, saving, d_star, diff in rows:
-        selected = int((variant_name, a) == (best[0], best[1]))
+    for i, (variant, a, saving, d_star, diff) in enumerate(rows):
         d_text = repr(d_star) if d_star is not None else "none"
-        sens.append(f"{variant_name},{a!r},{saving!r},{d_text},{diff!r},{selected}")
+        sens.append(f"{variant.value},{a!r},{saving!r},{d_text},{diff!r},"
+                    f"{int(i == selected)}")
     sens_text = "\n".join(sens) + "\n"
 
     _write_atomic(os.path.join(out_dir, "energy_distance.csv"), scan_text)
@@ -213,23 +174,34 @@ def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
     return _EXIT_OK
 
 
-def selected_variant(cfg) -> CodedVariant:
-    """The (variant, alpha) sensitivity winner's variant; used by route-sim."""
+def _sensitivity(cfg):
+    """Savings at 100 m and crossover distance per (variant, alpha) combination.
+
+    Returns rows ``(variant, alpha, savings, crossover_m, |savings - 0.47|)``
+    and the index of the first row closest to the published 47 % savings.
+    """
     power = cfg.power_profile()
     timing = cfg.timing_profile()
     budget = cfg.link_budget(100.0)
     codec_power = cfg.codec_power()
     spec = golay_spec(cfg["codec.g_code_db"])
     pe = cfg["link.target_pe"]
-    best = None
+    rows = []
     for variant, a in itertools.product(CodedVariant, cfg["scan.alpha_list"]):
         unc = total_energy_uncoded(power, timing, budget, pe, a).e_per_info_bit
         coded = total_energy_coded(power, timing, budget, pe, a, spec,
                                    codec_power, variant).e_per_info_bit
-        diff = abs((1.0 - coded / unc) - 0.47)
-        if best is None or diff < best[0]:
-            best = (diff, variant)
-    return best[1]
+        saving = 1.0 - coded / unc
+        d_star = crossover_distance(power, timing, budget, pe, a, spec,
+                                    codec_power, variant)
+        rows.append((variant, a, saving, d_star, abs(saving - 0.47)))
+    return rows, min(range(len(rows)), key=lambda i: rows[i][4])
+
+
+def selected_variant(cfg) -> CodedVariant:
+    """The variant of the sensitivity row closest to 47 % savings at 100 m."""
+    rows, selected = _sensitivity(cfg)
+    return rows[selected][0]
 
 
 # ----------------------------------------------------------------- route-sim
@@ -316,22 +288,15 @@ def cmd_codec_test(quick: bool, inject_fault: bool) -> int:
     report.append(("golay-radius", ok))
     all_ok &= ok
 
-    # Reed-Solomon randomized correction
-    rs = ReedSolomon()
+    # Reed-Solomon randomized correction: 1 .. t symbol errors a word
     trials = 200 if quick else 5000
-    ok = True
-    for _ in range(trials):
-        msg = rng.integers(0, 16, rs.k)
-        word = rs.encode(msg)
-        nerr = int(rng.integers(1, rs.t + 1))
-        pos = rng.choice(rs.n, nerr, replace=False)
-        corrupted = word.copy()
-        for p in pos:
-            corrupted[p] ^= int(rng.integers(1, 16))
-        got, _, failed = rs.decode_word(corrupted)
-        if failed or not np.array_equal(got, word):
-            ok = False
-            break
+    n, k, t = reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS, reed_solomon.T_CORRECT
+    words = reed_solomon.encode_words(rng.integers(0, 16, (trials, k)))
+    errors = rng.integers(1, 16, (trials, n))
+    n_err = rng.integers(1, t + 1, (trials, 1))
+    hit = np.argsort(rng.random((trials, n)), axis=1) < n_err
+    got, _, failed = reed_solomon.decode_words(words ^ (errors * hit))
+    ok = not failed.any() and np.array_equal(got, words)
     report.append(("rs-correction", ok))
     all_ok &= ok
 
@@ -368,7 +333,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("ber-sweep", parents=[common],
                        help="Monte Carlo BER curves per codec")
     p.add_argument("--codecs", metavar="LIST",
-                   help="comma-separated subset of none,golay,reed_solomon,convolutional")
+                   help=f"comma-separated subset of {','.join(CODECS)}")
 
     sub.add_parser("energy-distance", parents=[common],
                    help="per-bit energy vs distance scan with crossover")
@@ -399,11 +364,7 @@ def main(argv=None) -> int:
         if args.out is not None:
             overrides["run.out_dir"] = args.out
         if getattr(args, "codecs", None):
-            overrides["run.codecs"] = tuple(
-                s.strip() for s in args.codecs.split(",") if s.strip())
-            for name in overrides["run.codecs"]:
-                if name not in ("none", "golay", "reed_solomon", "convolutional"):
-                    raise ConfigError(f"unknown codec {name!r}")
+            overrides["run.codecs"] = parse_codecs(args.codecs)
         if getattr(args, "variant", None):
             overrides["run.variant"] = args.variant
         cfg = cfg.with_overrides(overrides)

@@ -1,26 +1,29 @@
-"""Forward-error-correction codecs and the stream-level dispatcher.
+"""Forward-error-correction codecs and the registry keyed by their names.
 
-Three codecs are provided: the extended Golay (24, 12), Reed-Solomon (15, 11)
-over GF(16), and a K = 7 rate-1/2 convolutional code with hard-decision
-Viterbi decoding.  :func:`apply_code` and :func:`strip_code` segment an
-information bit stream into code blocks (zero-padding the last partial
-block), route it through the selected codec, and undo both on the way back.
+The extended Golay (24, 12), Reed-Solomon (15, 11) over GF(16), a K = 7
+rate-1/2 convolutional code with hard-decision Viterbi decoding, and the
+identity code ``none``.  :data:`CODECS` holds one :class:`Codec` per name;
+everything that depends on a codec name reads it.  Block codes zero-pad the
+last partial block; the convolutional code ends each segment with a tail.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import ConfigError, FramingError
-from . import convolutional, golay
-from .convolutional import conv_encode, viterbi_decode
+from . import convolutional, golay, reed_solomon
+from .convolutional import conv_encode, viterbi_decode, viterbi_decode_blocks
 from .golay import golay_decode, golay_encode
-from .reed_solomon import ReedSolomon
+from .reed_solomon import rs_decode, rs_encode
 
 __all__ = [
+    "CODECS",
+    "Codec",
     "CodeSpec",
     "CodecPowerProfile",
     "BlockLayout",
@@ -37,20 +40,18 @@ __all__ = [
     "rs_decode",
     "conv_encode",
     "viterbi_decode",
-    "ReedSolomon",
 ]
-
-_RS_DEFAULT = ReedSolomon()
 
 
 @dataclass(frozen=True)
 class CodeSpec:
     """Static parameters of an error-correcting code.
 
-    ``n`` and ``k`` are in bits for binary codes and in symbols for
-    Reed-Solomon (``symbol_bits`` > 1).  ``d_min`` is the minimum distance
-    where defined; convolutional codes carry ``d_free`` instead.
-    ``g_code_db`` is the coding gain used by the energy model.
+    ``name`` must be a key of :data:`CODECS`.  ``n`` and ``k`` are in bits
+    for binary codes and in symbols for Reed-Solomon (``symbol_bits`` > 1).
+    ``d_min`` is the minimum distance where defined; convolutional codes
+    carry ``d_free`` instead.  ``g_code_db`` is the coding gain used by the
+    energy model.
     """
 
     name: str
@@ -64,21 +65,19 @@ class CodeSpec:
     g_code_db: float = 0.0
 
     def __post_init__(self):
-        if self.name not in ("none", "golay", "reed_solomon", "convolutional"):
+        codec = CODECS.get(self.name)
+        if codec is None:
             raise ConfigError(f"unknown code name {self.name!r}")
         if not 0 < self.k <= self.n:
             raise ConfigError(f"require 0 < k <= n, got k={self.k}, n={self.n}")
         if self.rate != self.k / self.n:
             raise ConfigError("rate must equal k / n exactly")
-        if self.name == "reed_solomon":
-            if self.d_min != self.n - self.k + 1:
-                raise ConfigError("Reed-Solomon requires d_min = n - k + 1")
-            if self.t != (self.n - self.k) // 2:
-                raise ConfigError("Reed-Solomon requires t = floor((n - k) / 2)")
-        if self.name == "golay" and (self.n, self.k, self.d_min, self.t) != (24, 12, 8, 3):
-            raise ConfigError("extended Golay is fixed at (24, 12, 8) with t = 3")
-        if self.name == "none" and (self.rate != 1.0 or self.g_code_db != 0.0):
-            raise ConfigError("the identity code has rate 1 and no coding gain")
+        shape = (self.n, self.k, self.t, self.d_min, self.symbol_bits)
+        if codec.shape is not None and shape != codec.shape:
+            raise ConfigError(f"{self.name} has (n, k, t, d_min, symbol_bits) = "
+                              f"{codec.shape}, got {shape}")
+        if self.rate == 1.0 and self.g_code_db != 0.0:
+            raise ConfigError("a rate-1 code has no coding gain")
 
     @property
     def k_bits(self) -> int:
@@ -110,53 +109,124 @@ class BlockLayout:
     pad_bits: int
 
 
+def _padded_layout(info_len: int, spec: CodeSpec) -> BlockLayout:
+    blocks = math.ceil(info_len / spec.k_bits)
+    return BlockLayout(blocks, blocks * spec.n_bits, blocks * spec.k_bits - info_len)
+
+
+@dataclass(frozen=True)
+class Codec:
+    """One codec: ``spec(g_code_db)`` builds its :class:`CodeSpec`.
+
+    ``decode(coded, spec, info_len)`` undoes ``encode(bits, spec)`` and
+    returns ``(bits, corrected, failed)``: the decoded bits, the channel
+    errors corrected (in the code's symbols) and the blocks flagged
+    uncorrectable.  ``layout`` frames a stream; a fixed code's specs all
+    have its ``shape``, that is ``(n, k, t, d_min, symbol_bits)``.
+    """
+
+    name: str
+    spec: Callable[[float], CodeSpec]
+    encode: Callable[[np.ndarray, CodeSpec], np.ndarray]
+    decode: Callable[[np.ndarray, CodeSpec, int], tuple[np.ndarray, int, int]]
+    layout: Callable[[int, CodeSpec], BlockLayout] = _padded_layout
+    shape: tuple | None = None
+
+
+def _fixed_spec(codec: Codec, g_code_db: float) -> CodeSpec:
+    n, k, t, d_min, symbol_bits = codec.shape
+    return CodeSpec(name=codec.name, n=n, k=k, rate=k / n, t=t, d_min=d_min,
+                    symbol_bits=symbol_bits, g_code_db=g_code_db)
+
+
 def none_spec() -> CodeSpec:
-    return CodeSpec(name="none", n=1, k=1, rate=1.0, t=0, d_min=1)
+    return _fixed_spec(_NONE, 0.0)
 
 
 def golay_spec(g_code_db: float = 4.0) -> CodeSpec:
-    return CodeSpec(name="golay", n=24, k=12, rate=0.5, t=3, d_min=8,
-                    g_code_db=g_code_db)
+    return _fixed_spec(_GOLAY, g_code_db)
 
 
 def rs_spec(g_code_db: float = 4.0) -> CodeSpec:
-    rs = _RS_DEFAULT
-    return CodeSpec(name="reed_solomon", n=rs.n, k=rs.k, rate=rs.k / rs.n,
-                    t=rs.t, d_min=rs.d_min, symbol_bits=rs.m, g_code_db=g_code_db)
+    return _fixed_spec(_RS, g_code_db)
 
 
 def conv_spec(segment_bits: int = 512, g_code_db: float = 4.0) -> CodeSpec:
     if segment_bits < 1:
         raise ConfigError("segment_bits must be >= 1")
     n = 2 * (segment_bits + convolutional.CONSTRAINT_LENGTH - 1)
-    return CodeSpec(name="convolutional", n=n, k=segment_bits,
+    return CodeSpec(name=_CONV.name, n=n, k=segment_bits,
                     rate=segment_bits / n, t=(convolutional.D_FREE - 1) // 2,
                     d_free=convolutional.D_FREE, g_code_db=g_code_db)
 
 
-def rs_encode(message) -> np.ndarray:
-    """Systematic RS(15, 11) encode of 11 GF(16) symbols."""
-    return _RS_DEFAULT.encode(message)
+def _padded(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
+    pad = _padded_layout(bits.size, spec).pad_bits
+    return np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
 
 
-def rs_decode(received):
-    """RS(15, 11) decode; returns (message, corrected) or raises DecodeFailure."""
-    return _RS_DEFAULT.decode(received)
+def _golay_encode(bits, spec):
+    msgs = golay.pack_message_bits(_padded(bits, spec).reshape(-1, spec.k))
+    return golay.unpack_codeword_bits(golay.encode_words(msgs)).reshape(-1)
+
+
+def _golay_decode(coded, spec, info_len):
+    words = golay.pack_codeword_bits(coded.reshape(-1, spec.n))
+    msgs, corrected, failed = golay.decode_words(words)
+    bits = golay.unpack_message_bits(msgs).reshape(-1)[:info_len]
+    return bits, int(corrected.sum()), int(failed.sum())
+
+
+def _rs_encode(bits, spec):
+    symbols = reed_solomon.bits_to_symbols(_padded(bits, spec)).reshape(-1, spec.k)
+    return reed_solomon.symbols_to_bits(reed_solomon.encode_words(symbols))
+
+
+def _rs_decode(coded, spec, info_len):
+    received = reed_solomon.bits_to_symbols(coded).reshape(-1, spec.n)
+    words, corrected, failed = reed_solomon.decode_words(received)
+    bits = reed_solomon.symbols_to_bits(words[:, : spec.k])[:info_len]
+    return bits, int(corrected.sum()), int(failed.sum())
+
+
+def _conv_layout(info_len, spec):
+    # each segment, a short last one too, codes to 2 bits per input bit plus a tail
+    blocks = math.ceil(info_len / spec.k)
+    return BlockLayout(blocks, 2 * info_len + blocks * (spec.n - 2 * spec.k), 0)
+
+
+def _conv_encode(bits, spec):
+    return np.concatenate([conv_encode(bits[i: i + spec.k])
+                           for i in range(0, bits.size, spec.k)])
+
+
+def _conv_decode(coded, spec, info_len):
+    full = info_len // spec.k
+    segments = (coded[: full * spec.n].reshape(full, spec.n), coded[None, full * spec.n:])
+    bits = [viterbi_decode_blocks(s).reshape(-1) for s in segments if s.size]
+    return np.concatenate(bits), 0, 0  # Viterbi flags no block and counts no corrections
+
+
+_NONE = Codec("none", lambda g_code_db: none_spec(), lambda bits, spec: bits.copy(),
+              lambda coded, spec, info_len: (coded.copy(), 0, 0),
+              layout=lambda info_len, spec: BlockLayout(1, info_len, 0),
+              shape=(1, 1, 0, 1, 1))
+_GOLAY = Codec("golay", golay_spec, _golay_encode, _golay_decode,
+               shape=(golay.N_BITS, golay.K_BITS, golay.T_CORRECT, golay.D_MIN, 1))
+_RS = Codec("reed_solomon", rs_spec, _rs_encode, _rs_decode,
+            shape=(reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS,
+                   reed_solomon.T_CORRECT, reed_solomon.D_MIN, reed_solomon.SYMBOL_BITS))
+_CONV = Codec("convolutional", lambda g_code_db: conv_spec(g_code_db=g_code_db),
+              _conv_encode, _conv_decode, layout=_conv_layout)
+
+CODECS = {codec.name: codec for codec in (_NONE, _GOLAY, _RS, _CONV)}
 
 
 def block_layout(info_len: int, spec: CodeSpec) -> BlockLayout:
     """Blocks, coded length and zero padding for an ``info_len``-bit stream."""
     if info_len < 1:
         raise ValueError("info_len must be >= 1")
-    if spec.name == "none":
-        return BlockLayout(1, info_len, 0)
-    if spec.name == "convolutional":
-        full, rem = divmod(info_len, spec.k)
-        tail = 2 * (convolutional.CONSTRAINT_LENGTH - 1)
-        coded = full * (2 * spec.k + tail) + (2 * rem + tail if rem else 0)
-        return BlockLayout(full + (1 if rem else 0), coded, 0)
-    blocks = math.ceil(info_len / spec.k_bits)
-    return BlockLayout(blocks, blocks * spec.n_bits, blocks * spec.k_bits - info_len)
+    return CODECS[spec.name].layout(info_len, spec)
 
 
 def _as_bits(bits) -> np.ndarray:
@@ -168,23 +238,7 @@ def _as_bits(bits) -> np.ndarray:
 
 def apply_code(bits, spec: CodeSpec) -> np.ndarray:
     """Segment an information stream into blocks and encode each one."""
-    bits = _as_bits(bits)
-    if spec.name == "none":
-        return bits.copy()
-    if spec.name == "convolutional":
-        parts = [conv_encode(bits[i: i + spec.k])
-                 for i in range(0, bits.size, spec.k)]
-        return np.concatenate(parts)
-    layout = block_layout(bits.size, spec)
-    padded = np.concatenate([bits, np.zeros(layout.pad_bits, dtype=np.uint8)])
-    if spec.name == "golay":
-        msgs = golay.pack_message_bits(padded.reshape(-1, 12))
-        return golay.unpack_codeword_bits(golay.encode_words(msgs)).reshape(-1)
-    if spec.name == "reed_solomon":
-        rs = _RS_DEFAULT
-        symbols = rs.bits_to_symbols(padded).reshape(-1, rs.k)
-        return rs.symbols_to_bits(rs.encode_blocks(symbols).reshape(-1))
-    raise ConfigError(f"unknown code name {spec.name!r}")
+    return CODECS[spec.name].encode(_as_bits(bits), spec)
 
 
 def strip_code(coded, spec: CodeSpec, info_len: int) -> np.ndarray:
@@ -200,31 +254,4 @@ def strip_code(coded, spec: CodeSpec, info_len: int) -> np.ndarray:
         raise FramingError(
             f"coded stream has {coded.size} bits, expected {layout.coded_bits}"
         )
-    if spec.name == "none":
-        return coded.copy()
-    if spec.name == "convolutional":
-        tail = 2 * (convolutional.CONSTRAINT_LENGTH - 1)
-        full, rem = divmod(info_len, spec.k)
-        out = []
-        if full:
-            width = 2 * spec.k + tail
-            head = coded[: full * width].reshape(full, width)
-            out.append(convolutional.viterbi_decode_blocks(head).reshape(-1))
-        if rem:
-            out.append(viterbi_decode(coded[full * (2 * spec.k + tail):]))
-        return np.concatenate(out) if len(out) > 1 else out[0]
-    if spec.name == "golay":
-        words = golay.pack_codeword_bits(coded.reshape(-1, 24))
-        msgs, _, _ = golay.decode_words(words)
-        return golay.unpack_message_bits(msgs).reshape(-1)[:info_len]
-    if spec.name == "reed_solomon":
-        rs = _RS_DEFAULT
-        received = rs.bits_to_symbols(coded).reshape(-1, rs.n)
-        synd = rs.syndromes_blocks(received)
-        dirty = np.nonzero(synd.any(axis=1))[0]
-        decoded = received[:, : rs.k].copy()
-        for i in dirty:
-            word, _, _ = rs.decode_word(received[i])
-            decoded[i] = word[: rs.k]
-        return rs.symbols_to_bits(decoded.reshape(-1))[:info_len]
-    raise ConfigError(f"unknown code name {spec.name!r}")
+    return CODECS[spec.name].decode(coded, spec, info_len)[0]

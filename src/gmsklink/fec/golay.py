@@ -1,14 +1,16 @@
 """Extended binary Golay (24, 12, 8) encoder and decoder.
 
 Systematic construction with generator [I | B], using the standard symmetric
-12x12 matrix B (B is its own inverse over GF(2), which the decoder exploits).
-Decoding is table-driven syndrome decoding that corrects every error pattern
-of weight <= 3 and reports weight-4 patterns as failures.  The word-level
-routines are vectorised so exhaustive sweeps over all messages and error
-patterns stay cheap.
+12x12 matrix B.  Decoding is syndrome decoding: a 4096-entry table maps each
+12-bit syndrome to the error pattern of weight <= 3 that has it, so every
+such pattern is corrected and weight-4 patterns are reported as failures.
+The word-level routines are vectorised so exhaustive sweeps over all
+messages and error patterns stay cheap.
 """
 
 from __future__ import annotations
+
+import itertools
 
 import numpy as np
 
@@ -51,7 +53,6 @@ def _build_product_table() -> np.ndarray:
 
 
 _MULT_B = _build_product_table()
-_POP12 = np.array([bin(i).count("1") for i in range(4096)], dtype=np.uint8)
 _POW2_12 = (1 << np.arange(11, -1, -1)).astype(np.uint16)
 _POW2_24 = (1 << np.arange(23, -1, -1)).astype(np.uint32)
 
@@ -60,6 +61,22 @@ def encode_words(messages: np.ndarray) -> np.ndarray:
     """Encode 12-bit message integers into 24-bit codeword integers."""
     messages = np.asarray(messages, dtype=np.uint32)
     return (messages << 12) | _MULT_B[messages]
+
+
+def _error_table() -> np.ndarray:
+    """table[s]: the one error pattern of weight <= 3 with syndrome s, or -1.
+
+    The 2325 patterns of weight <= 3 have distinct syndromes (d_min = 8); the
+    other 1771 syndromes are those of weight-4 cosets, which are uncorrectable.
+    """
+    patterns = np.array([sum(1 << i for i in bits) for w in range(T_CORRECT + 1)
+                         for bits in itertools.combinations(range(N_BITS), w)])
+    table = np.full(1 << K_BITS, -1, dtype=np.int64)
+    table[_MULT_B[patterns >> 12] ^ (patterns & 0xFFF)] = patterns
+    return table
+
+
+_ERRORS = _error_table()
 
 
 def decode_words(words: np.ndarray):
@@ -72,55 +89,11 @@ def decode_words(words: np.ndarray):
     """
     words = np.atleast_1d(np.asarray(words, dtype=np.uint32))
     r1 = (words >> 12).astype(np.uint16)
-    r2 = (words & 0xFFF).astype(np.uint16)
-    syn = _MULT_B[r1] ^ r2
-
-    e1 = np.zeros(words.shape, dtype=np.uint16)
-    e2 = np.zeros(words.shape, dtype=np.uint16)
-    undecided = np.ones(words.shape, dtype=bool)
-
-    # e = (0, s): at most 3 errors, all in the parity half.
-    hit = _POP12[syn] <= 3
-    e2[hit] = syn[hit]
-    undecided &= ~hit
-
-    def _one_systematic_bit(active, base, sys_from_row):
-        # Try e = (u_i, base ^ B_i) or e = (base ^ B_i, u_i) for each row i.
-        idx = np.nonzero(active)[0]
-        if idx.size == 0:
-            return
-        combos = base[idx, None] ^ B_ROWS[None, :]
-        ok = _POP12[combos] <= 2
-        any_ok = ok.any(axis=1)
-        rows = np.argmax(ok, axis=1)[any_ok]
-        tgt = idx[any_ok]
-        unit = (np.uint16(1) << (11 - rows)).astype(np.uint16)
-        rest = combos[any_ok, rows]
-        if sys_from_row:
-            e1[tgt] = unit
-            e2[tgt] = rest
-        else:
-            e1[tgt] = rest
-            e2[tgt] = unit
-        undecided[tgt] = False
-
-    # e = (u_i, s ^ B_i): one systematic error plus <= 2 parity errors.
-    _one_systematic_bit(undecided, syn, sys_from_row=True)
-
-    # e = (s.B, 0): errors confined to the systematic half (B.B = I).
-    syn2 = _MULT_B[syn]
-    hit = undecided & (_POP12[syn2] <= 3)
-    e1[hit] = syn2[hit]
-    undecided &= ~hit
-
-    # e = (s.B ^ B_i, u_i): one parity error plus <= 2 systematic errors.
-    _one_systematic_bit(undecided, syn2, sys_from_row=False)
-
-    failed = undecided
-    messages = (r1 ^ e1).astype(np.uint16)
-    corrected = (_POP12[e1] + _POP12[e2]).astype(np.uint8)
-    corrected[failed] = 0
-    return messages, corrected, failed
+    errors = _ERRORS[_MULT_B[r1] ^ (words & 0xFFF)]
+    failed = errors < 0
+    errors[failed] = 0
+    messages = (r1 ^ (errors >> 12)).astype(np.uint16)
+    return messages, np.bitwise_count(errors).astype(np.uint8), failed
 
 
 def pack_message_bits(bits: np.ndarray) -> np.ndarray:

@@ -1,11 +1,14 @@
-"""Reed-Solomon codec over GF(2^m) with Berlekamp-Massey decoding.
+"""Reed-Solomon (15, 11) over GF(16): table-driven encoder and syndrome decoder.
 
-Default parameters are RS(15, 11) over GF(16) built on the primitive
-polynomial x^4 + x + 1: d_min = 5, correcting any 2 symbol errors per block.
-Decoding is bounded-distance: syndromes, Berlekamp-Massey for the error
-locator, Chien search for the roots, and Forney for the magnitudes.  A final
-syndrome re-check guarantees that a reported success really is a codeword
-within distance t of the input, so failure flags are exact.
+GF(16) is built on x^4 + x + 1 and the code on the generator roots a^1 .. a^4,
+so d_min = 5 and every pattern of at most 2 symbol errors is corrected.
+Symbol i of a word is the coefficient of x^(14 - i); the first 11 are the
+message.  Parity and syndromes are linear in the symbols, so each is an XOR
+of per-(position, symbol) table entries.  A word's four 4-bit syndromes pack
+into 16 bits, and a 65536-entry table maps each syndrome to the one error
+pattern of weight <= 2 that has it (23 851 patterns, zero included) or marks
+the word uncorrectable: exact bounded-distance decoding (standard syndrome
+decoding; Lin & Costello, *Error Control Coding*).
 """
 
 from __future__ import annotations
@@ -14,257 +17,133 @@ import numpy as np
 
 from ..errors import DecodeFailure
 
+N_SYMBOLS = 15
+K_SYMBOLS = 11
+SYMBOL_BITS = 4
+D_MIN = 5
+T_CORRECT = 2
 
-class ReedSolomon:
-    """Systematic RS(n, k) codec over GF(2^m) with n = 2^m - 1."""
+_SHIFTS = np.array([12, 8, 4, 0])  # four 4-bit fields in 16 bits, the first on top
+_POSITIONS = np.arange(N_SYMBOLS)
 
-    def __init__(self, n: int = 15, k: int = 11, m: int = 4,
-                 prim_poly: int = 0b10011, fcr: int = 1):
-        if n != (1 << m) - 1:
-            raise ValueError(f"n must be 2^m - 1, got n={n}, m={m}")
-        if not 0 < k < n:
-            raise ValueError(f"require 0 < k < n, got k={k}, n={n}")
-        if (n - k) % 2 != 0:
-            raise ValueError("n - k must be even so t = (n - k) / 2 is integral")
-        self.n = n
-        self.k = k
-        self.m = m
-        self.fcr = fcr
-        self.t = (n - k) // 2
-        self.d_min = n - k + 1
 
-        exp = np.zeros(2 * n, dtype=np.int64)
-        log = np.zeros(n + 1, dtype=np.int64)
-        x = 1
-        for i in range(n):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x & (1 << m):
-                x ^= prim_poly
-        exp[n:] = exp[:n]
-        self._exp = exp
-        self._log = log
+def _syndrome_table() -> np.ndarray:
+    """table[i, v]: packed syndromes r(a^1) .. r(a^4) of symbol v at position i."""
+    exp = [1]  # exp[e] = a^e
+    for _ in range(2 * N_SYMBOLS):
+        x = exp[-1] << 1
+        exp.append(x ^ 0b10011 if x & 16 else x)
+    exp = np.array(exp)
+    degree = (np.arange(1, 5) * (N_SYMBOLS - 1 - _POSITIONS[:, None])) % N_SYMBOLS
+    table = np.zeros((N_SYMBOLS, 16), dtype=np.uint16)
+    for b in range(SYMBOL_BITS):  # v . a^e: XOR of a^(e + b) over the set bits b of v
+        packed = (exp[degree + b] << _SHIFTS).sum(axis=1).astype(np.uint16)
+        table ^= np.where((np.arange(16) >> b) & 1, packed[:, None], np.uint16(0))
+    return table
 
-        # generator polynomial prod_{i=0}^{2t-1} (x - a^(fcr+i)), high degree first
-        gen = [1]
-        for i in range(2 * self.t):
-            gen = self._poly_mul(gen, [1, self._pow(2, fcr + i)])
-        self._gen = gen
 
-    # GF(2^m) scalar helpers -------------------------------------------------
+def _parity_table(syndrome: np.ndarray) -> np.ndarray:
+    """table[i, v]: packed parity symbols cancelling symbol v at message position i.
 
-    def _mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
+    Any 4 columns of the check matrix are independent, so the 65536 parity
+    words map one-to-one onto the 65536 syndromes.
+    """
+    syn = np.zeros(1, dtype=np.uint16)  # ends as the syndromes of parity words 0..65535
+    for contributions in syndrome[K_SYMBOLS:]:
+        syn = (syn[:, None] ^ contributions).reshape(-1)
+    cancel = np.empty(1 << 16, dtype=np.uint16)
+    cancel[syn] = np.arange(1 << 16)
+    return cancel[syndrome[:K_SYMBOLS]]
 
-    def _div(self, a: int, b: int) -> int:
-        if b == 0:
-            raise ZeroDivisionError("division by zero in GF(2^m)")
-        if a == 0:
-            return 0
-        return int(self._exp[(self._log[a] - self._log[b]) % self.n])
 
-    def _pow(self, a: int, p: int) -> int:
-        return int(self._exp[(self._log[a] * p) % self.n])
+def _decoding_tables(syndrome: np.ndarray):
+    """The error patterns of weight <= 2, their weights, and syndrome -> row.
 
-    def _inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverting zero in GF(2^m)")
-        return int(self._exp[(self.n - self._log[a]) % self.n])
+    Rows: the zero pattern, 225 single-symbol patterns, 23 625 two-symbol
+    patterns, and a last all-zero row of weight -1 for uncorrectable words.
+    """
+    rows = np.arange(N_SYMBOLS * 15)
+    singles = np.zeros((rows.size, N_SYMBOLS), dtype=np.uint8)
+    singles[rows, rows // 15] = rows % 15 + 1
+    a, b = np.triu_indices(rows.size, 1)
+    keep = a // 15 != b // 15  # two distinct positions
+    a, b = a[keep], b[keep]
+    zero = np.zeros((1, N_SYMBOLS), dtype=np.uint8)
+    patterns = np.concatenate([zero, singles, singles[a] | singles[b], zero])
+    weights = np.concatenate([[0], np.ones(rows.size), np.full(a.size, 2), [-1]])
+    single_syn = syndrome[:, 1:].reshape(-1)
+    syn = np.concatenate([[0], single_syn, single_syn[a] ^ single_syn[b]])
+    row_of = np.full(1 << 16, len(patterns) - 1, dtype=np.int16)
+    row_of[syn] = np.arange(syn.size)
+    return patterns, weights.astype(np.int8), row_of
 
-    def _poly_mul(self, p, q):
-        out = [0] * (len(p) + len(q) - 1)
-        for i, pi in enumerate(p):
-            if pi:
-                for j, qj in enumerate(q):
-                    out[i + j] ^= self._mul(pi, qj)
-        return out
 
-    def _poly_add(self, p, q):
-        # high degree first, aligned at the constant term
-        length = max(len(p), len(q))
-        out = [0] * length
-        for i, c in enumerate(p):
-            out[i + length - len(p)] ^= c
-        for i, c in enumerate(q):
-            out[i + length - len(q)] ^= c
-        return out
+_SYNDROME = _syndrome_table()
+_PARITY = _parity_table(_SYNDROME)
+_PATTERNS, _WEIGHTS, _ROW_OF = _decoding_tables(_SYNDROME)
 
-    def _poly_eval(self, poly, x: int) -> int:
-        # high degree first, Horner scheme
-        y = poly[0]
-        for coef in poly[1:]:
-            y = self._mul(y, x) ^ coef
-        return y
 
-    # encode -----------------------------------------------------------------
+def _as_symbols(symbols, width: int) -> np.ndarray:
+    s = np.asarray(symbols, dtype=np.int64)
+    if s.ndim != 2 or s.shape[1] != width:
+        raise ValueError(f"expected a (B, {width}) symbol array, got shape {s.shape}")
+    if s.size and (s.min() < 0 or s.max() > 15):
+        raise ValueError("symbols must lie in [0, 16)")
+    return s
 
-    def _check_symbols(self, symbols: np.ndarray):
-        if np.any(symbols < 0) or np.any(symbols >= (1 << self.m)):
-            raise ValueError(f"symbols must lie in [0, {1 << self.m})")
 
-    def encode(self, message) -> np.ndarray:
-        """Encode k symbols into a systematic n-symbol codeword."""
-        msg = np.asarray(message, dtype=np.int64)
-        if msg.shape != (self.k,):
-            raise ValueError(f"message must be {self.k} symbols, got {msg.shape}")
-        self._check_symbols(msg)
-        return self.encode_blocks(msg[None, :])[0]
+def encode_words(messages) -> np.ndarray:
+    """Encode a (B, 11) symbol array into (B, 15) systematic codewords."""
+    msgs = _as_symbols(messages, K_SYMBOLS)
+    packed = np.bitwise_xor.reduce(_PARITY[_POSITIONS[:K_SYMBOLS], msgs], axis=1)
+    return np.concatenate([msgs, (packed[:, None] >> _SHIFTS) & 15], axis=1)
 
-    def encode_blocks(self, messages: np.ndarray) -> np.ndarray:
-        """Encode a (B, k) symbol array into (B, n) codewords."""
-        msgs = np.asarray(messages, dtype=np.int64)
-        self._check_symbols(msgs)
-        nb = msgs.shape[0]
-        npar = 2 * self.t
-        # batched synthetic division by the generator polynomial
-        rem = np.zeros((nb, npar), dtype=np.int64)
-        gen_log = np.array([self._log[g] for g in self._gen[1:]], dtype=np.int64)
-        for i in range(self.k):
-            coef = msgs[:, i] ^ rem[:, 0]
-            rem = np.concatenate([rem[:, 1:], np.zeros((nb, 1), np.int64)], axis=1)
-            nz = coef != 0
-            if np.any(nz):
-                rem[nz] ^= self._exp[self._log[coef[nz], None] + gen_log[None, :]]
-        return np.concatenate([msgs, rem], axis=1)
 
-    # decode -----------------------------------------------------------------
+def decode_words(received):
+    """Decode a (B, 15) symbol array.
 
-    def syndromes_blocks(self, received: np.ndarray) -> np.ndarray:
-        """Batched syndrome computation: (B, n) words -> (B, 2t) syndromes."""
-        r = np.asarray(received, dtype=np.int64)
-        out = np.zeros((r.shape[0], 2 * self.t), dtype=np.int64)
-        for j in range(2 * self.t):
-            log_x = (self.fcr + j) % self.n
-            acc = r[:, 0].copy()
-            for i in range(1, self.n):
-                nz = acc != 0
-                acc[nz] = self._exp[self._log[acc[nz]] + log_x]
-                acc ^= r[:, i]
-            out[:, j] = acc
-        return out
+    Returns ``(words, corrected, failed)``: the decoded (B, 15) words, the
+    per-word count of corrected symbols, and a boolean failure mask.  Failed
+    words (no error pattern of weight <= 2 fits) keep their raw received
+    symbols so residual errors stay measurable.
+    """
+    r = _as_symbols(received, N_SYMBOLS)
+    row = _ROW_OF[np.bitwise_xor.reduce(_SYNDROME[_POSITIONS, r], axis=1)]
+    weights = _WEIGHTS[row]
+    return r ^ _PATTERNS[row], np.maximum(weights, 0), weights < 0
 
-    def decode(self, received):
-        """Decode n received symbols; returns ``(message, corrected_count)``.
 
-        Raises :class:`DecodeFailure` when no codeword lies within distance t.
-        """
-        word, corrected, failed = self.decode_word(received)
-        if failed:
-            raise DecodeFailure(
-                f"uncorrectable RS block (more than {self.t} symbol errors)"
-            )
-        return word[: self.k], corrected
+def bits_to_symbols(bits) -> np.ndarray:
+    """Bit array (a multiple of 4 long) -> symbols, MSB first per symbol."""
+    b = np.asarray(bits, dtype=np.uint8)
+    if b.size % SYMBOL_BITS:
+        raise ValueError(f"bit count must be a multiple of {SYMBOL_BITS}")
+    return b.reshape(-1, SYMBOL_BITS) @ np.array([8, 4, 2, 1])
 
-    def decode_word(self, received):
-        """Bounded-distance decode returning ``(word, corrected, failed)``.
 
-        On failure the raw received word is returned unchanged so callers can
-        still account residual errors against the systematic symbols.
-        """
-        r = np.asarray(received, dtype=np.int64)
-        if r.shape != (self.n,):
-            raise ValueError(f"received word must be {self.n} symbols, got {r.shape}")
-        self._check_symbols(r)
+def symbols_to_bits(symbols) -> np.ndarray:
+    """Symbols -> flat bit array, MSB first per symbol."""
+    s = np.asarray(symbols, dtype=np.int64).reshape(-1, 1)
+    return ((s >> np.array([3, 2, 1, 0])) & 1).astype(np.uint8).reshape(-1)
 
-        synd = [self._poly_eval(r.tolist(), self._pow(2, self.fcr + j))
-                for j in range(2 * self.t)]
-        if max(synd) == 0:
-            return r.copy(), 0, False
 
-        err_loc = self._berlekamp_massey(synd)
-        n_errs = len(err_loc) - 1
-        if n_errs > self.t:
-            return r.copy(), 0, True
-        positions = self._chien_search(err_loc)
-        if len(positions) != n_errs:
-            return r.copy(), 0, True
-        corrected = r.copy()
-        for pos, mag in zip(positions, self._forney(synd, positions)):
-            corrected[pos] ^= mag
-        # guarantee the output is a codeword (exact failure semantics)
-        check = [self._poly_eval(corrected.tolist(), self._pow(2, self.fcr + j))
-                 for j in range(2 * self.t)]
-        if max(check) != 0:
-            return r.copy(), 0, True
-        return corrected, n_errs, False
+def rs_encode(message) -> np.ndarray:
+    """Encode exactly 11 GF(16) symbols into a systematic 15-symbol codeword."""
+    msg = np.asarray(message)
+    if msg.shape != (K_SYMBOLS,):
+        raise ValueError(f"message must be {K_SYMBOLS} symbols, got shape {msg.shape}")
+    return encode_words(msg[None, :])[0]
 
-    def _berlekamp_massey(self, synd):
-        err_loc = [1]
-        old_loc = [1]
-        for i in range(2 * self.t):
-            delta = synd[i]
-            for j in range(1, len(err_loc)):
-                delta ^= self._mul(err_loc[-(j + 1)], synd[i - j])
-            old_loc = old_loc + [0]
-            if delta != 0:
-                if len(old_loc) > len(err_loc):
-                    new_loc = [self._mul(c, delta) for c in old_loc]
-                    old_loc = [self._mul(c, self._inv(delta)) for c in err_loc]
-                    err_loc = new_loc
-                err_loc = self._poly_add(
-                    err_loc, [self._mul(c, delta) for c in old_loc]
-                )
-        while err_loc and err_loc[0] == 0:
-            err_loc.pop(0)
-        return err_loc
 
-    def _chien_search(self, err_loc):
-        # err_loc has roots at X_i^-1 where X_i = a^(n-1-pos); a root found at
-        # a^i therefore marks array position (i - 1) mod n.
-        positions = []
-        for i in range(self.n):
-            if self._poly_eval(err_loc, self._pow(2, i)) == 0:
-                positions.append((i - 1) % self.n)
-        return positions
+def rs_decode(received):
+    """Decode 15 symbols; returns ``(message, corrected_symbols)``.
 
-    def _forney(self, synd, positions):
-        # low-degree-first in here; X_i = a^(n-1-pos)
-        xs = [self._pow(2, self.n - 1 - p) for p in positions]
-        lam = [1]
-        for xi in xs:
-            new = lam + [0]
-            for d in range(len(lam)):
-                new[d + 1] ^= self._mul(lam[d], xi)
-            lam = new
-        omega = [0] * (2 * self.t)
-        for i, si in enumerate(synd):
-            if si:
-                for j, lj in enumerate(lam):
-                    if lj and i + j < 2 * self.t:
-                        omega[i + j] ^= self._mul(si, lj)
-        mags = []
-        for i, xi in enumerate(xs):
-            xi_inv = self._inv(xi)
-            num = 0
-            xterm = 1
-            for coef in omega:
-                if coef:
-                    num ^= self._mul(coef, xterm)
-                xterm = self._mul(xterm, xi_inv)
-            # formal derivative at the root: lambda'(X_i^-1) = X_i * denom
-            denom = 1
-            for j, xj in enumerate(xs):
-                if j != i:
-                    denom = self._mul(denom, 1 ^ self._mul(xi_inv, xj))
-            num = self._mul(num, self._pow(xi, -self.fcr)) if num else 0
-            mags.append(self._div(num, denom) if num else 0)
-        return mags
-
-    # bit/symbol packing -----------------------------------------------------
-
-    def bits_to_symbols(self, bits: np.ndarray) -> np.ndarray:
-        """Bit array (multiple of m long) -> symbols, MSB first per symbol."""
-        b = np.asarray(bits, dtype=np.int64)
-        if b.size % self.m:
-            raise ValueError(f"bit count must be a multiple of {self.m}")
-        pows = 1 << np.arange(self.m - 1, -1, -1)
-        return b.reshape(-1, self.m) @ pows
-
-    def symbols_to_bits(self, symbols: np.ndarray) -> np.ndarray:
-        """Symbols -> flat bit array, MSB first per symbol."""
-        s = np.asarray(symbols, dtype=np.int64)
-        shifts = np.arange(self.m - 1, -1, -1)
-        return ((s[:, None] >> shifts) & 1).astype(np.uint8).reshape(-1)
+    Raises :class:`DecodeFailure` when no codeword lies within distance 2.
+    """
+    r = np.asarray(received)
+    if r.shape != (N_SYMBOLS,):
+        raise ValueError(f"word must be {N_SYMBOLS} symbols, got shape {r.shape}")
+    words, corrected, failed = decode_words(r[None, :])
+    if failed[0]:
+        raise DecodeFailure("uncorrectable RS block (more than 2 symbol errors)")
+    return words[0, :K_SYMBOLS], int(corrected[0])

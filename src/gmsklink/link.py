@@ -175,15 +175,13 @@ def semi_analytic_coded_ber(spec: CodeSpec, ebno_db: float, alpha: float,
 
     Uses the standard union-style bound: a block with i > t channel-symbol
     errors decodes to roughly i + t wrong symbols out of n.  Supports the
-    block codes only; the convolutional code has no closed form at this
-    fidelity.
+    block codes only, the identity code included; the convolutional code has
+    no closed form at this fidelity.
     """
-    if spec.name == "convolutional":
-        raise ValueError("no semi-analytic estimate for the convolutional code")
+    if spec.d_min is None:
+        raise ValueError(f"no semi-analytic estimate for the {spec.name} code")
     chan_db = ebno_db + (10.0 * math.log10(spec.rate) if info_bit_axis else 0.0)
     p_bit = float(theoretical_ber(chan_db, alpha))
-    if spec.name == "none":
-        return p_bit
     if spec.symbol_bits > 1:
         p = 1.0 - (1.0 - p_bit) ** spec.symbol_bits
     else:
@@ -200,13 +198,12 @@ def semi_analytic_coded_ber(spec: CodeSpec, ebno_db: float, alpha: float,
     return out
 
 
-def write_ber_csv(path, rows: list[tuple[str, BerPoint]]):
-    """Write (codec, point) rows using the fixed sweep CSV schema."""
-    with open(path, "w", newline="") as fh:
-        fh.write("ebno_db,codec,ber,errors,bits,ci_low,ci_high,low_confidence_flag\n")
-        for codec_name, p in rows:
-            fh.write(
-                f"{p.ebno_db!r},{codec_name},{p.measured_ber!r},{p.bit_errors},"
-                f"{p.bits_simulated},{p.ci_low!r},{p.ci_high!r},"
-                f"{int(p.low_confidence)}\n"
-            )
+def ber_csv_text(rows: list[tuple[str, BerPoint]]) -> str:
+    """(codec, point) rows as text in the fixed sweep CSV schema."""
+    lines = ["ebno_db,codec,ber,errors,bits,ci_low,ci_high,low_confidence_flag"]
+    for codec_name, p in rows:
+        lines.append(
+            f"{p.ebno_db!r},{codec_name},{p.measured_ber!r},{p.bit_errors},"
+            f"{p.bits_simulated},{p.ci_low!r},{p.ci_high!r},{int(p.low_confidence)}"
+        )
+    return "\n".join(lines) + "\n"

@@ -164,7 +164,7 @@ def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
         distances = tuple(route_or_distances)
     if len(distances) == 0:
         raise ConfigError("route must have at least one hop")
-    coded = spec is not None and spec.name != "none"
+    coded = spec is not None and spec.rate < 1.0  # rate 1 is the identity code
     if coded and codec_power is None:
         raise ConfigError("coded route energy needs a CodecPowerProfile")
 

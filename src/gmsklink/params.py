@@ -16,11 +16,10 @@ from dataclasses import dataclass
 from .channel import LinkBudget
 from .energy import PowerProfile, TimingProfile
 from .errors import ConfigError
-from .fec import CodecPowerProfile
+from .fec import CODECS, CodecPowerProfile
 from .modem import ModemConfig, alpha_for_bt
 
 _VALID_VARIANTS = ("literal", "circuit-unscaled", "both")
-_VALID_CODECS = ("none", "golay", "reed_solomon", "convolutional")
 
 
 def _parse_float(text: str) -> float:
@@ -35,6 +34,13 @@ def _parse_int(text: str) -> int:
     if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"expected an integer, got {text!r}")
     return int(value)
+
+
+def _parse_target_pe(text: str) -> float:
+    value = _parse_float(text)
+    if not 0 < value < 1:
+        raise ConfigError(f"link.target_pe must be in (0, 1), got {text!r}")
+    return value
 
 
 def _parse_alpha(text: str):
@@ -52,11 +58,14 @@ def _parse_variant(text: str) -> str:
     return text
 
 
-def _parse_codecs(text: str) -> tuple:
+def parse_codecs(text: str) -> tuple:
+    """The codec names in a comma-separated list: known, distinct, at least one."""
     names = tuple(s.strip() for s in text.split(",") if s.strip())
     for name in names:
-        if name not in _VALID_CODECS:
-            raise ConfigError(f"unknown codec {name!r} (valid: {_VALID_CODECS})")
+        if name not in CODECS:
+            raise ConfigError(f"unknown codec {name!r} (valid: {tuple(CODECS)})")
+    if len(set(names)) != len(names):
+        raise ConfigError(f"run.codecs names a codec more than once: {text!r}")
     if not names:
         raise ConfigError("run.codecs must name at least one codec")
     return names
@@ -75,7 +84,7 @@ _SCHEMA = {
     "link.g_l": _parse_float,
     "link.m_l": _parse_float,
     "link.noise_figure_db": _parse_float,
-    "link.target_pe": _parse_float,
+    "link.target_pe": _parse_target_pe,
     "modem.bandwidth_hz": _parse_float,
     "modem.carrier_hz": _parse_float,
     "modem.bt_product": _parse_float,
@@ -96,7 +105,7 @@ _SCHEMA = {
     "run.seed": _parse_int,
     "run.out_dir": str,
     "run.variant": _parse_variant,
-    "run.codecs": _parse_codecs,
+    "run.codecs": parse_codecs,
     "energy.alpha": _parse_alpha,
     "sweep.ebno_start_db": _parse_float,
     "sweep.ebno_stop_db": _parse_float,

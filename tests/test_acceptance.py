@@ -20,8 +20,8 @@ from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              amplifier_beta, circuit_powers,
                              crossover_distance, total_energy_coded,
                              total_energy_uncoded)
-from gmsklink.fec import (CodecPowerProfile, ReedSolomon, conv_encode,
-                          conv_spec, golay_spec, none_spec, rs_spec)
+from gmsklink.fec import (CodecPowerProfile, conv_encode, conv_spec,
+                          golay_spec, none_spec, reed_solomon, rs_spec)
 from gmsklink.fec.convolutional import viterbi_decode_blocks
 from gmsklink.fec.golay import decode_words, encode_words
 from gmsklink.link import (StopRule, SweepSpec, crossover_ber, run_sweep,
@@ -64,37 +64,63 @@ def test_c01_golay_exhaustive_radius():
     _report(1, f"{checked} decodes, 100% corrected")
 
 
+def _gf16():
+    """Powers of a in GF(16) built on x^4 + x + 1, and field multiplication."""
+    exp, x = [], 1
+    for _ in range(15):
+        exp.append(x)
+        x <<= 1
+        if x & 16:
+            x ^= 0b10011
+    log = {v: i for i, v in enumerate(exp)}
+
+    def mul(a, b):
+        return 0 if a == 0 or b == 0 else exp[(log[a] + log[b]) % 15]
+    return exp, mul
+
+
 def test_c02_rs_correction_and_weight3_oracle():
     """RS(15,11): 1e5 random <=2-symbol errors corrected; weight-3 flags exact."""
-    rs = ReedSolomon()
     rng = np.random.default_rng(1234)
     n_trials = 100_000
-    msgs = rng.integers(0, 16, (n_trials, rs.k))
-    words = rs.encode_blocks(msgs)
-    for i in range(n_trials):
-        received = words[i].copy()
-        n_err = int(rng.integers(1, 3))
-        for pos in rng.choice(rs.n, n_err, replace=False):
-            received[pos] ^= int(rng.integers(1, 16))
-        got, corrected, failed = rs.decode_word(received)
-        assert not failed
-        assert corrected == n_err
-        assert np.array_equal(got, words[i])
+    rows = np.arange(n_trials)[:, None]
+    words = reed_solomon.encode_words(rng.integers(0, 16, (n_trials, 11)))
+    n_err = rng.integers(1, 3, n_trials)
+    positions = np.argsort(rng.random((n_trials, 15)), axis=1)[:, :2]
+    mags = rng.integers(1, 16, (n_trials, 2))
+    mags[n_err == 1, 1] = 0
+    received = words.copy()
+    received[rows, positions] ^= mags
+    got, corrected, failed = reed_solomon.decode_words(received)
+    assert not failed.any()
+    assert np.array_equal(corrected, n_err)
+    assert np.array_equal(got, words)
+
+    # syndromes r(a^1) .. r(a^4), symbol i the coefficient of x^(14 - i)
+    exp, mul = _gf16()
+
+    def syndrome_key(word):
+        key = []
+        for j in range(1, 5):
+            s = 0
+            for i, v in enumerate(word):
+                if v:
+                    s ^= mul(v, exp[(j * (14 - i)) % 15])
+            key.append(s)
+        return tuple(key)
+
+    # the encoder produces codewords of the code with roots a^1 .. a^4
+    assert all(syndrome_key(w) == (0, 0, 0, 0) for w in words[:2000].tolist())
 
     # brute-force nearest-codeword oracle: syndrome -> unique weight<=2 error
     oracle = {}
-
-    def syndrome_key(poly):
-        return tuple(int(rs._poly_eval(list(poly), rs._pow(2, rs.fcr + j)))
-                     for j in range(2 * rs.t))
-
-    zero = [0] * rs.n
-    for pos in range(rs.n):
+    zero = [0] * 15
+    for pos in range(15):
         for mag in range(1, 16):
             e = zero.copy()
             e[pos] = mag
             oracle[syndrome_key(e)] = tuple(e)
-    for p1, p2 in itertools.combinations(range(rs.n), 2):
+    for p1, p2 in itertools.combinations(range(15), 2):
         for m1 in range(1, 16):
             for m2 in range(1, 16):
                 e = zero.copy()
@@ -102,21 +128,20 @@ def test_c02_rs_correction_and_weight3_oracle():
                 oracle[syndrome_key(e)] = tuple(e)
     assert len(oracle) == 23_850
 
-    flags_checked = 0
-    for _ in range(1000):
-        cw = rs.encode(rng.integers(0, 16, rs.k))
-        received = cw.copy()
-        for pos in rng.choice(rs.n, 3, replace=False):
-            received[pos] ^= int(rng.integers(1, 16))
-        got, corrected, failed = rs.decode_word(received)  # must never raise
-        nearest = oracle.get(syndrome_key(received.tolist()))
+    n_flags = 1000
+    received = reed_solomon.encode_words(rng.integers(0, 16, (n_flags, 11)))
+    positions = np.argsort(rng.random((n_flags, 15)), axis=1)[:, :3]
+    received[np.arange(n_flags)[:, None], positions] ^= rng.integers(1, 16, (n_flags, 3))
+    got, corrected, failed = reed_solomon.decode_words(received)
+    for r, g, f in zip(received, got, failed):
+        nearest = oracle.get(syndrome_key(r.tolist()))
         if nearest is None:
-            assert failed  # no codeword within distance t
+            assert f  # no codeword within distance t
+            assert np.array_equal(g, r)
         else:
-            assert not failed
-            assert np.array_equal(got, received ^ np.array(nearest))
-        flags_checked += 1
-    _report(2, f"{n_trials} correction trials + {flags_checked} oracle-checked flags")
+            assert not f
+            assert np.array_equal(g, r ^ np.array(nearest))
+    _report(2, f"{n_trials} correction trials + {n_flags} oracle-checked flags")
 
 
 def test_c03_viterbi_roundtrips_and_double_errors():

@@ -6,111 +6,135 @@ import numpy as np
 import pytest
 
 from gmsklink.errors import DecodeFailure
-from gmsklink.fec import ReedSolomon, rs_decode, rs_encode
+from gmsklink.fec import reed_solomon as rs
+from gmsklink.fec import rs_decode, rs_encode, rs_spec
 
 
-@pytest.fixture(scope="module")
-def rs():
-    return ReedSolomon()
+def test_parameters():
+    assert (rs.N_SYMBOLS, rs.K_SYMBOLS, rs.T_CORRECT) == (15, 11, 2)
+    assert rs.D_MIN == rs.N_SYMBOLS - rs.K_SYMBOLS + 1 == 5
+    spec = rs_spec()
+    assert (spec.n, spec.k, spec.t, spec.d_min, spec.symbol_bits) == (15, 11, 2, 5, 4)
 
 
-def test_parameters(rs):
-    assert (rs.n, rs.k, rs.t) == (15, 11, 2)
-    assert rs.d_min == rs.n - rs.k + 1 == 5
+def test_all_zero_message():
+    np.testing.assert_array_equal(rs_encode(np.zeros(11, int)), np.zeros(15, int))
 
 
-def test_all_zero_message(rs):
-    np.testing.assert_array_equal(rs.encode(np.zeros(11, int)), np.zeros(15, int))
-
-
-def test_systematic(rs):
+def test_systematic():
     rng = np.random.default_rng(0)
     msg = rng.integers(0, 16, 11)
-    np.testing.assert_array_equal(rs.encode(msg)[:11], msg)
+    np.testing.assert_array_equal(rs_encode(msg)[:11], msg)
 
 
-def test_noiseless_roundtrip(rs):
+def test_noiseless_roundtrip():
     rng = np.random.default_rng(1)
     for _ in range(50):
         msg = rng.integers(0, 16, 11)
-        got, corrected = rs.decode(rs.encode(msg))
+        got, corrected = rs_decode(rs_encode(msg))
         np.testing.assert_array_equal(got, msg)
         assert corrected == 0
 
 
-def test_linearity_symbolwise(rs):
+def test_linearity_symbolwise():
     rng = np.random.default_rng(2)
-    for _ in range(200):
-        a = rng.integers(0, 16, 11)
-        b = rng.integers(0, 16, 11)
-        np.testing.assert_array_equal(rs.encode(a ^ b), rs.encode(a) ^ rs.encode(b))
+    a = rng.integers(0, 16, (200, 11))
+    b = rng.integers(0, 16, (200, 11))
+    np.testing.assert_array_equal(rs.encode_words(a ^ b),
+                                  rs.encode_words(a) ^ rs.encode_words(b))
 
 
-def test_out_of_range_symbol_rejected(rs):
+def test_out_of_range_symbol_rejected():
     msg = np.zeros(11, int)
     msg[3] = 16
     with pytest.raises(ValueError):
-        rs.encode(msg)
+        rs_encode(msg)
     with pytest.raises(ValueError):
-        rs.decode(np.full(15, 16))
+        rs_decode(np.full(15, 16))
+    with pytest.raises(ValueError):
+        rs.decode_words(np.full((2, 15), -1))
 
 
-def test_single_errors_exhaustive(rs):
-    cw = rs.encode(np.arange(11) % 16)
-    for pos in range(15):
-        for mag in range(1, 16):
-            r = cw.copy()
-            r[pos] ^= mag
-            word, corrected, failed = rs.decode_word(r)
-            assert not failed
-            np.testing.assert_array_equal(word, cw)
-            assert corrected == 1
+def test_wrong_shape_rejected():
+    with pytest.raises(ValueError):
+        rs_encode(np.zeros(12, int))
+    with pytest.raises(ValueError):
+        rs.encode_words(np.zeros((3, 15), int))
+    with pytest.raises(ValueError):
+        rs.decode_words(np.zeros(15, int))
 
 
-def test_double_errors_all_position_pairs(rs):
+def test_single_errors_exhaustive():
+    cw = rs_encode(np.arange(11) % 16)
+    errors = [(pos, mag) for pos in range(15) for mag in range(1, 16)]
+    received = np.tile(cw, (len(errors), 1))
+    for row, (pos, mag) in enumerate(errors):
+        received[row, pos] ^= mag
+    words, corrected, failed = rs.decode_words(received)
+    assert not failed.any()
+    np.testing.assert_array_equal(words, np.tile(cw, (len(errors), 1)))
+    assert (corrected == 1).all()
+
+
+def test_double_errors_all_position_pairs():
     rng = np.random.default_rng(3)
-    cw = rs.encode(rng.integers(0, 16, 11))
-    for p1, p2 in itertools.combinations(range(15), 2):
-        r = cw.copy()
-        r[p1] ^= int(rng.integers(1, 16))
-        r[p2] ^= int(rng.integers(1, 16))
-        word, corrected, failed = rs.decode_word(r)
-        assert not failed
-        np.testing.assert_array_equal(word, cw)
-        assert corrected == 2
+    cw = rs_encode(rng.integers(0, 16, 11))
+    pairs = list(itertools.combinations(range(15), 2))
+    received = np.tile(cw, (len(pairs), 1))
+    for row, (p1, p2) in enumerate(pairs):
+        received[row, p1] ^= int(rng.integers(1, 16))
+        received[row, p2] ^= int(rng.integers(1, 16))
+    words, corrected, failed = rs.decode_words(received)
+    assert not failed.any()
+    np.testing.assert_array_equal(words, np.tile(cw, (len(pairs), 1)))
+    assert (corrected == 2).all()
 
 
-def test_triple_errors_never_crash(rs):
+def test_triple_errors_never_crash():
     rng = np.random.default_rng(4)
-    outcomes = {"failed": 0, "miscorrected": 0}
-    for _ in range(500):
-        cw = rs.encode(rng.integers(0, 16, 11))
-        pos = rng.choice(15, 3, replace=False)
-        r = cw.copy()
-        for p in pos:
-            r[p] ^= int(rng.integers(1, 16))
-        word, corrected, failed = rs.decode_word(r)
-        if failed:
-            outcomes["failed"] += 1
-            np.testing.assert_array_equal(word, r)  # raw word passed through
-        else:
-            # bounded distance: any success output is a codeword within t
-            assert corrected <= rs.t
-            assert int(np.count_nonzero(word != r)) <= rs.t
-            outcomes["miscorrected"] += 1
-    assert outcomes["failed"] > 0  # overwhelmingly the common case
+    msgs = rng.integers(0, 16, (500, 11))
+    received = rs.encode_words(msgs)
+    for row in received:
+        for p in rng.choice(15, 3, replace=False):
+            row[p] ^= int(rng.integers(1, 16))
+    words, corrected, failed = rs.decode_words(received)
+    # failed words pass through raw
+    np.testing.assert_array_equal(words[failed], received[failed])
+    assert (corrected[failed] == 0).all()
+    # any success is a codeword within distance t
+    ok = ~failed
+    np.testing.assert_array_equal(rs.encode_words(words[ok, :11]), words[ok])
+    distance = np.count_nonzero(words[ok] != received[ok], axis=1)
+    assert (distance <= rs.T_CORRECT).all()
+    np.testing.assert_array_equal(distance, corrected[ok])
+    assert failed.sum() > 0  # overwhelmingly the common case
 
 
-def test_decode_raises_on_failure(rs):
-    cw = rs.encode(np.zeros(11, int))
-    r = cw.copy()
+def test_every_syndrome_exhaustive():
+    # the 65536 words [0]*11 + parity cover every syndrome exactly once
+    parity = np.arange(1 << 16)
+    received = np.zeros((parity.size, 15), dtype=np.int64)
+    received[:, 11:] = (parity[:, None] >> np.array([12, 8, 4, 0])) & 15
+    words, corrected, failed = rs.decode_words(received)
+    assert int((~failed).sum()) == 23_851  # every error pattern of weight <= 2
+    ok = ~failed
+    np.testing.assert_array_equal(rs.encode_words(words[ok, :11]), words[ok])
+    distance = np.count_nonzero(words[ok] != received[ok], axis=1)
+    assert distance.max() <= 2
+    np.testing.assert_array_equal(distance, corrected[ok])
+    np.testing.assert_array_equal(words[failed], received[failed])
+    assert (corrected[failed] == 0).all()
+
+
+def test_decode_raises_on_failure():
+    r = rs_encode(np.zeros(11, int))
     r[0] ^= 1
     r[5] ^= 7
     r[9] ^= 3
-    word, corrected, failed = rs.decode_word(r)
-    if failed:
-        with pytest.raises(DecodeFailure):
-            rs.decode(r)
+    _, _, failed = rs.decode_words(r[None, :])
+    assert failed[0]
+    with pytest.raises(DecodeFailure):
+        rs_decode(r)
 
 
 def test_module_level_helpers():
@@ -122,7 +146,7 @@ def test_module_level_helpers():
     assert corrected == 0
 
 
-def test_bits_symbols_roundtrip(rs):
+def test_bits_symbols_roundtrip():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 44).astype(np.uint8)
     np.testing.assert_array_equal(rs.symbols_to_bits(rs.bits_to_symbols(bits)), bits)

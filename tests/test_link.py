@@ -7,9 +7,9 @@ import pytest
 
 from gmsklink.errors import ConfigError
 from gmsklink.fec import conv_spec, golay_spec, none_spec, rs_spec
-from gmsklink.link import (BerPoint, StopRule, SweepSpec, crossover_ber,
-                           run_point, run_sweep, semi_analytic_coded_ber,
-                           wilson_interval, write_ber_csv)
+from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
+                           crossover_ber, run_point, run_sweep,
+                           semi_analytic_coded_ber, wilson_interval)
 from gmsklink.modem import alpha_for_bt, theoretical_ber
 
 ALPHA = alpha_for_bt(0.3)
@@ -160,16 +160,11 @@ class TestSemiAnalytic:
 
 
 class TestCsvOutput:
-    def test_schema_and_reproducibility(self, tmp_path):
+    def test_schema_and_reproducibility(self):
         spec = SweepSpec(ebno_points=(2.0, 4.0), stop_rule=StopRule(50, 50_000),
                          seed=31)
-        points = run_sweep(spec)
-        rows = [("none", p) for p in points]
-        f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_ber_csv(f1, rows)
-        write_ber_csv(f2, rows)
-        text = f1.read_text()
+        text = ber_csv_text([("none", p) for p in run_sweep(spec)])
         assert text.splitlines()[0] == (
             "ebno_db,codec,ber,errors,bits,ci_low,ci_high,low_confidence_flag")
-        assert text == f2.read_text()
+        assert text == ber_csv_text([("none", p) for p in run_sweep(spec)])
         assert len(text.splitlines()) == 3

@@ -88,6 +88,16 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="expected an integer"):
             parse_params_text(line + "\n")
 
+    @pytest.mark.parametrize("value", ["nan", "2", "0", "1", "-1e-4", "inf"])
+    def test_target_pe_outside_open_unit_interval_rejected(self, value):
+        with pytest.raises(ConfigError, match="link.target_pe"):
+            parse_params_text(f"link.target_pe = {value}\n")
+
+    @pytest.mark.parametrize("text", ["none,none", "golay, reed_solomon ,golay"])
+    def test_duplicate_codecs_rejected(self, text):
+        with pytest.raises(ConfigError, match="more than once"):
+            parse_params_text(f"run.codecs = {text}\n")
+
 
 class TestCliBasics:
     def test_missing_config_file_is_usage_error(self, tmp_path):
@@ -117,6 +127,25 @@ class TestCliBasics:
         proc = _run_cli("ber-sweep", "--codecs", "hamming",
                         "--out", str(tmp_path))
         assert proc.returncode == 1
+
+    def test_duplicate_codec_is_usage_error(self, tmp_path):
+        out = tmp_path / "out"
+        proc = _run_cli("ber-sweep", "--quick", "--codecs", "golay,golay",
+                        "--out", str(out))
+        assert proc.returncode == 1
+        assert "more than once" in proc.stderr
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "2", "0"])
+    def test_bad_target_pe_fails_at_load(self, tmp_path, value):
+        bad = tmp_path / "bad.params"
+        bad.write_text(f"link.target_pe = {value}\n")
+        out = tmp_path / "out"
+        proc = _run_cli("energy-distance", "--config", str(bad), "--out", str(out))
+        assert proc.returncode == 1
+        assert proc.stderr.splitlines() == [
+            f"gmsklink: config error: link.target_pe must be in (0, 1), got {value!r}"]
+        assert not out.exists()
 
     def test_codec_test_passes(self):
         proc = _run_cli("codec-test", "--quick")
