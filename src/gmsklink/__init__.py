@@ -20,9 +20,9 @@ from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
                   rs_decode, rs_encode, rs_spec, strip_code, viterbi_decode)
 from .link import (BerPoint, StopRule, SweepSpec, crossover_ber, run_point,
                    run_sweep, semi_analytic_coded_ber, wilson_interval)
-from .modem import (BasebandSignal, BerModelParams, ModemConfig, alpha_for_bt,
-                    demodulate, gaussian_frequency_pulse, modulate, qfunc,
-                    qfunc_inv, theoretical_ber, theoretical_ber_exp)
+from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
+                    gaussian_frequency_pulse, modulate, qfunc, qfunc_inv,
+                    theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,
                      build_route, compare_coded_uncoded, deploy_random,
                      load_deployment, route_energy, save_deployment)

@@ -25,7 +25,8 @@ import numpy as np
 from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
                      crossover_distance)
 from .errors import ConfigError, RoutingError
-from .fec import CODECS, conv_encode, golay, golay_spec, reed_solomon, viterbi_decode
+from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
+                  viterbi_decode_blocks)
 from .link import StopRule, SweepSpec, ber_csv_text, run_sweep
 from .netsim import EnsembleSpec, compare_coded_uncoded
 from .params import load_config, parse_codecs
@@ -235,15 +236,16 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
             stats = compare_coded_uncoded(ens, trials, power, timing, budget,
                                           pe, alpha, spec, codec_power, variant)
             lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
-            for i, (e_u, e_c, s) in enumerate(stats.samples):
-                lines.append(f"{i},{e_u!r},{e_c!r},{s!r}")
-            mean_u = sum(s[0] for s in stats.samples) / stats.n_trials
-            mean_c = sum(s[1] for s in stats.samples) / stats.n_trials
+            for trial, e_u, e_c, s in stats.samples:
+                lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")
+            mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
+            mean_c = sum(s[2] for s in stats.samples) / stats.n_trials
             lines.append(f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}")
             name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
             outputs[name] = "\n".join(lines) + "\n"
             print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
-                  f"over {stats.n_trials} trials", file=sys.stderr)
+                  f"over {stats.n_trials} trials, {trials - stats.n_trials} "
+                  f"skipped", file=sys.stderr)
 
     for fname, text in outputs.items():
         _write_atomic(os.path.join(out_dir, fname), text)
@@ -253,66 +255,56 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
 # ---------------------------------------------------------------- codec-test
 
 
-def cmd_codec_test(quick: bool, inject_fault: bool) -> int:
-    rng = np.random.default_rng(2024)
+def cmd_codec_test(inject_fault: bool) -> int:
+    """Exhaustive where the input space is finite: every Golay message under
+    every error pattern of weight <= 3, and every RS(15,11) syndrome."""
     report = []
-    all_ok = True
 
     # Golay codeword weights: every codeword weight must be 0, 8, 12, 16 or 24
-    n_msgs = 256 if quick else 4096
-    msgs = np.arange(n_msgs, dtype=np.uint32)
+    msgs = np.arange(1 << golay.K_BITS, dtype=np.uint32)
     words = golay.encode_words(msgs)
     if inject_fault:
         # message 1's codeword is a generator row; flipping one of its bits
         # is exactly a flipped generator-matrix entry
-        words = words.copy()
         words[1] ^= 1
     weights = np.bitwise_count(words)
-    ok = bool(np.isin(weights, (0, 8, 12, 16, 24)).all())
-    report.append(("golay-weights", ok))
-    all_ok &= ok
+    report.append(("golay-weights", bool(np.isin(weights, (0, 8, 12, 16, 24)).all())))
 
-    # Golay correction radius
-    patterns = [0] + [1 << a for a in range(24)]
-    patterns += [(1 << a) | (1 << b) for a in range(24) for b in range(a + 1, 24)]
-    if not quick:
-        patterns += [(1 << a) | (1 << b) | (1 << c)
-                     for a in range(24) for b in range(a + 1, 24)
-                     for c in range(b + 1, 24)]
+    # Golay correction radius: every message under every error pattern, a
+    # slice of the patterns at a time to bound the memory
+    patterns = np.array([sum(1 << i for i in bits) for w in range(golay.T_CORRECT + 1)
+                         for bits in itertools.combinations(range(golay.N_BITS), w)],
+                        dtype=np.uint32)
     ok = True
-    for e in patterns:
-        decoded, _, failed = golay.decode_words(words ^ np.uint32(e))
-        if failed.any() or not np.array_equal(decoded, msgs):
-            ok = False
-            break
+    for chunk in np.array_split(patterns, 8):
+        decoded, _, failed = golay.decode_words(words ^ chunk[:, None])
+        ok &= not failed.any() and bool((decoded == msgs).all())
     report.append(("golay-radius", ok))
-    all_ok &= ok
 
-    # Reed-Solomon randomized correction: 1 .. t symbol errors a word
-    trials = 200 if quick else 5000
-    n, k, t = reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS, reed_solomon.T_CORRECT
-    words = reed_solomon.encode_words(rng.integers(0, 16, (trials, k)))
-    errors = rng.integers(1, 16, (trials, n))
-    n_err = rng.integers(1, t + 1, (trials, 1))
-    hit = np.argsort(rng.random((trials, n)), axis=1) < n_err
-    got, _, failed = reed_solomon.decode_words(words ^ (errors * hit))
-    ok = not failed.any() and np.array_equal(got, words)
-    report.append(("rs-correction", ok))
-    all_ok &= ok
+    # Reed-Solomon: the 65536 words [0]*11 + parity cover every syndrome once;
+    # exactly the 23 851 error patterns of weight <= 2 decode, each to a
+    # codeword at the distance it reports, and every failure comes back raw
+    parity = np.arange(1 << 16)
+    received = np.zeros((parity.size, reed_solomon.N_SYMBOLS), dtype=np.int64)
+    received[:, reed_solomon.K_SYMBOLS:] = (parity[:, None] >> [12, 8, 4, 0]) & 15
+    got, corrected, failed = reed_solomon.decode_words(received)
+    ok = ~failed
+    distance = np.count_nonzero(got != received, axis=1)
+    report.append(("rs-correction", int(ok.sum()) == 23_851
+                   and np.array_equal(reed_solomon.encode_words(got[ok, :11]), got[ok])
+                   and np.array_equal(distance, corrected)
+                   and int(distance.max()) <= reed_solomon.T_CORRECT
+                   and np.array_equal(got[failed], received[failed])))
 
-    # Viterbi roundtrip
-    trials = 100 if quick else 2000
-    ok = True
-    for _ in range(trials):
-        bits = rng.integers(0, 2, 97).astype(np.uint8)
-        if not np.array_equal(viterbi_decode(conv_encode(bits)), bits):
-            ok = False
-            break
-    report.append(("viterbi-roundtrip", ok))
-    all_ok &= ok
+    # Viterbi roundtrip of random blocks
+    bits = np.random.default_rng(2024).integers(0, 2, (2000, 97)).astype(np.uint8)
+    coded = np.stack([conv_encode(b) for b in bits])
+    decoded = viterbi_decode_blocks(coded)
+    report.append(("viterbi-roundtrip", np.array_equal(decoded, bits)))
 
     for name, passed in report:
         print(f"{name}: {'PASS' if passed else 'FAIL'}")
+    all_ok = all(passed for _, passed in report)
     print(f"codec-test: {'PASS' if all_ok else 'FAIL'}")
     return _EXIT_OK if all_ok else _EXIT_RUNTIME
 
@@ -355,7 +347,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "codec-test":
-            return cmd_codec_test(args.quick, args.inject_fault)
+            return cmd_codec_test(args.inject_fault)
 
         cfg = load_config(args.config)
         overrides = {}

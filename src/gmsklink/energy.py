@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget, path_gain
 from .errors import ConfigError
-from .fec import CodecPowerProfile, CodeSpec
+from .fec import CodecPowerProfile, CodeSpec, none_spec
 
 
 class CodedVariant(enum.Enum):
@@ -36,43 +36,35 @@ class CodedVariant(enum.Enum):
 
 @dataclass(frozen=True)
 class PowerProfile:
-    """Circuit power draws in watts plus amplifier efficiency parameters."""
+    """Circuit power draws in watts plus the power amplifier's efficiency."""
 
     p_adc: float = 6.7e-3
-    p_dac: float = 15.4e-3
     p_filt: float = 2.5e-3
     p_syn: float = 50e-3
     p_lna: float = 20e-3
     p_ifa: float = 3e-3
     p_mixer: float = 30.3e-3
     eta: float = 0.75
-    zeta: float = 1.0
 
     def __post_init__(self):
-        for name in ("p_adc", "p_dac", "p_filt", "p_syn", "p_lna", "p_ifa", "p_mixer"):
+        for name in ("p_adc", "p_filt", "p_syn", "p_lna", "p_ifa", "p_mixer"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not 0 < self.eta <= 1:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
-        if self.zeta < 1:
-            raise ConfigError(f"zeta must be >= 1, got {self.zeta}")
 
 
 @dataclass(frozen=True)
 class TimingProfile:
-    """Transmission timing: start-up transient plus L bits at the bit rate.
-
-    Standby time is bookkeeping only; standby power is zero.
-    """
+    """Transmission timing: start-up transient plus L bits at the bit rate."""
 
     t_start: float = 5e-6
     l_bits: int = 1000
     bit_rate: float = 1e4
-    t_stby: float = 0.0
 
     def __post_init__(self):
-        if self.t_start < 0 or self.t_stby < 0:
-            raise ConfigError("times must be >= 0")
+        if self.t_start < 0:
+            raise ConfigError("t_start must be >= 0")
         if self.l_bits < 1:
             raise ConfigError("l_bits must be >= 1")
         if not self.bit_rate > 0:
@@ -97,8 +89,13 @@ class EnergyBreakdown:
 
 
 def amplifier_beta(profile: PowerProfile) -> float:
-    """PA overhead factor beta = zeta/eta - 1 (P_PA = beta * P_tx)."""
-    return (profile.zeta - profile.eta) / profile.eta
+    """PA overhead factor beta (P_PA = beta * P_tx).
+
+    In general beta = PAR / eta - 1, with PAR the transmitted signal's
+    peak-to-average power ratio.  GMSK has a constant envelope, so PAR = 1
+    and beta = (1 - eta) / eta.
+    """
+    return (1.0 - profile.eta) / profile.eta
 
 
 def circuit_powers(profile: PowerProfile) -> tuple[float, float]:
@@ -132,31 +129,12 @@ def tx_energy_uncoded(pe: float, alpha: float, n_f: float, sigma2: float,
     return rx_energy_per_bit(pe, alpha, sigma2, n_f) * g_d * l_bits
 
 
-def _assemble(e_rad: float, beta: float, e_circuit: float, e_transient: float,
-              e_codec: float, l_bits: int) -> EnergyBreakdown:
-    e_pa = beta * e_rad
-    e_total = e_rad + e_pa + e_circuit + e_transient + e_codec
-    return EnergyBreakdown(
-        e_tx_radiated=e_rad,
-        e_pa_overhead=e_pa,
-        e_circuit=e_circuit,
-        e_transient=e_transient,
-        e_codec=e_codec,
-        e_total=e_total,
-        e_per_info_bit=e_total / l_bits,
-    )
-
-
-def total_energy_uncoded(power: PowerProfile, timing: TimingProfile,
-                         link: LinkBudget, pe: float, alpha: float) -> EnergyBreakdown:
-    """Energy of one uncoded L-bit transmission over the given link."""
-    e_rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
-                              path_gain(link), timing.l_bits)
-    p_tx_c, p_rx_c = circuit_powers(power)
-    e_circuit = (p_tx_c + p_rx_c) * timing.t_on
-    e_transient = 2.0 * power.p_syn * timing.t_start
-    return _assemble(e_rad, amplifier_beta(power), e_circuit, e_transient,
-                     0.0, timing.l_bits)
+def integration_time(timing: TimingProfile, spec: CodeSpec,
+                     variant: CodedVariant) -> float:
+    """The time circuit and codec powers run for: T_on / R, or T_on."""
+    if variant is CodedVariant.LITERAL:
+        return timing.t_on / spec.rate
+    return timing.t_on
 
 
 def total_energy_coded(power: PowerProfile, timing: TimingProfile,
@@ -170,19 +148,35 @@ def total_energy_coded(power: PowerProfile, timing: TimingProfile,
     and codec powers integrate over the stretched or the uncoded on-time.
     The transient term is never stretched.
     """
-    if not 0 < spec.rate <= 1:
-        raise ConfigError(f"code rate must be in (0, 1], got {spec.rate}")
     g_code = 10.0 ** (spec.g_code_db / 10.0)
     e_rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
                               path_gain(link), timing.l_bits) / g_code
-    t_on_code = timing.t_on / spec.rate
-    t_integrate = t_on_code if variant is CodedVariant.LITERAL else timing.t_on
+    e_pa = amplifier_beta(power) * e_rad
+    t_integrate = integration_time(timing, spec, variant)
     p_tx_c, p_rx_c = circuit_powers(power)
     e_circuit = (p_tx_c + p_rx_c) * t_integrate
     e_codec = (codec_power.p_enc + codec_power.p_dec) * t_integrate
     e_transient = 2.0 * power.p_syn * timing.t_start
-    return _assemble(e_rad, amplifier_beta(power), e_circuit, e_transient,
-                     e_codec, timing.l_bits)
+    e_total = e_rad + e_pa + e_circuit + e_transient + e_codec
+    return EnergyBreakdown(e_tx_radiated=e_rad, e_pa_overhead=e_pa,
+                           e_circuit=e_circuit, e_transient=e_transient,
+                           e_codec=e_codec, e_total=e_total,
+                           e_per_info_bit=e_total / timing.l_bits)
+
+
+_IDENTITY_CODE = none_spec()
+_NO_CODEC = CodecPowerProfile(0.0, 0.0)
+
+
+def total_energy_uncoded(power: PowerProfile, timing: TimingProfile,
+                         link: LinkBudget, pe: float, alpha: float) -> EnergyBreakdown:
+    """Energy of one uncoded L-bit transmission over the given link.
+
+    This is the coded energy of the identity code (rate 1, 0 dB gain) with
+    free encoding and decoding, and equal to it bit for bit.
+    """
+    return total_energy_coded(power, timing, link, pe, alpha,
+                              _IDENTITY_CODE, _NO_CODEC)
 
 
 def crossover_distance(power: PowerProfile, timing: TimingProfile,

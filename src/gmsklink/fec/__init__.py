@@ -57,7 +57,6 @@ class CodeSpec:
     name: str
     n: int
     k: int
-    rate: float
     t: int
     d_min: int | None = None
     d_free: int | None = None
@@ -70,14 +69,16 @@ class CodeSpec:
             raise ConfigError(f"unknown code name {self.name!r}")
         if not 0 < self.k <= self.n:
             raise ConfigError(f"require 0 < k <= n, got k={self.k}, n={self.n}")
-        if self.rate != self.k / self.n:
-            raise ConfigError("rate must equal k / n exactly")
         shape = (self.n, self.k, self.t, self.d_min, self.symbol_bits)
         if codec.shape is not None and shape != codec.shape:
             raise ConfigError(f"{self.name} has (n, k, t, d_min, symbol_bits) = "
                               f"{codec.shape}, got {shape}")
         if self.rate == 1.0 and self.g_code_db != 0.0:
             raise ConfigError("a rate-1 code has no coding gain")
+
+    @property
+    def rate(self) -> float:
+        return self.k / self.n
 
     @property
     def k_bits(self) -> int:
@@ -135,7 +136,7 @@ class Codec:
 
 def _fixed_spec(codec: Codec, g_code_db: float) -> CodeSpec:
     n, k, t, d_min, symbol_bits = codec.shape
-    return CodeSpec(name=codec.name, n=n, k=k, rate=k / n, t=t, d_min=d_min,
+    return CodeSpec(name=codec.name, n=n, k=k, t=t, d_min=d_min,
                     symbol_bits=symbol_bits, g_code_db=g_code_db)
 
 
@@ -156,7 +157,7 @@ def conv_spec(segment_bits: int = 512, g_code_db: float = 4.0) -> CodeSpec:
         raise ConfigError("segment_bits must be >= 1")
     n = 2 * (segment_bits + convolutional.CONSTRAINT_LENGTH - 1)
     return CodeSpec(name=_CONV.name, n=n, k=segment_bits,
-                    rate=segment_bits / n, t=(convolutional.D_FREE - 1) // 2,
+                    t=(convolutional.D_FREE - 1) // 2,
                     d_free=convolutional.D_FREE, g_code_db=g_code_db)
 
 

@@ -51,7 +51,6 @@ class SweepSpec:
     modem: ModemConfig = field(default_factory=ModemConfig)
     stop_rule: StopRule = field(default_factory=StopRule)
     seed: int = 0
-    info_bit_axis: bool = True
 
     def __post_init__(self):
         if len(self.ebno_points) == 0:
@@ -111,7 +110,7 @@ def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
         n_bits = min(next(chunk_iter), spec.stop_rule.max_bits - simulated)
         bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
         coded = apply_code(bits, spec.codec)
-        rate = n_bits / coded.size if spec.info_bit_axis else 1.0
+        rate = n_bits / coded.size
         noise_seed = int(
             np.random.SeedSequence(
                 [spec.seed & 0xFFFFFFFFFFFFFFFF, ebits, _NOISE_TAG, chunk_index]
@@ -169,8 +168,7 @@ def crossover_ber(coded_curve: list[BerPoint],
     return None
 
 
-def semi_analytic_coded_ber(spec: CodeSpec, ebno_db: float, alpha: float,
-                            info_bit_axis: bool = True) -> float:
+def semi_analytic_coded_ber(spec: CodeSpec, ebno_db: float, alpha: float) -> float:
     """Post-decoding BER estimate for hard-decision bounded-distance decoding.
 
     Uses the standard union-style bound: a block with i > t channel-symbol
@@ -180,7 +178,7 @@ def semi_analytic_coded_ber(spec: CodeSpec, ebno_db: float, alpha: float,
     """
     if spec.d_min is None:
         raise ValueError(f"no semi-analytic estimate for the {spec.name} code")
-    chan_db = ebno_db + (10.0 * math.log10(spec.rate) if info_bit_axis else 0.0)
+    chan_db = ebno_db + 10.0 * math.log10(spec.rate)
     p_bit = float(theoretical_ber(chan_db, alpha))
     if spec.symbol_bits > 1:
         p = 1.0 - (1.0 - p_bit) ** spec.symbol_bits

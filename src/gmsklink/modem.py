@@ -116,20 +116,6 @@ class BasebandSignal:
         return len(self.samples)
 
 
-@dataclass(frozen=True)
-class BerModelParams:
-    """Parameters of the Q-function BER bound."""
-
-    alpha: float
-    target_pe: float
-
-    def __post_init__(self):
-        if not 0 < self.alpha <= 1:
-            raise ConfigError(f"alpha must be in (0, 1], got {self.alpha}")
-        if not 0 < self.target_pe <= 0.5:
-            raise ConfigError(f"target_pe must be in (0, 0.5], got {self.target_pe}")
-
-
 def gaussian_frequency_pulse(config: ModemConfig) -> np.ndarray:
     """Sampled GMSK frequency pulse (Gaussian convolved with one-bit rect).
 
@@ -335,11 +321,3 @@ def theoretical_ber(ebno_db, alpha: float):
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
     snr = 10.0 ** (np.asarray(ebno_db, dtype=float) / 10.0)
     return qfunc(np.sqrt(2.0 * alpha * snr))
-
-
-def theoretical_ber_exp(ebno_db, alpha: float):
-    """Exponential approximation exp(-alpha * SNR) of the GMSK BER bound."""
-    if not 0 < alpha <= 1:
-        raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    snr = 10.0 ** (np.asarray(ebno_db, dtype=float) / 10.0)
-    return np.exp(-alpha * snr)

@@ -20,7 +20,7 @@ import numpy as np
 
 from .channel import LinkBudget, substream
 from .energy import (CodedVariant, PowerProfile, TimingProfile,
-                     total_energy_coded, total_energy_uncoded)
+                     integration_time, total_energy_coded, total_energy_uncoded)
 from .errors import ConfigError, RoutingError
 from .fec import CodecPowerProfile, CodeSpec
 
@@ -35,7 +35,6 @@ class Deployment:
     nodes: tuple  # of (id, x, y)
     field_width: float
     field_height: float
-    seed: int | None = None
 
     def __post_init__(self):
         ids = [n[0] for n in self.nodes]
@@ -81,7 +80,7 @@ def deploy_random(n_nodes: int, width: float, height: float, seed: int) -> Deplo
     xs = rng.uniform(0.0, width, n_nodes)
     ys = rng.uniform(0.0, height, n_nodes)
     nodes = tuple((i + 1, float(xs[i]), float(ys[i])) for i in range(n_nodes))
-    return Deployment(nodes=nodes, field_width=width, field_height=height, seed=seed)
+    return Deployment(nodes=nodes, field_width=width, field_height=height)
 
 
 def build_route(deployment: Deployment, source_id, sink_id,
@@ -186,9 +185,8 @@ def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
 
     e_codec = 0.0
     if coded:
-        t_on_code = timing.t_on / spec.rate
-        t_int = t_on_code if variant is CodedVariant.LITERAL else timing.t_on
-        e_codec = (codec_power.p_enc + codec_power.p_dec) * t_int
+        e_codec = ((codec_power.p_enc + codec_power.p_dec)
+                   * integration_time(timing, spec, variant))
     e_total = e_rad + e_pa + e_circ + e_trans + e_codec
     return RouteEnergy(
         e_radiated=e_rad,
@@ -211,7 +209,7 @@ class SavingsStats:
     min: float
     max: float
     n_trials: int
-    samples: tuple  # of (e_uncoded, e_coded, savings)
+    samples: tuple  # of (trial index, e_uncoded, e_coded, savings)
 
 
 @dataclass(frozen=True)
@@ -264,8 +262,9 @@ def compare_coded_uncoded(ens: EnsembleSpec, trials: int, power: PowerProfile,
 
     Savings per trial is ``1 - E_coded / E_uncoded`` over the same hop
     distances.  Geometry-mode trials whose route construction fails are
-    skipped.  ``radiated_only`` compares the route sums that exclude circuit
-    and transient energy.
+    skipped; each sample keeps its trial index, and ``trials - n_trials``
+    trials were skipped.  ``radiated_only`` compares the route sums that
+    exclude circuit and transient energy.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
@@ -280,10 +279,10 @@ def compare_coded_uncoded(ens: EnsembleSpec, trials: int, power: PowerProfile,
                            spec, codec_power, variant)
         e_u = unc.e_total_radiated_only if radiated_only else unc.e_total
         e_c = cod.e_total_radiated_only if radiated_only else cod.e_total
-        samples.append((e_u, e_c, 1.0 - e_c / e_u))
+        samples.append((trial, e_u, e_c, 1.0 - e_c / e_u))
     if not samples:
         raise RoutingError("every trial failed to build a route")
-    sv = np.array([s[2] for s in samples])
+    sv = np.array([s[3] for s in samples])
     return SavingsStats(
         mean=float(sv.mean()),
         std=float(sv.std(ddof=1)) if len(sv) > 1 else 0.0,

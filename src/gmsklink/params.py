@@ -2,9 +2,9 @@
 
 The format is one ``section.key = value`` pair per line with ``#`` comments;
 every key carries its unit in its name so files are unambiguous.  Parsing is
-strict: unknown keys are rejected, and every field has a default drawn from
-the shipped parameter file (the published circuit powers, link budget and
-timing values).
+strict: unknown keys are rejected, numbers must be finite, and every field
+has a default drawn from the shipped parameter file (the published circuit
+powers, link budget and timing values).
 """
 
 from __future__ import annotations
@@ -22,22 +22,29 @@ from .modem import ModemConfig, alpha_for_bt
 _VALID_VARIANTS = ("literal", "circuit-unscaled", "both")
 
 
-def _parse_float(text: str) -> float:
+def _parse_number(text: str) -> float:
     try:
         return float(text)
     except ValueError as exc:
         raise ConfigError(f"expected a number, got {text!r}") from exc
 
 
+def _parse_float(text: str) -> float:
+    value = _parse_number(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_int(text: str) -> int:
-    value = _parse_float(text)
+    value = _parse_number(text)
     if not math.isfinite(value) or value != int(value):
         raise ConfigError(f"expected an integer, got {text!r}")
     return int(value)
 
 
 def _parse_target_pe(text: str) -> float:
-    value = _parse_float(text)
+    value = _parse_number(text)
     if not 0 < value < 1:
         raise ConfigError(f"link.target_pe must be in (0, 1), got {text!r}")
     return value
@@ -46,7 +53,7 @@ def _parse_target_pe(text: str) -> float:
 def _parse_alpha(text: str):
     if text == "auto":
         return "auto"
-    value = _parse_float(text)
+    value = _parse_number(text)
     if not 0 < value <= 1:
         raise ConfigError(f"energy.alpha must be 'auto' or in (0, 1], got {text!r}")
     return value
@@ -71,13 +78,16 @@ def parse_codecs(text: str) -> tuple:
     return names
 
 
-def _parse_floats(text: str) -> tuple:
-    return tuple(_parse_float(s.strip()) for s in text.split(",") if s.strip())
+def _parse_alpha_list(text: str) -> tuple:
+    alphas = tuple(_parse_number(s.strip()) for s in text.split(",") if s.strip())
+    if not alphas or not all(0 < a <= 1 for a in alphas):
+        raise ConfigError(f"scan.alpha_list must be one or more values in (0, 1], "
+                          f"got {text!r}")
+    return alphas
 
 
 _SCHEMA = {
     "timing.t_start_s": _parse_float,
-    "timing.t_total_s": _parse_float,
     "timing.l_bits": _parse_int,
     "channel.sigma2_j": _parse_float,
     "link.path_loss_exponent": _parse_float,
@@ -86,14 +96,12 @@ _SCHEMA = {
     "link.noise_figure_db": _parse_float,
     "link.target_pe": _parse_target_pe,
     "modem.bandwidth_hz": _parse_float,
-    "modem.carrier_hz": _parse_float,
     "modem.bt_product": _parse_float,
     "modem.samples_per_symbol": _parse_int,
     "modem.pulse_span_symbols": _parse_int,
     "modem.rx_bt": _parse_float,
     "power.eta": _parse_float,
     "power.p_adc_mw": _parse_float,
-    "power.p_dac_mw": _parse_float,
     "power.p_filt_mw": _parse_float,
     "power.p_syn_mw": _parse_float,
     "power.p_lna_mw": _parse_float,
@@ -115,7 +123,7 @@ _SCHEMA = {
     "scan.d_start_m": _parse_float,
     "scan.d_stop_m": _parse_float,
     "scan.d_step_m": _parse_float,
-    "scan.alpha_list": _parse_floats,
+    "scan.alpha_list": _parse_alpha_list,
     "route.trials": _parse_int,
     "route.n_relays": _parse_int,
     "route.hop_min_m": _parse_float,
@@ -170,7 +178,6 @@ class RunConfig:
     def power_profile(self) -> PowerProfile:
         return PowerProfile(
             p_adc=self["power.p_adc_mw"] * 1e-3,
-            p_dac=self["power.p_dac_mw"] * 1e-3,
             p_filt=self["power.p_filt_mw"] * 1e-3,
             p_syn=self["power.p_syn_mw"] * 1e-3,
             p_lna=self["power.p_lna_mw"] * 1e-3,

@@ -310,7 +310,7 @@ def test_c08_analytic_limits():
     slope = np.polyfit(np.log10(ds), np.log10(es), 1)[0]
     assert abs(slope - 3.0) < 0.03
 
-    assert amplifier_beta(PowerProfile(eta=0.75, zeta=1.0)) == 1 / 3
+    assert amplifier_beta(PowerProfile(eta=0.75)) == 1 / 3
     _report(8, f"floor ratio ok, log-log slope {slope:.4f}, beta exactly 1/3")
 
 

@@ -26,13 +26,17 @@ PE = 1e-4
 
 class TestAmplifierBeta:
     def test_published_operating_point_is_exactly_one_third(self):
-        assert amplifier_beta(PowerProfile(eta=0.75, zeta=1.0)) == 1 / 3
+        assert amplifier_beta(PowerProfile(eta=0.75)) == 1 / 3
 
     def test_ideal_amplifier(self):
-        assert amplifier_beta(PowerProfile(eta=1.0, zeta=1.0)) == 0.0
+        assert amplifier_beta(PowerProfile(eta=1.0)) == 0.0
 
     def test_high_peak_to_average(self):
-        assert amplifier_beta(PowerProfile(eta=0.5, zeta=2.0)) == pytest.approx(3.0)
+        # GMSK's envelope is constant: the peak-to-average ratio is 1 and
+        # cannot be set, so beta depends on eta alone
+        with pytest.raises(TypeError):
+            PowerProfile(eta=0.5, zeta=2.0)
+        assert amplifier_beta(PowerProfile(eta=0.5)) == 1.0
 
     def test_eta_validated(self):
         with pytest.raises(ConfigError):
@@ -47,20 +51,20 @@ class TestCircuitPowers:
         assert tx + rx == pytest.approx(165e-3)
 
     def test_all_zero_profile(self):
-        zeros = PowerProfile(p_adc=0, p_dac=0, p_filt=0, p_syn=0, p_lna=0,
+        zeros = PowerProfile(p_adc=0, p_filt=0, p_syn=0, p_lna=0,
                              p_ifa=0, p_mixer=0)
         assert circuit_powers(zeros) == (0.0, 0.0)
 
     def test_synthesizer_only(self):
-        syn = PowerProfile(p_adc=0, p_dac=0, p_filt=0, p_syn=50e-3, p_lna=0,
+        syn = PowerProfile(p_adc=0, p_filt=0, p_syn=50e-3, p_lna=0,
                            p_ifa=0, p_mixer=0)
         tx, _ = circuit_powers(syn)
         assert tx == pytest.approx(50e-3)
 
     def test_dac_never_counted(self):
-        # frequency-modulated transmitter: no DAC, no mixer at the tx side
-        bumped = dataclasses.replace(POWER, p_dac=1.0)
-        assert circuit_powers(bumped) == circuit_powers(POWER)
+        # frequency-modulated transmitter: no DAC, so the profile has no DAC power
+        with pytest.raises(TypeError):
+            dataclasses.replace(POWER, p_dac=1.0)
 
 
 class TestRxEnergyPerBit:
@@ -126,7 +130,7 @@ class TestTotalEnergyUncoded:
         assert b.e_per_info_bit * TIMING.l_bits == pytest.approx(b.e_total, rel=1e-15)
 
     def test_reduces_to_radiated_plus_pa(self):
-        zeros = PowerProfile(p_adc=0, p_dac=0, p_filt=0, p_syn=0, p_lna=0,
+        zeros = PowerProfile(p_adc=0, p_filt=0, p_syn=0, p_lna=0,
                              p_ifa=0, p_mixer=0, eta=0.75)
         timing = TimingProfile(t_start=0.0)
         b = total_energy_uncoded(zeros, timing, LINK_100M, PE, ALPHA)
@@ -149,11 +153,17 @@ class TestTotalEnergyCoded:
         # rate 1, 0 dB gain, free codec: coded bookkeeping collapses to uncoded
         from gmsklink.fec import none_spec
 
-        coded = total_energy_coded(POWER, TIMING, LINK_100M, PE, ALPHA,
-                                   none_spec(), CodecPowerProfile(0.0, 0.0),
-                                   CodedVariant.LITERAL)
-        uncoded = total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA)
-        assert coded.e_total == pytest.approx(uncoded.e_total, rel=1e-12)
+        # (the identity code is exactly how the uncoded energy is computed),
+        # so every field is equal, not merely close
+        free = CodecPowerProfile(0.0, 0.0)
+        for d in (0.5, 1.0, 37.25, 100.0, 149.81, 1e3, 1e4):
+            link = dataclasses.replace(LINK_100M, distance_m=d)
+            uncoded = total_energy_uncoded(POWER, TIMING, link, PE, ALPHA)
+            assert uncoded.e_codec == 0.0
+            for variant in CodedVariant:
+                coded = total_energy_coded(POWER, TIMING, link, PE, ALPHA,
+                                           none_spec(), free, variant)
+                assert dataclasses.astuple(coded) == dataclasses.astuple(uncoded)
 
     def test_golay_literal_terms(self):
         coded = total_energy_coded(POWER, TIMING, LINK_100M, PE, ALPHA,
@@ -213,7 +223,7 @@ class TestCrossoverDistance:
                                   CODEC_POWER, CodedVariant.LITERAL) is None
 
     def test_free_coding_always_wins(self):
-        zeros = PowerProfile(p_adc=0, p_dac=0, p_filt=0, p_syn=0, p_lna=0,
+        zeros = PowerProfile(p_adc=0, p_filt=0, p_syn=0, p_lna=0,
                              p_ifa=0, p_mixer=0, eta=0.75)
         timing = TimingProfile(t_start=0.0)
         free = CodecPowerProfile(0.0, 0.0)

@@ -25,13 +25,15 @@ class TestCodeSpec:
         assert n.rate == 1.0 and n.g_code_db == 0.0
 
     def test_rate_must_be_exact(self):
-        with pytest.raises(ConfigError):
+        # the rate is k / n by construction; it cannot be given separately
+        with pytest.raises(TypeError):
             CodeSpec(name="golay", n=24, k=12, rate=0.51, t=3, d_min=8)
+        for spec in ALL_SPECS:
+            assert spec.rate == spec.k / spec.n
 
     def test_rs_invariants_enforced(self):
         with pytest.raises(ConfigError):
-            CodeSpec(name="reed_solomon", n=15, k=11, rate=11 / 15, t=2,
-                     d_min=4, symbol_bits=4)
+            CodeSpec(name="reed_solomon", n=15, k=11, t=2, d_min=4, symbol_bits=4)
 
     def test_singleton_bound(self):
         # d_min <= n - k + 1 for the block codes, equality exactly for RS

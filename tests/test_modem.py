@@ -7,10 +7,9 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from gmsklink.errors import ConfigError, FramingError
-from gmsklink.modem import (BasebandSignal, BerModelParams, ModemConfig,
-                            alpha_for_bt, demodulate,
-                            gaussian_frequency_pulse, modulate, qfunc,
-                            qfunc_inv, theoretical_ber, theoretical_ber_exp)
+from gmsklink.modem import (BasebandSignal, ModemConfig, alpha_for_bt,
+                            demodulate, gaussian_frequency_pulse, modulate,
+                            qfunc, qfunc_inv, theoretical_ber)
 
 
 class TestModemConfig:
@@ -188,12 +187,6 @@ class TestTheoreticalBer:
         if hi - lo > 1e-9:
             assert theoretical_ber(6.0, hi) < theoretical_ber(6.0, lo)
 
-    def test_exponential_variant_upper_bounds_q(self):
-        # Chernoff-style: exp(-alpha snr) >= Q(sqrt(2 alpha snr))
-        for ebno in np.arange(-5.0, 15.1, 0.5):
-            for alpha in (0.5, 0.68, 0.85, 1.0):
-                assert theoretical_ber_exp(ebno, alpha) >= theoretical_ber(ebno, alpha)
-
     def test_alpha_validated(self):
         with pytest.raises(ValueError):
             theoretical_ber(6.0, 0.0)
@@ -215,19 +208,6 @@ class TestAlphaTable:
         grid = np.linspace(0.2, 2.0, 40)
         vals = [alpha_for_bt(b) for b in grid]
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
-
-
-class TestBerModelParams:
-    def test_valid(self):
-        BerModelParams(alpha=0.68, target_pe=1e-4)
-
-    def test_invalid_alpha(self):
-        with pytest.raises(ConfigError):
-            BerModelParams(alpha=1.2, target_pe=1e-4)
-
-    def test_invalid_pe(self):
-        with pytest.raises(ConfigError):
-            BerModelParams(alpha=0.68, target_pe=0.7)
 
 
 def test_qfunc_qfunc_inv_are_inverses():

@@ -5,11 +5,12 @@ import dataclasses
 import numpy as np
 import pytest
 
-from gmsklink.channel import LinkBudget
+from gmsklink.channel import LinkBudget, path_gain
 from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
-                             total_energy_uncoded)
+                             amplifier_beta, circuit_powers,
+                             total_energy_uncoded, tx_energy_uncoded)
 from gmsklink.errors import ConfigError, RoutingError
-from gmsklink.fec import CodecPowerProfile, golay_spec
+from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
 from gmsklink.netsim import (Deployment, EnsembleSpec, build_route,
                              compare_coded_uncoded, deploy_random,
                              load_deployment, route_energy, save_deployment)
@@ -99,7 +100,57 @@ class TestBuildRoute:
             assert d == pytest.approx(np.hypot(xb - xa, yb - ya), abs=1e-9)
 
 
+def _reference_route_energy(distances, power, timing, budget, pe, alpha,
+                            spec=None, codec_power=None,
+                            variant=CodedVariant.LITERAL):
+    """The route energy written out term by term, hop by hop, in the order
+    the sums have always been taken: the oracle for ``route_energy``."""
+    coded = spec is not None and spec.rate < 1.0
+    g_code = 10.0 ** (spec.g_code_db / 10.0) if coded else None
+    t_on = timing.t_on
+    t_int = t_on / spec.rate if coded and variant is CodedVariant.LITERAL else t_on
+    p_tx_c, p_rx_c = circuit_powers(power)
+    e_rad = e_pa = e_circ = e_trans = 0.0
+    per_hop = []
+    for d in distances:
+        link = dataclasses.replace(budget, distance_m=d)
+        rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
+                                path_gain(link), timing.l_bits)
+        if coded:
+            rad = rad / g_code
+        pa = amplifier_beta(power) * rad
+        circ = (p_tx_c + p_rx_c) * t_int
+        trans = 2.0 * power.p_syn * timing.t_start
+        e_rad += rad
+        e_pa += pa
+        e_circ += circ
+        e_trans += trans
+        per_hop.append(rad + pa + circ + trans + 0.0)
+    e_codec = (codec_power.p_enc + codec_power.p_dec) * t_int if coded else 0.0
+    return (e_rad, e_pa, e_circ, e_trans, e_codec,
+            e_rad + e_pa + e_circ + e_trans + e_codec, tuple(per_hop),
+            e_rad + e_pa + e_codec)
+
+
 class TestRouteEnergy:
+    def test_matches_term_by_term_reference_exactly(self):
+        rng = np.random.default_rng(11)
+        powers = (POWER, PowerProfile(eta=0.4, p_syn=20e-3),
+                  PowerProfile(p_adc=0, p_filt=0, p_syn=0, p_lna=0, p_ifa=0,
+                               p_mixer=0))
+        timings = (TIMING, TimingProfile(t_start=2e-4, l_bits=777, bit_rate=3e3))
+        specs = (None, golay_spec(), rs_spec(2.5), conv_spec(g_code_db=5.0))
+        for i in range(300):
+            distances = tuple(rng.uniform(0.5, 400.0, rng.integers(1, 8)).tolist())
+            args = (distances, powers[i % 3], timings[i % 2], BUDGET,
+                    float(rng.uniform(1e-6, 0.1)), float(rng.uniform(0.3, 1.0)))
+            for spec in specs:
+                codec_power = CodecPowerProfile(*rng.uniform(0.0, 0.05, 2))
+                for variant in CodedVariant:
+                    got = route_energy(*args, spec, codec_power, variant)
+                    assert dataclasses.astuple(got) == _reference_route_energy(
+                        *args, spec, codec_power, variant)
+
     def test_single_hop_equals_link_total(self):
         r = route_energy([73.25], POWER, TIMING, BUDGET, 1e-4, 0.68)
         link = dataclasses.replace(BUDGET, distance_m=73.25)

@@ -4,10 +4,17 @@ import hashlib
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from gmsklink.errors import ConfigError
+from gmsklink import cli
+from gmsklink.errors import ConfigError, RoutingError
+from gmsklink.fec import reed_solomon
+from gmsklink.netsim import EnsembleSpec, _trial_distances
 from gmsklink.params import load_config, parse_params_text
+
+_FLOAT_KEYS = [k for k, v in load_config().values if isinstance(v, float)]
+_INERT_KEYS = ["power.p_dac_mw", "modem.carrier_hz", "timing.t_total_s"]
 
 
 def _run_cli(*args, cwd=None):
@@ -19,18 +26,15 @@ class TestParamsFile:
     def test_defaults_carry_published_values(self):
         cfg = load_config()
         assert cfg["timing.t_start_s"] == 5e-6
-        assert cfg["timing.t_total_s"] == 1.07
         assert cfg["timing.l_bits"] == 1000
         assert cfg["channel.sigma2_j"] == 3.981e-21
         assert cfg["link.path_loss_exponent"] == 3
         assert cfg["power.eta"] == 0.75
         assert cfg["modem.bandwidth_hz"] == 1e4
-        assert cfg["modem.carrier_hz"] == 2.45e9
         assert cfg["link.target_pe"] == 1e-4
         assert cfg["link.g_l"] == 1e3
         assert cfg["link.m_l"] == 1e4
         assert cfg["power.p_adc_mw"] == 6.70
-        assert cfg["power.p_dac_mw"] == 15.40
         assert cfg["power.p_filt_mw"] == 2.5
         assert cfg["power.p_syn_mw"] == 50
         assert cfg["power.p_lna_mw"] == 20
@@ -93,6 +97,31 @@ class TestParamsFile:
         with pytest.raises(ConfigError, match="link.target_pe"):
             parse_params_text(f"link.target_pe = {value}\n")
 
+    @pytest.mark.parametrize("value", ["nan", "-inf", "1e400"])
+    @pytest.mark.parametrize("key", _FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, key, value):
+        with pytest.raises(ConfigError):
+            parse_params_text(f"{key} = {value}\n")
+
+    @pytest.mark.parametrize("text", ["2", "nan", "inf", "0", "-0.5", ",",
+                                      "0.68,1.5", "0.68,nan"])
+    def test_alpha_list_outside_unit_interval_rejected(self, text):
+        with pytest.raises(ConfigError, match="scan.alpha_list"):
+            parse_params_text(f"scan.alpha_list = {text}\n")
+
+    def test_alpha_list_accepts_one_and_several_values(self):
+        assert parse_params_text("scan.alpha_list = 1\n") == {"scan.alpha_list": (1.0,)}
+        values = parse_params_text("scan.alpha_list = 0.5, 0.75,\n")
+        assert values == {"scan.alpha_list": (0.5, 0.75)}
+
+    @pytest.mark.parametrize("key", _INERT_KEYS)
+    def test_keys_that_change_no_output_are_unknown(self, key):
+        # published values that no output reads have no key (see README)
+        with pytest.raises(ConfigError, match="unknown key"):
+            parse_params_text(f"{key} = 1\n")
+        with pytest.raises(ConfigError, match="unknown key"):
+            load_config().with_overrides({key: 1.0})
+
     @pytest.mark.parametrize("text", ["none,none", "golay, reed_solomon ,golay"])
     def test_duplicate_codecs_rejected(self, text):
         with pytest.raises(ConfigError, match="more than once"):
@@ -147,6 +176,33 @@ class TestCliBasics:
             f"gmsklink: config error: link.target_pe must be in (0, 1), got {value!r}"]
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, line", [
+        ("energy-distance", "power.p_syn_mw = nan"),
+        ("energy-distance", "link.g_l = inf"),
+        ("energy-distance", "codec.g_code_db = nan"),
+        ("energy-distance", "codec.p_enc_mw = nan"),
+        ("energy-distance", "scan.d_step_m = nan"),
+        ("energy-distance", "scan.alpha_list = 2"),
+        ("energy-distance", "scan.alpha_list = nan"),
+        ("energy-distance", "scan.alpha_list = ,"),
+        ("ber-sweep", "sweep.ebno_start_db = nan"),
+        ("ber-sweep", "sweep.ebno_stop_db = inf"),
+        ("route-sim", "route.field_m = inf"),
+        ("energy-distance", "power.p_dac_mw = 15.40"),
+        ("energy-distance", "modem.carrier_hz = 2.45e9"),
+        ("energy-distance", "timing.t_total_s = 1.07"),
+    ])
+    def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
+        bad = tmp_path / "bad.params"
+        bad.write_text(line + "\n")
+        out = tmp_path / "out"
+        assert cli.main([command, "--config", str(bad), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("gmsklink: config error: ")
+        assert not out.exists()
+
     def test_codec_test_passes(self):
         proc = _run_cli("codec-test", "--quick")
         assert proc.returncode == 0
@@ -156,6 +212,15 @@ class TestCliBasics:
         proc = _run_cli("codec-test", "--quick", "--inject-fault")
         assert proc.returncode == 2
         assert "FAIL" in proc.stdout
+
+    def test_codec_test_catches_one_wrong_rs_syndrome_row(self, monkeypatch, capsys):
+        # rows past 225 are two-symbol patterns: send one of their syndromes
+        # to the next pattern, a fault no random sample is likely to hit
+        row_of = reed_solomon._ROW_OF.copy()
+        row_of[np.flatnonzero(row_of == 500)[0]] = 501
+        monkeypatch.setattr(reed_solomon, "_ROW_OF", row_of)
+        assert cli.main(["codec-test", "--quick"]) == 2
+        assert "rs-correction: FAIL" in capsys.readouterr().out.splitlines()
 
 
 class TestCliOutputs:
@@ -208,6 +273,31 @@ class TestCliOutputs:
         assert lines[0] == "trial,e_uncoded_J,e_coded_J,savings_fraction"
         assert lines[-1].startswith("mean,")
         assert len(lines) == 102  # header + 100 trials + summary
+
+    def test_route_sim_keeps_true_index_of_skipped_trials(self, tmp_path, capsys):
+        cfgfile = tmp_path / "short.params"
+        cfgfile.write_text("route.max_hop_m = 35\n")
+        out = tmp_path / "out"
+        assert cli.main(["route-sim", "--quick", "--variant", "literal",
+                         "--config", str(cfgfile), "--out", str(out)]) == 0
+        cfg = load_config(cfgfile)
+        ens = EnsembleSpec(mode="geometry", n_nodes=cfg["route.n_nodes"],
+                           field_width=cfg["route.field_m"],
+                           field_height=cfg["route.field_m"],
+                           max_hop_m=35.0, seed=cfg["run.seed"])
+        routable = []
+        for trial in range(100):
+            try:
+                _trial_distances(ens, trial)
+            except RoutingError:
+                continue
+            routable.append(trial)
+        rows = (out / "route_geometry_literal.csv").read_text().splitlines()[1:-1]
+        assert [int(row.split(",")[0]) for row in rows] == routable
+        assert len(routable) == 67
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("geometry/literal:")
+                and line.endswith("over 67 trials, 33 skipped")]
 
     def test_single_trial_route_sim(self, tmp_path):
         cfgfile = tmp_path / "one.params"
