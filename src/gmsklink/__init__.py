@@ -21,11 +21,10 @@ from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
 from .link import (BerPoint, StopRule, SweepSpec, crossover_ber, run_point,
                    run_sweep, semi_analytic_coded_ber, wilson_interval)
 from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
-                    gaussian_frequency_pulse, modulate, qfunc, qfunc_inv,
-                    theoretical_ber)
+                    gaussian_frequency_pulse, modulate, qfunc, theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,
                      build_route, compare_coded_uncoded, deploy_random,
-                     load_deployment, route_energy, save_deployment)
+                     route_energy)
 from .params import RunConfig, load_config
 
 __version__ = "0.1.0"

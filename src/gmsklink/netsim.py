@@ -11,7 +11,6 @@ routing choices.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import math
 from dataclasses import dataclass
@@ -291,24 +290,3 @@ def compare_coded_uncoded(ens: EnsembleSpec, trials: int, power: PowerProfile,
         n_trials=len(samples),
         samples=tuple(samples),
     )
-
-
-def save_deployment(deployment: Deployment, path):
-    """Write a deployment as CSV rows (id, x, y)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "x", "y"])
-        for nid, x, y in deployment.nodes:
-            writer.writerow([nid, repr(x), repr(y)])
-
-
-def load_deployment(path, field_width: float = 100.0,
-                    field_height: float = 100.0) -> Deployment:
-    """Read a deployment written by :func:`save_deployment`."""
-    nodes = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        for row in reader:
-            nodes.append((int(row["id"]), float(row["x"]), float(row["y"])))
-    return Deployment(nodes=tuple(nodes), field_width=field_width,
-                      field_height=field_height)

@@ -6,6 +6,8 @@ the program's answers keeps these bytes.  The BER, route and gnuplot files
 are compared byte for byte; ``energy_distance.csv`` and ``sensitivity.csv``
 hold closed-form values that an equivalent formula may move in the last
 digits, so they are compared cell by cell at a relative tolerance of 1e-9.
+The commands run with scipy blocked, so a scipy import anywhere in the
+package fails the test.
 
 Re-record (only when an output is meant to change, and say why):
 
@@ -25,9 +27,11 @@ SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 TOLERANT_FILES = ("energy_distance.csv", "sensitivity.csv")
 RTOL = 1e-9
 
-# Runs the three commands in one fresh interpreter.
+# Runs the three commands in one fresh interpreter in which scipy cannot be
+# imported: the pinned bytes come from a numpy-only runtime.
 _RUN = """\
 import sys
+sys.modules["scipy"] = None
 from gmsklink import cli
 for command in ("ber-sweep", "energy-distance", "route-sim"):
     code = cli.main([command, "--quick", "--seed", "99", "--out", sys.argv[1]])

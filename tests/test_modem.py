@@ -5,11 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import erfc, erfcinv
 
 from gmsklink.errors import ConfigError, FramingError
 from gmsklink.modem import (BasebandSignal, ModemConfig, alpha_for_bt,
                             demodulate, gaussian_frequency_pulse, modulate,
-                            qfunc, qfunc_inv, theoretical_ber)
+                            qfunc, theoretical_ber)
 
 
 class TestModemConfig:
@@ -161,7 +162,7 @@ class TestTheoreticalBer:
     def test_inverse_q_identity(self):
         # pick Eb/N0 so that 2 alpha Eb/N0 = Qinv(1e-4)^2, then P_e = 1e-4
         alpha = 0.68
-        target = float(qfunc_inv(1e-4)) ** 2 / (2 * alpha)
+        target = 2.0 * float(erfcinv(2e-4)) ** 2 / (2 * alpha)
         ebno_db = 10 * np.log10(target)
         assert theoretical_ber(ebno_db, alpha) == pytest.approx(1e-4, rel=1e-9)
 
@@ -210,6 +211,26 @@ class TestAlphaTable:
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
 
 
-def test_qfunc_qfunc_inv_are_inverses():
-    for p in (0.4, 0.1, 1e-3, 1e-6):
-        assert qfunc(qfunc_inv(p)) == pytest.approx(p, rel=1e-9)
+class TestQfunc:
+    def test_matches_scipy_erfc(self):
+        x = np.linspace(-10.0, 37.0, 4701)
+        np.testing.assert_allclose(qfunc(x), 0.5 * erfc(x / np.sqrt(2.0)),
+                                   rtol=1e-12, atol=0)
+
+    def test_scalar_gives_numpy_float(self):
+        for x in (1.5, 2, np.float64(0.5), np.array(-1.0)):
+            q = qfunc(x)
+            assert isinstance(q, np.float64)
+            assert q == pytest.approx(0.5 * float(erfc(float(x) / np.sqrt(2.0))),
+                                      rel=1e-12)
+
+    def test_array_keeps_shape(self):
+        for shape in ((3,), (2, 3), (0, 4), (2, 1, 2)):
+            q = qfunc(np.full(shape, 1.0))
+            assert isinstance(q, np.ndarray)
+            assert q.shape == shape and q.dtype == np.float64
+        assert qfunc([0.0, 1.0]).shape == (2,)
+
+    def test_limits(self):
+        q = qfunc([np.inf, -np.inf, np.nan, 0.0])
+        assert q[0] == 0.0 and q[1] == 1.0 and np.isnan(q[2]) and q[3] == 0.5

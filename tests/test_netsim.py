@@ -13,7 +13,7 @@ from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
 from gmsklink.netsim import (Deployment, EnsembleSpec, build_route,
                              compare_coded_uncoded, deploy_random,
-                             load_deployment, route_energy, save_deployment)
+                             route_energy)
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -246,11 +246,3 @@ class TestCompareCodedUncoded:
             EnsembleSpec(mode="geometry", seed=5), 25, POWER, TIMING, BUDGET,
             1e-4, 0.68, GOLAY, CODEC_POWER, CodedVariant.CIRCUIT_UNSCALED)
         assert stats.n_trials >= 1
-
-
-def test_deployment_csv_roundtrip(tmp_path):
-    dep = deploy_random(12, 100, 100, seed=6)
-    path = tmp_path / "deployment.csv"
-    save_deployment(dep, path)
-    loaded = load_deployment(path)
-    assert loaded.nodes == dep.nodes
