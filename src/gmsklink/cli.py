@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import itertools
-import math
 import os
 import sys
 import tempfile
@@ -28,7 +27,7 @@ from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
 from .link import StopRule, SweepSpec, ber_csv_text, run_sweep
-from .netsim import EnsembleSpec, compare_coded_uncoded
+from .netsim import compare_coded_uncoded
 from .params import load_config, parse_codecs
 
 _EXIT_OK = 0
@@ -56,12 +55,21 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_USAGE)
 
 
+def _umask() -> int:
+    # the umask can only be read by setting it, so put it back at once
+    mask = os.umask(0o077)
+    os.umask(mask)
+    return mask
+
+
 def _write_atomic(path: str, text: str):
     directory = os.path.dirname(path) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gmsklink-")
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)
+        # mkstemp creates the file 0600; give it the mode open() would
+        os.chmod(tmp, 0o666 & ~_umask())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -75,13 +83,6 @@ def _variants(selection: str):
     return (CodedVariant(selection),)
 
 
-def _float_grid(start: float, stop: float, step: float):
-    if step <= 0 or stop < start:
-        raise ConfigError("grid needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
-    return [start + i * step for i in range(count)]
-
-
 # ---------------------------------------------------------------- ber-sweep
 
 
@@ -91,10 +92,8 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
         grid = [0.0, 3.0, 6.0]
         stop = StopRule(min_bit_errors=50, max_bits=100_000)
     else:
-        grid = _float_grid(cfg["sweep.ebno_start_db"], cfg["sweep.ebno_stop_db"],
-                           cfg["sweep.ebno_step_db"])
-        stop = StopRule(min_bit_errors=cfg["sweep.min_bit_errors"],
-                        max_bits=cfg["sweep.max_bits"])
+        grid = cfg.ebno_grid()
+        stop = cfg.stop_rule()
     modem = cfg.modem_config()
     seed = cfg["run.seed"]
     g_code = cfg["codec.g_code_db"]
@@ -135,8 +134,7 @@ def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
     spec = golay_spec(cfg["codec.g_code_db"])
     pe = cfg["link.target_pe"]
     alpha = cfg.alpha()
-    step = max(cfg["scan.d_step_m"], 5.0) if quick else cfg["scan.d_step_m"]
-    grid = _float_grid(cfg["scan.d_start_m"], cfg["scan.d_stop_m"], step)
+    grid = cfg.distance_grid(5.0 if quick else 0.0)
 
     crossovers = {}
     for variant in CodedVariant:
@@ -217,21 +215,9 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
     pe = cfg["link.target_pe"]
     alpha = cfg.alpha()
     trials = 100 if quick else cfg["route.trials"]
-    seed = cfg["run.seed"]
-
-    ensembles = {
-        "replication": EnsembleSpec(
-            mode="replication", n_relays=cfg["route.n_relays"],
-            hop_range=(cfg["route.hop_min_m"], cfg["route.hop_max_m"]),
-            seed=seed),
-        "geometry": EnsembleSpec(
-            mode="geometry", n_nodes=cfg["route.n_nodes"],
-            field_width=cfg["route.field_m"], field_height=cfg["route.field_m"],
-            max_hop_m=cfg["route.max_hop_m"], seed=seed),
-    }
 
     outputs = {}
-    for mode, ens in ensembles.items():
+    for mode, ens in cfg.ensembles().items():
         for variant in _variants(variant_selection):
             stats = compare_coded_uncoded(ens, trials, power, timing, budget,
                                           pe, alpha, spec, codec_power, variant)

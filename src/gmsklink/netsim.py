@@ -236,6 +236,12 @@ class EnsembleSpec:
             raise ConfigError("n_relays must be >= 0")
         if not 0 < self.hop_range[0] <= self.hop_range[1]:
             raise ConfigError("hop_range must be increasing and positive")
+        if self.n_nodes < 2:
+            raise ConfigError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if not (self.field_width > 0 and self.field_height > 0):
+            raise ConfigError("field must have positive area")
+        if not self.max_hop_m > 0:
+            raise ConfigError(f"max_hop_m must be positive, got {self.max_hop_m}")
 
 
 def _trial_distances(ens: EnsembleSpec, trial: int) -> tuple:

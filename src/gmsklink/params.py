@@ -12,14 +12,25 @@ from __future__ import annotations
 import importlib.resources
 import math
 from dataclasses import dataclass
+from decimal import Decimal
 
 from .channel import LinkBudget
 from .energy import PowerProfile, TimingProfile
 from .errors import ConfigError
 from .fec import CODECS, CodecPowerProfile
+from .link import StopRule
 from .modem import ModemConfig, alpha_for_bt
+from .netsim import EnsembleSpec
 
 _VALID_VARIANTS = ("literal", "circuit-unscaled", "both")
+
+# Seeds are 64-bit words in every random stream; a seed outside [0, 2**64)
+# would alias another seed's streams.
+_SEED_LIMIT = 1 << 64
+
+# Largest Eb/N0 or distance grid a config may ask for; a step far below the
+# span would otherwise exhaust memory while the grid is built.
+_MAX_GRID_POINTS = 1_000_000
 
 
 def _parse_number(text: str) -> float:
@@ -37,10 +48,17 @@ def _parse_float(text: str) -> float:
 
 
 def _parse_int(text: str) -> int:
-    value = _parse_number(text)
-    if not math.isfinite(value) or value != int(value):
+    try:
+        return int(text)
+    except ValueError:
+        pass
+    # a float spelling such as 1e5: read exactly, not through a rounded float
+    if not math.isfinite(_parse_number(text)):
         raise ConfigError(f"expected an integer, got {text!r}")
-    return int(value)
+    exact = Decimal(text)
+    if exact != exact.to_integral_value():
+        raise ConfigError(f"expected an integer, got {text!r}")
+    return int(exact)
 
 
 def _parse_target_pe(text: str) -> float:
@@ -84,6 +102,18 @@ def _parse_alpha_list(text: str) -> tuple:
         raise ConfigError(f"scan.alpha_list must be one or more values in (0, 1], "
                           f"got {text!r}")
     return alphas
+
+
+def _float_grid(name: str, start: float, stop: float, step: float) -> list:
+    if not step > 0 or stop < start:
+        raise ConfigError(f"{name} grid needs step > 0 and stop >= start, got "
+                          f"start {start!r}, stop {stop!r}, step {step!r}")
+    span = (stop - start) / step
+    if span >= _MAX_GRID_POINTS:
+        raise ConfigError(f"{name} grid would have more than {_MAX_GRID_POINTS} "
+                          f"points (step {step!r})")
+    count = int(math.floor(span + 1e-9)) + 1
+    return [start + i * step for i in range(count)]
 
 
 _SCHEMA = {
@@ -163,9 +193,30 @@ def _default_values() -> dict:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Every parameter a CLI run needs, flattened from the config file."""
+    """Every parameter a CLI run needs, flattened from the config file.
+
+    Building one runs every range check: it builds each domain object once,
+    so a bad value fails at load rather than partway through a command.
+    """
 
     values: tuple  # of (key, value), kept sorted for reproducibility
+
+    def __post_init__(self):
+        seed = self["run.seed"]
+        if not 0 <= seed < _SEED_LIMIT:
+            raise ConfigError(f"run.seed must be in [0, 2**64), got {seed}")
+        if self["route.trials"] < 1:
+            raise ConfigError(f"route.trials must be >= 1, got {self['route.trials']}")
+        self.power_profile()
+        self.timing_profile()
+        self.link_budget()
+        self.modem_config()
+        self.codec_power()
+        self.alpha()
+        self.stop_rule()
+        self.ebno_grid()
+        self.distance_grid()
+        self.ensembles()
 
     def __getitem__(self, key):
         for k, v in self.values:
@@ -223,6 +274,34 @@ class RunConfig:
         if configured == "auto":
             return alpha_for_bt(self["modem.bt_product"])
         return configured
+
+    def stop_rule(self) -> StopRule:
+        return StopRule(min_bit_errors=self["sweep.min_bit_errors"],
+                        max_bits=self["sweep.max_bits"])
+
+    def ebno_grid(self) -> list:
+        """The sweep's Eb/N0 points in dB, start to stop inclusive."""
+        return _float_grid("sweep", self["sweep.ebno_start_db"],
+                           self["sweep.ebno_stop_db"], self["sweep.ebno_step_db"])
+
+    def distance_grid(self, min_step_m: float = 0.0) -> list:
+        """The scan's distances in metres, with the step raised to ``min_step_m``."""
+        return _float_grid("scan", self["scan.d_start_m"], self["scan.d_stop_m"],
+                           max(self["scan.d_step_m"], min_step_m))
+
+    def ensembles(self) -> dict:
+        """The route-sim trial ensembles, by mode."""
+        seed = self["run.seed"]
+        return {
+            "replication": EnsembleSpec(
+                mode="replication", n_relays=self["route.n_relays"],
+                hop_range=(self["route.hop_min_m"], self["route.hop_max_m"]),
+                seed=seed),
+            "geometry": EnsembleSpec(
+                mode="geometry", n_nodes=self["route.n_nodes"],
+                field_width=self["route.field_m"], field_height=self["route.field_m"],
+                max_hop_m=self["route.max_hop_m"], seed=seed),
+        }
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """New config with dotted keys replaced (e.g. ``{"run.seed": 7}``)."""

@@ -1,6 +1,8 @@
 """Tests for the parameter-file layer and command-line front end."""
 
 import hashlib
+import os
+import stat
 import subprocess
 import sys
 
@@ -91,6 +93,56 @@ class TestParamsFile:
     def test_non_finite_integer_rejected(self, line):
         with pytest.raises(ConfigError, match="expected an integer"):
             parse_params_text(line + "\n")
+
+    @pytest.mark.parametrize("text, value", [
+        ("9007199254740993", 2**53 + 1),
+        ("18446744073709551615", 2**64 - 1),
+        ("9.007199254740993e15", 2**53 + 1),
+        ("1e5", 100_000),
+        ("2.5e6", 2_500_000),
+    ])
+    def test_integer_keeps_every_digit(self, text, value):
+        assert parse_params_text(f"run.seed = {text}\n") == {"run.seed": value}
+
+    @pytest.mark.parametrize("text", ["1.5", "1e-3", "9007199254740993.5"])
+    def test_fractional_integer_rejected(self, text):
+        with pytest.raises(ConfigError, match="expected an integer"):
+            parse_params_text(f"run.seed = {text}\n")
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**64 + 1])
+    def test_seed_outside_64_bits_rejected(self, tmp_path, seed):
+        path = tmp_path / "seed.params"
+        path.write_text(f"run.seed = {seed}\n")
+        with pytest.raises(ConfigError, match="run.seed"):
+            load_config(path)
+        with pytest.raises(ConfigError, match="run.seed"):
+            load_config().with_overrides({"run.seed": seed})
+
+    def test_seed_range_ends_are_accepted(self):
+        for seed in (0, 2**64 - 1):
+            assert load_config().with_overrides({"run.seed": seed})["run.seed"] == seed
+
+    @pytest.mark.parametrize("key, value", [
+        ("power.eta", 2.0), ("scan.d_step_m", 0.0), ("modem.bt_product", 0.0),
+        ("route.hop_min_m", -5.0), ("route.n_nodes", 1), ("route.max_hop_m", 0.0),
+        ("route.trials", 0), ("sweep.ebno_step_db", 0.0),
+        ("sweep.min_bit_errors", 0), ("scan.d_step_m", 1e-12),
+    ])
+    def test_with_overrides_checks_ranges(self, key, value):
+        with pytest.raises(ConfigError):
+            load_config().with_overrides({key: value})
+
+    def test_grids_and_ensembles_built_from_config(self):
+        cfg = load_config()
+        assert cfg.ebno_grid() == [0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0]
+        assert cfg.distance_grid() == [float(d) for d in range(1, 201)]
+        assert cfg.distance_grid(5.0) == [1.0 + 5 * i for i in range(40)]
+        ensembles = cfg.ensembles()
+        assert ensembles["replication"] == EnsembleSpec(
+            mode="replication", n_relays=3, hop_range=(50.0, 100.0), seed=12345)
+        assert ensembles["geometry"] == EnsembleSpec(
+            mode="geometry", n_nodes=20, field_width=100.0, field_height=100.0,
+            max_hop_m=100.0, seed=12345)
 
     @pytest.mark.parametrize("value", ["nan", "2", "0", "1", "-1e-4", "inf"])
     def test_target_pe_outside_open_unit_interval_rejected(self, value):
@@ -191,6 +243,17 @@ class TestCliBasics:
         ("energy-distance", "power.p_dac_mw = 15.40"),
         ("energy-distance", "modem.carrier_hz = 2.45e9"),
         ("energy-distance", "timing.t_total_s = 1.07"),
+        ("energy-distance", "power.eta = 2"),
+        ("energy-distance", "scan.d_step_m = 0"),
+        ("energy-distance", "scan.d_step_m = 1e-310"),
+        ("energy-distance", "modem.bt_product = 0"),
+        ("route-sim", "route.hop_min_m = -5"),
+        ("route-sim", "route.n_nodes = 1"),
+        ("route-sim", "route.max_hop_m = 0"),
+        ("route-sim", "route.trials = 0"),
+        ("route-sim", "run.seed = 18446744073709551617"),
+        ("ber-sweep", "sweep.ebno_step_db = 0"),
+        ("ber-sweep", "sweep.min_bit_errors = 0"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"
@@ -202,6 +265,32 @@ class TestCliBasics:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("gmsklink: config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["ber-sweep", "route-sim"])
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_seed_option_outside_64_bits_fails_at_load(self, tmp_path, capsys,
+                                                       command, seed):
+        out = tmp_path / "out"
+        assert cli.main([command, "--quick", "--seed", seed, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [
+            f"gmsklink: config error: run.seed must be in [0, 2**64), got {seed}"]
+        assert not out.exists()
+
+    @pytest.mark.parametrize("args, umask", [
+        (["ber-sweep", "--codecs", "none"], "022"), (["energy-distance"], "022"),
+        (["route-sim"], "022"), (["energy-distance"], "027"),
+    ])
+    def test_outputs_readable_as_umask_allows(self, tmp_path, capsys, args, umask):
+        out = tmp_path / "out"
+        old = os.umask(int(umask, 8))
+        try:
+            code = cli.main([*args, "--quick", "--out", str(out)])
+        finally:
+            os.umask(old)
+        assert code == 0
+        modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in out.iterdir()}
+        assert modes and set(modes.values()) == {0o666 & ~int(umask, 8)}, modes
 
     def test_codec_test_passes(self):
         proc = _run_cli("codec-test", "--quick")
