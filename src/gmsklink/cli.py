@@ -27,7 +27,7 @@ from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
 from .link import StopRule, SweepSpec, ber_csv_text, run_sweep
-from .netsim import compare_coded_uncoded
+from .netsim import compare_coded_uncoded, draw_trials, uncoded_totals
 from .params import load_config, parse_codecs
 
 _EXIT_OK = 0
@@ -207,6 +207,22 @@ def selected_variant(cfg) -> CodedVariant:
 
 
 def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int:
+    trials = 100 if quick else cfg["route.trials"]
+    outputs = {}
+    for mode, ens in cfg.ensembles().items():
+        outputs.update(_route_mode(cfg, mode, ens, trials, variant_selection))
+    for fname, text in outputs.items():
+        _write_atomic(os.path.join(out_dir, fname), text)
+    return _EXIT_OK
+
+
+def _route_mode(cfg, mode: str, ens, trials: int, variant_selection: str) -> dict:
+    """The CSV text of one ensemble per variant, keyed by file name.
+
+    The trials are drawn and priced uncoded once, and every variant is
+    priced from those draws; they are dropped on return, so one ensemble's
+    draws are held at a time.
+    """
     power = cfg.power_profile()
     timing = cfg.timing_profile()
     budget = cfg.link_budget()
@@ -214,28 +230,25 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
     spec = golay_spec(cfg["codec.g_code_db"])
     pe = cfg["link.target_pe"]
     alpha = cfg.alpha()
-    trials = 100 if quick else cfg["route.trials"]
-
+    draws = draw_trials(ens, trials)
+    uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha)
     outputs = {}
-    for mode, ens in cfg.ensembles().items():
-        for variant in _variants(variant_selection):
-            stats = compare_coded_uncoded(ens, trials, power, timing, budget,
-                                          pe, alpha, spec, codec_power, variant)
-            lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
-            for trial, e_u, e_c, s in stats.samples:
-                lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")
-            mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
-            mean_c = sum(s[2] for s in stats.samples) / stats.n_trials
-            lines.append(f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}")
-            name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
-            outputs[name] = "\n".join(lines) + "\n"
-            print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
-                  f"over {stats.n_trials} trials, {trials - stats.n_trials} "
-                  f"skipped", file=sys.stderr)
-
-    for fname, text in outputs.items():
-        _write_atomic(os.path.join(out_dir, fname), text)
-    return _EXIT_OK
+    for variant in _variants(variant_selection):
+        stats = compare_coded_uncoded(draws, trials, power, timing, budget, pe,
+                                      alpha, spec, codec_power, variant,
+                                      uncoded=uncoded)
+        lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
+        for trial, e_u, e_c, s in stats.samples:
+            lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")
+        mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
+        mean_c = sum(s[2] for s in stats.samples) / stats.n_trials
+        lines.append(f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}")
+        name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
+        outputs[name] = "\n".join(lines) + "\n"
+        print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
+              f"over {stats.n_trials} trials, {trials - stats.n_trials} "
+              f"skipped", file=sys.stderr)
+    return outputs
 
 
 # ---------------------------------------------------------------- codec-test

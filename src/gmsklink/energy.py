@@ -17,7 +17,7 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .channel import LinkBudget, path_gain
+from .channel import LinkBudget
 from .errors import ConfigError
 from .fec import CodecPowerProfile, CodeSpec, none_spec
 
@@ -137,30 +137,79 @@ def integration_time(timing: TimingProfile, spec: CodeSpec,
     return timing.t_on
 
 
-def total_energy_coded(power: PowerProfile, timing: TimingProfile,
-                       link: LinkBudget, pe: float, alpha: float,
-                       spec: CodeSpec, codec_power: CodecPowerProfile,
-                       variant: CodedVariant = CodedVariant.LITERAL) -> EnergyBreakdown:
-    """Energy of one coded L-bit transmission.
+@dataclass(frozen=True)
+class LinkConstants:
+    """The distance-free terms of one link's energy, computed once.
+
+    Every quantity that does not depend on the hop length is evaluated here,
+    so pricing a link of length ``d`` is :meth:`hop`: one power of ``d`` and
+    a few products.  :func:`total_energy_coded` and the route energy in
+    :mod:`gmsklink.netsim` both price links through it, so the link-energy
+    arithmetic is written once.
+    """
+
+    rx: float  # required received energy per bit (J)
+    g_l: float
+    k_exp: float
+    m_l: float
+    l_bits: int
+    g_code: float  # linear coding gain
+    beta: float  # PA overhead factor
+    e_circuit: float
+    e_transient: float
+    e_codec: float
+
+    def hop(self, d: float) -> tuple[float, float, float]:
+        """Radiated, PA overhead and total energy of one link ``d`` metres long.
+
+        The total leaves out the codec energy ``e_codec``, which a route
+        charges once, not per hop.
+        """
+        if not d > 0:
+            raise ConfigError("distance_m must be positive")
+        # rx energy per bit times the path gain G_l d**k M_l times L, over
+        # the coding gain
+        e_rad = self.rx * (self.g_l * d**self.k_exp * self.m_l) * self.l_bits / self.g_code
+        e_pa = self.beta * e_rad
+        return e_rad, e_pa, e_rad + e_pa + self.e_circuit + self.e_transient
+
+
+def link_constants(power: PowerProfile, timing: TimingProfile,
+                   link: LinkBudget, pe: float, alpha: float,
+                   spec: CodeSpec, codec_power: CodecPowerProfile,
+                   variant: CodedVariant = CodedVariant.LITERAL) -> LinkConstants:
+    """The distance-free terms of a coded link; ``link.distance_m`` is unused.
 
     The radiated term is the uncoded one divided by the linear coding gain;
     the on-time stretches to T_on / R.  ``variant`` selects whether circuit
     and codec powers integrate over the stretched or the uncoded on-time.
-    The transient term is never stretched.
+    The transient term is never stretched.  Raises ``ValueError`` for ``pe``
+    outside (0, 1) or ``alpha`` outside (0, 1].
     """
-    g_code = 10.0 ** (spec.g_code_db / 10.0)
-    e_rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
-                              path_gain(link), timing.l_bits) / g_code
-    e_pa = amplifier_beta(power) * e_rad
     t_integrate = integration_time(timing, spec, variant)
     p_tx_c, p_rx_c = circuit_powers(power)
-    e_circuit = (p_tx_c + p_rx_c) * t_integrate
-    e_codec = (codec_power.p_enc + codec_power.p_dec) * t_integrate
-    e_transient = 2.0 * power.p_syn * timing.t_start
-    e_total = e_rad + e_pa + e_circuit + e_transient + e_codec
+    return LinkConstants(
+        rx=rx_energy_per_bit(pe, alpha, link.sigma2, link.n_f),
+        g_l=link.g_l, k_exp=link.k_exp, m_l=link.m_l, l_bits=timing.l_bits,
+        g_code=10.0 ** (spec.g_code_db / 10.0),
+        beta=amplifier_beta(power),
+        e_circuit=(p_tx_c + p_rx_c) * t_integrate,
+        e_transient=2.0 * power.p_syn * timing.t_start,
+        e_codec=(codec_power.p_enc + codec_power.p_dec) * t_integrate,
+    )
+
+
+def total_energy_coded(power: PowerProfile, timing: TimingProfile,
+                       link: LinkBudget, pe: float, alpha: float,
+                       spec: CodeSpec, codec_power: CodecPowerProfile,
+                       variant: CodedVariant = CodedVariant.LITERAL) -> EnergyBreakdown:
+    """Energy of one coded L-bit transmission; see :func:`link_constants`."""
+    c = link_constants(power, timing, link, pe, alpha, spec, codec_power, variant)
+    e_rad, e_pa, e_link = c.hop(link.distance_m)
+    e_total = e_link + c.e_codec
     return EnergyBreakdown(e_tx_radiated=e_rad, e_pa_overhead=e_pa,
-                           e_circuit=e_circuit, e_transient=e_transient,
-                           e_codec=e_codec, e_total=e_total,
+                           e_circuit=c.e_circuit, e_transient=c.e_transient,
+                           e_codec=c.e_codec, e_total=e_total,
                            e_per_info_bit=e_total / timing.l_bits)
 
 

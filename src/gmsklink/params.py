@@ -32,6 +32,20 @@ _SEED_LIMIT = 1 << 64
 # span would otherwise exhaust memory while the grid is built.
 _MAX_GRID_POINTS = 1_000_000
 
+# Largest value each count key may take.  Every one is far above any value
+# in use, and low enough that a typo such as 1e30 fails at load instead of
+# starting a run that never ends or exhausts memory.
+_COUNT_CEILINGS = {
+    "route.trials": 10**6,
+    "route.n_nodes": 10**4,
+    "route.n_relays": 10**4,
+    "sweep.max_bits": 10**12,
+    "sweep.min_bit_errors": 10**12,
+    "timing.l_bits": 10**9,
+    "modem.samples_per_symbol": 256,
+    "modem.pulse_span_symbols": 64,
+}
+
 
 def _parse_number(text: str) -> float:
     try:
@@ -207,6 +221,9 @@ class RunConfig:
             raise ConfigError(f"run.seed must be in [0, 2**64), got {seed}")
         if self["route.trials"] < 1:
             raise ConfigError(f"route.trials must be >= 1, got {self['route.trials']}")
+        for key, ceiling in _COUNT_CEILINGS.items():
+            if self[key] > ceiling:
+                raise ConfigError(f"{key} must be <= {ceiling}, got {self[key]}")
         self.power_profile()
         self.timing_profile()
         self.link_budget()

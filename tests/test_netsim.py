@@ -1,11 +1,12 @@
 """Tests for deployments, greedy routing and route energy."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
-from gmsklink.channel import LinkBudget, path_gain
+from gmsklink.channel import LinkBudget, path_gain, substream
 from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              amplifier_beta, circuit_powers,
                              total_energy_uncoded, tx_energy_uncoded)
@@ -13,7 +14,7 @@ from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
 from gmsklink.netsim import (Deployment, EnsembleSpec, build_route,
                              compare_coded_uncoded, deploy_random,
-                             route_energy)
+                             draw_trials, route_energy, uncoded_totals)
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -55,7 +56,62 @@ class TestDeployRandom:
             Deployment(nodes=((1, 0, 0), (1, 5, 5)), field_width=10, field_height=10)
 
 
+def _reference_build_route(deployment, source_id, sink_id, max_hop_m):
+    """Greedy forwarding as first written, recomputing every distance to the
+    sink at every step: the oracle for ``build_route``.  Returns the hops and
+    distances, or the ``RoutingError`` message."""
+    positions = {nid: (x, y) for nid, x, y in deployment.nodes}
+    sink = positions[sink_id]
+
+    def dist(a, b):
+        return math.hypot(a[0] - b[0], a[1] - b[1])
+
+    hops = [source_id]
+    dists = []
+    current = source_id
+    while current != sink_id:
+        here = positions[current]
+        to_sink = dist(here, sink)
+        best = None
+        best_to_sink = to_sink
+        for nid, pos in positions.items():
+            if nid == current:
+                continue
+            if dist(here, pos) > max_hop_m:
+                continue
+            d_sink = dist(pos, sink)
+            if d_sink < best_to_sink:
+                best = nid
+                best_to_sink = d_sink
+        if best is None:
+            return (f"no neighbour of node {current!r} within {max_hop_m} m "
+                    f"is closer to the sink")
+        dists.append(dist(here, positions[best]))
+        hops.append(best)
+        current = best
+    return tuple(hops), tuple(dists)
+
+
 class TestBuildRoute:
+    def test_matches_reference_on_random_deployments(self):
+        rng = np.random.default_rng(23)
+        failures = 0
+        for seed in range(500):
+            n = int(rng.integers(2, 31))
+            dep = deploy_random(n, 100.0, float(rng.uniform(20.0, 150.0)), seed=seed)
+            source, sink = rng.choice(n, 2, replace=False) + 1
+            max_hop = float(rng.uniform(10.0, 120.0))
+            expected = _reference_build_route(dep, source, sink, max_hop)
+            if isinstance(expected, str):
+                failures += 1
+                with pytest.raises(RoutingError) as err:
+                    build_route(dep, source, sink, max_hop)
+                assert str(err.value) == expected
+            else:
+                route = build_route(dep, source, sink, max_hop)
+                assert (route.hops, route.per_hop_distance) == expected
+        assert 50 < failures < 450
+
     def test_sink_in_range_single_hop(self):
         dep = Deployment(nodes=((1, 0.0, 0.0), (2, 30.0, 0.0)),
                          field_width=100, field_height=10)
@@ -189,6 +245,21 @@ class TestRouteEnergy:
         assert four.e_codec == one.e_codec
         assert four.e_transient == pytest.approx(4 * one.e_transient)
 
+    @pytest.mark.parametrize("spec", [None, GOLAY])
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_bad_hop_distance_rejected(self, spec, bad):
+        with pytest.raises(ConfigError, match="distance_m must be positive"):
+            route_energy([80.0, bad], POWER, TIMING, BUDGET, 1e-4, 0.68, spec,
+                         CODEC_POWER)
+
+    @pytest.mark.parametrize("spec", [None, GOLAY])
+    @pytest.mark.parametrize("pe, alpha", [(0.0, 0.68), (1.0, 0.68), (-0.1, 0.68),
+                                           (float("nan"), 0.68), (1e-4, 0.0),
+                                           (1e-4, 1.5), (1e-4, float("nan"))])
+    def test_bad_pe_or_alpha_rejected(self, spec, pe, alpha):
+        with pytest.raises(ValueError, match="pe must be|alpha must be"):
+            route_energy([80.0], POWER, TIMING, BUDGET, pe, alpha, spec, CODEC_POWER)
+
     def test_missing_codec_power_rejected(self):
         with pytest.raises(ConfigError):
             route_energy([80.0], POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, None)
@@ -246,3 +317,94 @@ class TestCompareCodedUncoded:
             EnsembleSpec(mode="geometry", seed=5), 25, POWER, TIMING, BUDGET,
             1e-4, 0.68, GOLAY, CODEC_POWER, CodedVariant.CIRCUIT_UNSCALED)
         assert stats.n_trials >= 1
+
+
+def _reference_trial_distances(ens, trial):
+    if ens.mode == "replication":
+        rng = substream(ens.seed, 0x7472, trial)
+        lo, hi = ens.hop_range
+        return tuple(rng.uniform(lo, hi, ens.n_relays + 1).tolist())
+    dep = deploy_random(ens.n_nodes, ens.field_width, ens.field_height,
+                        seed=ens.seed + trial)
+    src = dep.nodes[0][0]
+    sx, sy = dep.position(src)
+    sink = max(dep.nodes[1:], key=lambda n: math.hypot(n[1] - sx, n[2] - sy))[0]
+    route = _reference_build_route(dep, src, sink, ens.max_hop_m)
+    if isinstance(route, str):
+        raise RoutingError(route)
+    return route[1]
+
+
+def _reference_samples(ens, trials, spec, variant, radiated_only):
+    """The comparison loop as first written: each trial drawn, then priced
+    uncoded and coded hop by hop.  The oracle for ``compare_coded_uncoded``."""
+    samples = []
+    for trial in range(trials):
+        try:
+            distances = _reference_trial_distances(ens, trial)
+        except RoutingError:
+            continue
+        unc = _reference_route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        cod = _reference_route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68,
+                                      spec, CODEC_POWER, variant)
+        e_u = unc[7] if radiated_only else unc[5]
+        e_c = cod[7] if radiated_only else cod[5]
+        samples.append((trial, e_u, e_c, 1.0 - e_c / e_u))
+    return samples
+
+
+class TestDrawOnce:
+    ENSEMBLES = [EnsembleSpec(seed=1), EnsembleSpec(seed=90210, n_relays=0),
+                 EnsembleSpec(seed=7, n_relays=6, hop_range=(5.0, 300.0)),
+                 EnsembleSpec(mode="geometry", seed=1),
+                 EnsembleSpec(mode="geometry", seed=12345),
+                 EnsembleSpec(mode="geometry", seed=3, max_hop_m=35.0)]
+
+    @pytest.mark.parametrize("ens", ENSEMBLES)
+    def test_samples_match_reference_exactly(self, ens):
+        trials = 150
+        draws = draw_trials(ens, trials)
+        uncoded = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        for variant in CodedVariant:
+            for radiated_only in (False, True):
+                expected = _reference_samples(ens, trials, GOLAY, variant,
+                                              radiated_only)
+                args = (trials, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
+                        CODEC_POWER, variant, radiated_only)
+                from_spec = compare_coded_uncoded(ens, *args)
+                shared = compare_coded_uncoded(draws, *args, uncoded=uncoded)
+                assert repr(from_spec.samples) == repr(tuple(expected))
+                assert shared == from_spec
+                savings = np.array([s[3] for s in expected])
+                assert from_spec.mean == float(savings.mean())
+                assert from_spec.n_trials == len(expected)
+
+    def test_short_reach_skips_about_a_third(self):
+        # so the reference comparison above covers skipped trials
+        ens = EnsembleSpec(mode="geometry", seed=3, max_hop_m=35.0)
+        assert 30 < 150 - len(draw_trials(ens, 150)) < 70
+
+    def test_trial_count_checked(self):
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            draw_trials(EnsembleSpec(), 0)
+        draws = draw_trials(EnsembleSpec(), 5)
+        args = (POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        with pytest.raises(ConfigError, match="trials must be >= 1"):
+            compare_coded_uncoded(draws, 0, *args)
+        with pytest.raises(ConfigError, match="only 4 attempted"):
+            compare_coded_uncoded(draws, 4, *args)
+
+    def test_every_trial_failing_raises(self):
+        ens = EnsembleSpec(mode="geometry", seed=2, max_hop_m=0.5)
+        with pytest.raises(RoutingError, match="every trial failed"):
+            draw_trials(ens, 20)
+        with pytest.raises(RoutingError, match="every trial failed"):
+            compare_coded_uncoded(ens, 20, POWER, TIMING, BUDGET, 1e-4, 0.68,
+                                  GOLAY, CODEC_POWER)
+
+    def test_uncoded_energies_must_match_draws(self):
+        draws = draw_trials(EnsembleSpec(), 5)
+        uncoded = uncoded_totals(draws[:4], POWER, TIMING, BUDGET, 1e-4, 0.68)
+        with pytest.raises(ConfigError, match="one to one"):
+            compare_coded_uncoded(draws, 5, POWER, TIMING, BUDGET, 1e-4, 0.68,
+                                  GOLAY, CODEC_POWER, uncoded=uncoded)

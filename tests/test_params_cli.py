@@ -132,6 +132,17 @@ class TestParamsFile:
         with pytest.raises(ConfigError):
             load_config().with_overrides({key: value})
 
+    def test_count_ceilings_are_inclusive(self):
+        ceilings = {"route.trials": 10**6, "route.n_nodes": 10**4,
+                    "route.n_relays": 10**4, "sweep.max_bits": 10**12,
+                    "sweep.min_bit_errors": 10**12, "timing.l_bits": 10**9,
+                    "modem.samples_per_symbol": 256, "modem.pulse_span_symbols": 64}
+        for key, ceiling in ceilings.items():
+            assert load_config().with_overrides({key: ceiling})[key] == ceiling
+            with pytest.raises(ConfigError, match=f"{key} must be <= {ceiling}, "
+                                                  f"got {ceiling + 1}"):
+                load_config().with_overrides({key: ceiling + 1})
+
     def test_grids_and_ensembles_built_from_config(self):
         cfg = load_config()
         assert cfg.ebno_grid() == [0.0, 1.5, 3.0, 4.5, 6.0, 7.5, 9.0]
@@ -254,6 +265,15 @@ class TestCliBasics:
         ("route-sim", "run.seed = 18446744073709551617"),
         ("ber-sweep", "sweep.ebno_step_db = 0"),
         ("ber-sweep", "sweep.min_bit_errors = 0"),
+        ("route-sim", "route.trials = 1e12"),
+        ("route-sim", "route.trials = 1e308"),
+        ("route-sim", "route.n_nodes = 10001"),
+        ("route-sim", "route.n_relays = 1e6"),
+        ("ber-sweep", "sweep.max_bits = 1e15"),
+        ("ber-sweep", "sweep.min_bit_errors = 1000000000001"),
+        ("energy-distance", "timing.l_bits = 1e10"),
+        ("ber-sweep", "modem.samples_per_symbol = 257"),
+        ("ber-sweep", "modem.pulse_span_symbols = 65"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"
