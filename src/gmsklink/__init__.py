@@ -7,7 +7,8 @@ transceiver energy model, Monte Carlo BER sweeps, and a multi-hop route
 energy experiment over random sensor deployments.
 """
 
-from .channel import ChannelConfig, LinkBudget, awgn, path_gain, substream
+from .channel import (ChannelConfig, LinkBudget, NoiseStream, awgn, path_gain,
+                      substream)
 from .energy import (CodedVariant, EnergyBreakdown, PowerProfile,
                      TimingProfile, amplifier_beta, circuit_powers,
                      crossover_distance, rx_energy_per_bit,
@@ -19,7 +20,8 @@ from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
                   golay_decode, golay_encode, golay_spec, none_spec,
                   rs_decode, rs_encode, rs_spec, strip_code, viterbi_decode)
 from .link import (BerPoint, StopRule, SweepSpec, crossover_ber, run_point,
-                   run_sweep, semi_analytic_coded_ber, wilson_interval)
+                   run_points, run_sweep, semi_analytic_coded_ber,
+                   wilson_interval)
 from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
                     gaussian_frequency_pulse, modulate, qfunc, theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,

@@ -5,6 +5,16 @@ spends its energy budget over more channel bits, so the per-channel-bit SNR
 is ``ebno_db + 10 log10(code_rate)``.  The random source is numpy's Philox
 counter-based generator keyed through ``SeedSequence`` so streams are
 reproducible across runs and platforms; see :func:`substream`.
+
+Noise of ``n`` samples reads the first ``2 n`` standard normals of the
+seed's stream: ``z[:n]`` scaled onto I and ``z[n:2n]`` onto Q.  Signals of
+different lengths under one seed therefore read prefixes of one stream, and
+a :class:`NoiseStream` lets them share it: it keeps the first ``n_max``
+normals drawn once, and any consumer that needs more draws the rest from
+the generator state saved there.  The memo is bounded by ``n_max``, every
+other noise buffer by one block, and the object holds nothing once it is
+dropped; a plain :func:`awgn` call keeps no memo at all.  The BER engine
+shares one stream among all codecs of a chunk (see :mod:`gmsklink.link`).
 """
 
 from __future__ import annotations
@@ -85,17 +95,83 @@ def noise_variance(config: ChannelConfig) -> float:
     return config.samples_per_symbol / ebno_channel_bit
 
 
-def awgn(signal: BasebandSignal, config: ChannelConfig) -> BasebandSignal:
-    """Add complex white Gaussian noise at the configured per-bit SNR."""
+class NoiseStream:
+    """The standard-normal stream of one seed, shared by several consumers.
+
+    The first ``n_max`` normals are drawn on first use and kept; the
+    generator state after them is saved, and a consumer that reads past
+    ``n_max`` draws from a copy of that state, one bounded block at a time.
+    Every consumer therefore reads exactly the stream ``substream(seed)``
+    would give it alone.
+    """
+
+    _BLOCK = 1 << 15
+
+    def __init__(self, seed: int, n_max: int = 0):
+        self.seed = seed
+        self.n_max = n_max
+        self._memo = None
+        self._state = None
+
+    def _start(self):
+        if self._state is None:
+            rng = substream(self.seed)
+            self._memo = rng.standard_normal(self.n_max)
+            self._state = rng.bit_generator.state
+
+    def pieces(self, stop: int):
+        """Yield ``(start, z)`` pieces of at most ``_BLOCK`` normals that
+        cover ``z[0:stop]`` in order.
+
+        A piece past the memo is a reused buffer, valid until the next one.
+        """
+        self._start()
+        memo = self._memo
+        for start in range(0, min(stop, memo.size), self._BLOCK):
+            yield start, memo[start: min(start + self._BLOCK, stop)]
+        if stop > memo.size:
+            bit_generator = np.random.Philox()
+            bit_generator.state = self._state
+            rng = np.random.Generator(bit_generator)
+            block = np.empty(min(self._BLOCK, stop - memo.size))
+            for start in range(memo.size, stop, block.size):
+                z = block[: min(block.size, stop - start)]
+                rng.standard_normal(out=z)
+                yield start, z
+
+
+def awgn(signal: BasebandSignal, config: ChannelConfig, *,
+         noise: NoiseStream | None = None,
+         overwrite_input: bool = False) -> BasebandSignal:
+    """Add complex white Gaussian noise at the configured per-bit SNR.
+
+    ``noise``, if given, is the shared stream of ``config.seed``; the result
+    is the same with or without it.  With ``overwrite_input``, writable
+    complex128 samples get the noise in place, and the result shares them.
+    """
     var = noise_variance(config)
     if var == 0.0:
         return signal
-    rng = substream(config.seed)
-    n = len(signal.samples)
+    if noise is None:
+        noise = NoiseStream(config.seed)
+    elif noise.seed != config.seed:
+        raise ValueError(f"noise stream seed {noise.seed} is not the "
+                         f"channel seed {config.seed}")
+    samples = np.asarray(signal.samples)
+    n = samples.size
     scale = np.sqrt(var / 2.0)
-    noisy = np.array(signal.samples, dtype=complex)
-    noisy.real += rng.normal(0.0, scale, size=n)
-    noisy.imag += rng.normal(0.0, scale, size=n)
+    in_place = overwrite_input and samples.dtype == complex and samples.flags.writeable
+    noisy = samples if in_place else np.empty(n, dtype=complex)
+    scaled = np.empty(NoiseStream._BLOCK)
+    # component c of sample i gets z[c * n + i]; s + scale * z is bitwise
+    # s + normal(0, scale), the draw numpy's own normal() makes
+    for start, z in noise.pieces(2 * n):
+        for out, s, lo in ((noisy.real, samples.real, 0), (noisy.imag, samples.imag, n)):
+            a, b = max(start, lo), min(start + z.size, lo + n)
+            if a < b:
+                part = scaled[: b - a]
+                np.multiply(z[a - start: b - start], scale, out=part)
+                np.add(s[a - lo: b - lo], part, out=out[a - lo: b - lo])
     return BasebandSignal(samples=noisy, sample_rate=signal.sample_rate)
 
 

@@ -26,7 +26,7 @@ from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
 from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
-from .link import StopRule, SweepSpec, ber_csv_text, run_sweep
+from .link import StopRule, SweepSpec, ber_csv_text, run_points
 from .netsim import compare_coded_uncoded, draw_trials, uncoded_totals
 from .params import load_config, parse_codecs
 
@@ -98,12 +98,15 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     seed = cfg["run.seed"]
     g_code = cfg["codec.g_code_db"]
 
-    curves = {}
+    # every codec at one Eb/N0 at once, so each chunk's noise is drawn once
+    specs = [SweepSpec(ebno_points=tuple(grid), codec=CODECS[name].spec(g_code),
+                       modem=modem, stop_rule=stop, seed=seed)
+             for name in codecs]
+    curves = {name: [] for name in codecs}
+    for ebno_db in sorted(grid):
+        for name, point in zip(codecs, run_points(specs, ebno_db)):
+            curves[name].append(point)
     for name in codecs:
-        spec = SweepSpec(ebno_points=tuple(grid),
-                         codec=CODECS[name].spec(g_code),
-                         modem=modem, stop_rule=stop, seed=seed)
-        curves[name] = run_sweep(spec)
         print(f"swept {name}: {len(grid)} points", file=sys.stderr)
 
     outputs = {}

@@ -17,7 +17,8 @@ import numpy as np
 
 from ..errors import ConfigError, FramingError
 from . import convolutional, golay, reed_solomon
-from .convolutional import conv_encode, viterbi_decode, viterbi_decode_blocks
+from .convolutional import (conv_encode, viterbi_decode, viterbi_decode_blocks,
+                            viterbi_decode_segments)
 from .golay import golay_decode, golay_encode
 from .reed_solomon import rs_decode, rs_encode
 
@@ -202,10 +203,8 @@ def _conv_encode(bits, spec):
 
 
 def _conv_decode(coded, spec, info_len):
-    full = info_len // spec.k
-    segments = (coded[: full * spec.n].reshape(full, spec.n), coded[None, full * spec.n:])
-    bits = [viterbi_decode_blocks(s).reshape(-1) for s in segments if s.size]
-    return np.concatenate(bits), 0, 0  # Viterbi flags no block and counts no corrections
+    # Viterbi flags no block and counts no corrections
+    return viterbi_decode_segments(coded, spec.n), 0, 0
 
 
 _NONE = Codec("none", lambda g_code_db: none_spec(), lambda bits, spec: bits.copy(),

@@ -5,11 +5,13 @@ Systematic construction with generator [I | B], using the standard symmetric
 12-bit syndrome to the error pattern of weight <= 3 that has it, so every
 such pattern is corrected and weight-4 patterns are reported as failures.
 The word-level routines are vectorised so exhaustive sweeps over all
-messages and error patterns stay cheap.
+messages and error patterns stay cheap.  Both tables are built on first
+use, so importing the package costs nothing for them.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -43,7 +45,8 @@ B_ROWS = np.array(
 )
 
 
-def _build_product_table() -> np.ndarray:
+@functools.cache
+def _product_table() -> np.ndarray:
     """table[u] = u . B over GF(2) for every 12-bit row vector u."""
     table = np.zeros(4096, dtype=np.uint16)
     u = np.arange(4096, dtype=np.uint16)
@@ -52,7 +55,6 @@ def _build_product_table() -> np.ndarray:
     return table
 
 
-_MULT_B = _build_product_table()
 _POW2_12 = (1 << np.arange(11, -1, -1)).astype(np.uint16)
 _POW2_24 = (1 << np.arange(23, -1, -1)).astype(np.uint32)
 
@@ -60,9 +62,10 @@ _POW2_24 = (1 << np.arange(23, -1, -1)).astype(np.uint32)
 def encode_words(messages: np.ndarray) -> np.ndarray:
     """Encode 12-bit message integers into 24-bit codeword integers."""
     messages = np.asarray(messages, dtype=np.uint32)
-    return (messages << 12) | _MULT_B[messages]
+    return (messages << 12) | _product_table()[messages]
 
 
+@functools.cache
 def _error_table() -> np.ndarray:
     """table[s]: the one error pattern of weight <= 3 with syndrome s, or -1.
 
@@ -72,11 +75,8 @@ def _error_table() -> np.ndarray:
     patterns = np.array([sum(1 << i for i in bits) for w in range(T_CORRECT + 1)
                          for bits in itertools.combinations(range(N_BITS), w)])
     table = np.full(1 << K_BITS, -1, dtype=np.int64)
-    table[_MULT_B[patterns >> 12] ^ (patterns & 0xFFF)] = patterns
+    table[_product_table()[patterns >> 12] ^ (patterns & 0xFFF)] = patterns
     return table
-
-
-_ERRORS = _error_table()
 
 
 def decode_words(words: np.ndarray):
@@ -89,7 +89,7 @@ def decode_words(words: np.ndarray):
     """
     words = np.atleast_1d(np.asarray(words, dtype=np.uint32))
     r1 = (words >> 12).astype(np.uint16)
-    errors = _ERRORS[_MULT_B[r1] ^ (words & 0xFFF)]
+    errors = _error_table()[_product_table()[r1] ^ (words & 0xFFF)]
     failed = errors < 0
     errors[failed] = 0
     messages = (r1 ^ (errors >> 12)).astype(np.uint16)

@@ -8,10 +8,13 @@ of per-(position, symbol) table entries.  A word's four 4-bit syndromes pack
 into 16 bits, and a 65536-entry table maps each syndrome to the one error
 pattern of weight <= 2 that has it (23 851 patterns, zero included) or marks
 the word uncorrectable: exact bounded-distance decoding (standard syndrome
-decoding; Lin & Costello, *Error Control Coding*).
+decoding; Lin & Costello, *Error Control Coding*).  The tables are built on
+first use, so importing the package costs nothing for them.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -27,6 +30,7 @@ _SHIFTS = np.array([12, 8, 4, 0])  # four 4-bit fields in 16 bits, the first on 
 _POSITIONS = np.arange(N_SYMBOLS)
 
 
+@functools.cache
 def _syndrome_table() -> np.ndarray:
     """table[i, v]: packed syndromes r(a^1) .. r(a^4) of symbol v at position i."""
     exp = [1]  # exp[e] = a^e
@@ -42,12 +46,14 @@ def _syndrome_table() -> np.ndarray:
     return table
 
 
-def _parity_table(syndrome: np.ndarray) -> np.ndarray:
+@functools.cache
+def _parity_table() -> np.ndarray:
     """table[i, v]: packed parity symbols cancelling symbol v at message position i.
 
     Any 4 columns of the check matrix are independent, so the 65536 parity
     words map one-to-one onto the 65536 syndromes.
     """
+    syndrome = _syndrome_table()
     syn = np.zeros(1, dtype=np.uint16)  # ends as the syndromes of parity words 0..65535
     for contributions in syndrome[K_SYMBOLS:]:
         syn = (syn[:, None] ^ contributions).reshape(-1)
@@ -56,7 +62,8 @@ def _parity_table(syndrome: np.ndarray) -> np.ndarray:
     return cancel[syndrome[:K_SYMBOLS]]
 
 
-def _decoding_tables(syndrome: np.ndarray):
+@functools.cache
+def _decoding_tables():
     """The error patterns of weight <= 2, their weights, and syndrome -> row.
 
     Rows: the zero pattern, 225 single-symbol patterns, 23 625 two-symbol
@@ -71,16 +78,11 @@ def _decoding_tables(syndrome: np.ndarray):
     zero = np.zeros((1, N_SYMBOLS), dtype=np.uint8)
     patterns = np.concatenate([zero, singles, singles[a] | singles[b], zero])
     weights = np.concatenate([[0], np.ones(rows.size), np.full(a.size, 2), [-1]])
-    single_syn = syndrome[:, 1:].reshape(-1)
+    single_syn = _syndrome_table()[:, 1:].reshape(-1)
     syn = np.concatenate([[0], single_syn, single_syn[a] ^ single_syn[b]])
     row_of = np.full(1 << 16, len(patterns) - 1, dtype=np.int16)
     row_of[syn] = np.arange(syn.size)
     return patterns, weights.astype(np.int8), row_of
-
-
-_SYNDROME = _syndrome_table()
-_PARITY = _parity_table(_SYNDROME)
-_PATTERNS, _WEIGHTS, _ROW_OF = _decoding_tables(_SYNDROME)
 
 
 def _as_symbols(symbols, width: int) -> np.ndarray:
@@ -95,7 +97,7 @@ def _as_symbols(symbols, width: int) -> np.ndarray:
 def encode_words(messages) -> np.ndarray:
     """Encode a (B, 11) symbol array into (B, 15) systematic codewords."""
     msgs = _as_symbols(messages, K_SYMBOLS)
-    packed = np.bitwise_xor.reduce(_PARITY[_POSITIONS[:K_SYMBOLS], msgs], axis=1)
+    packed = np.bitwise_xor.reduce(_parity_table()[_POSITIONS[:K_SYMBOLS], msgs], axis=1)
     return np.concatenate([msgs, (packed[:, None] >> _SHIFTS) & 15], axis=1)
 
 
@@ -108,9 +110,10 @@ def decode_words(received):
     symbols so residual errors stay measurable.
     """
     r = _as_symbols(received, N_SYMBOLS)
-    row = _ROW_OF[np.bitwise_xor.reduce(_SYNDROME[_POSITIONS, r], axis=1)]
-    weights = _WEIGHTS[row]
-    return r ^ _PATTERNS[row], np.maximum(weights, 0), weights < 0
+    patterns, weights, row_of = _decoding_tables()
+    row = row_of[np.bitwise_xor.reduce(_syndrome_table()[_POSITIONS, r], axis=1)]
+    weights = weights[row]
+    return r ^ patterns[row], np.maximum(weights, 0), weights < 0
 
 
 def bits_to_symbols(bits) -> np.ndarray:

@@ -7,6 +7,14 @@ independent Philox substreams from (seed, Eb/N0), so results are identical
 whether points run serially, in parallel, or in any order.  Eb/N0 is per
 information bit by default: coded pipelines pay the rate penalty on the
 channel.
+
+Chunk ``i``'s noise is keyed by (seed, Eb/N0, i) and not by the codec, so
+codecs measured at one Eb/N0 with one seed see the same noise stream:
+common random numbers, which makes their BER differences less noisy than
+independent draws would.  :func:`run_points` runs several specs chunk by
+chunk and draws each shared stream once per chunk into a
+:class:`~gmsklink.channel.NoiseStream`, whose memo is bounded by the
+longest signal in that chunk and is dropped with it.
 """
 
 from __future__ import annotations
@@ -16,10 +24,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, awgn, substream
+from .channel import ChannelConfig, NoiseStream, awgn, substream
 from .errors import ConfigError
-from .fec import CodeSpec, apply_code, none_spec, strip_code
-from .modem import ModemConfig, demodulate, modulate, theoretical_ber
+from .fec import CodeSpec, apply_code, block_layout, none_spec, strip_code
+from .modem import (ModemConfig, demodulate, modulate, signal_length,
+                    theoretical_ber)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -97,45 +106,85 @@ def _chunk_sizes(max_bits: int):
         size = min(2 * size, 200_000)
 
 
+class _Point:
+    """Stop-rule state of one spec at one Eb/N0."""
+
+    def __init__(self, spec: SweepSpec, ebits: int):
+        self.spec = spec
+        self.data_rng = substream(spec.seed, ebits, _DATA_TAG)
+        self.sizes = _chunk_sizes(spec.stop_rule.max_bits)
+        self.errors = 0
+        self.simulated = 0
+
+    def running(self) -> bool:
+        rule = self.spec.stop_rule
+        return self.errors < rule.min_bit_errors and self.simulated < rule.max_bits
+
+    def next_size(self) -> int:
+        return min(next(self.sizes), self.spec.stop_rule.max_bits - self.simulated)
+
+    def result(self, ebno_db: float) -> BerPoint:
+        ci_low, ci_high = wilson_interval(self.errors, self.simulated)
+        return BerPoint(
+            ebno_db=float(ebno_db),
+            measured_ber=self.errors / self.simulated,
+            bit_errors=self.errors,
+            bits_simulated=self.simulated,
+            ci_low=ci_low,
+            ci_high=ci_high,
+            low_confidence=self.errors < self.spec.stop_rule.min_bit_errors,
+        )
+
+
+def _noise_seed(seed: int, ebits: int, chunk_index: int) -> int:
+    entropy = [seed & 0xFFFFFFFFFFFFFFFF, ebits, _NOISE_TAG, chunk_index]
+    return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
+
+
+def _run_chunk(point: _Point, n_bits: int, ebno_db: float, noise: NoiseStream):
+    spec = point.spec
+    bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
+    coded = apply_code(bits, spec.codec)
+    channel = ChannelConfig(ebno_db=ebno_db, code_rate=n_bits / coded.size,
+                            samples_per_symbol=spec.modem.samples_per_symbol,
+                            seed=noise.seed)
+    noisy = awgn(modulate(coded, spec.modem), channel, noise=noise, overwrite_input=True)
+    hard = demodulate(noisy, spec.modem, coded.size)
+    del noisy
+    decoded = strip_code(hard, spec.codec, n_bits)
+    point.errors += int(np.count_nonzero(decoded != bits))
+    point.simulated += n_bits
+
+
+def run_points(specs, ebno_db: float) -> list[BerPoint]:
+    """Measure every spec's BER at one Eb/N0; equal to ``run_point`` per spec.
+
+    Chunk 0 runs for every spec, then chunk 1 for the specs whose stop rule
+    still runs, and so on.  Specs whose chunk draws the same noise seed
+    share one :class:`NoiseStream` for it, sized to the longest signal.
+    """
+    ebits = _ebno_entropy(ebno_db)
+    points = [_Point(spec, ebits) for spec in specs]
+    chunk_index = 0
+    while True:
+        chunk = [(p, p.next_size()) for p in points if p.running()]
+        if not chunk:
+            break
+        seeds = [_noise_seed(p.spec.seed, ebits, chunk_index) for p, _ in chunk]
+        n_max = {}
+        for seed, (p, n_bits) in zip(seeds, chunk):
+            coded_bits = block_layout(n_bits, p.spec.codec).coded_bits
+            n_max[seed] = max(n_max.get(seed, 0), signal_length(coded_bits, p.spec.modem))
+        streams = {seed: NoiseStream(seed, n) for seed, n in n_max.items()}
+        for seed, (p, n_bits) in zip(seeds, chunk):
+            _run_chunk(p, n_bits, ebno_db, streams[seed])
+        chunk_index += 1
+    return [p.result(ebno_db) for p in points]
+
+
 def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
     """Measure the BER at one Eb/N0 value; deterministic given (seed, ebno_db)."""
-    ebits = _ebno_entropy(ebno_db)
-    data_rng = substream(spec.seed, ebits, _DATA_TAG)
-    sps = spec.modem.samples_per_symbol
-    errors = 0
-    simulated = 0
-    chunk_iter = _chunk_sizes(spec.stop_rule.max_bits)
-    chunk_index = 0
-    while errors < spec.stop_rule.min_bit_errors and simulated < spec.stop_rule.max_bits:
-        n_bits = min(next(chunk_iter), spec.stop_rule.max_bits - simulated)
-        bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
-        coded = apply_code(bits, spec.codec)
-        rate = n_bits / coded.size
-        noise_seed = int(
-            np.random.SeedSequence(
-                [spec.seed & 0xFFFFFFFFFFFFFFFF, ebits, _NOISE_TAG, chunk_index]
-            ).generate_state(1, dtype=np.uint64)[0]
-        )
-        noisy = awgn(
-            modulate(coded, spec.modem),
-            ChannelConfig(ebno_db=ebno_db, code_rate=rate,
-                          samples_per_symbol=sps, seed=noise_seed),
-        )
-        hard = demodulate(noisy, spec.modem, coded.size)
-        decoded = strip_code(hard, spec.codec, n_bits)
-        errors += int(np.count_nonzero(decoded != bits))
-        simulated += n_bits
-        chunk_index += 1
-    ci_low, ci_high = wilson_interval(errors, simulated)
-    return BerPoint(
-        ebno_db=float(ebno_db),
-        measured_ber=errors / simulated,
-        bit_errors=errors,
-        bits_simulated=simulated,
-        ci_low=ci_low,
-        ci_high=ci_high,
-        low_confidence=errors < spec.stop_rule.min_bit_errors,
-    )
+    return run_points([spec], ebno_db)[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[BerPoint]:

@@ -181,6 +181,11 @@ def _window_tables(cumtaps: np.ndarray) -> list:
     return tables
 
 
+def signal_length(num_bits: int, config: ModemConfig) -> int:
+    """Number of samples :func:`modulate` makes of ``num_bits`` bits."""
+    return (num_bits + 2 * config.pulse_span_symbols) * config.samples_per_symbol
+
+
 def modulate(bits, config: ModemConfig) -> BasebandSignal:
     """Modulate a bit sequence onto a unit-envelope GMSK baseband waveform.
 

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from gmsklink.errors import ConfigError
-from gmsklink.fec import conv_spec, golay_spec, none_spec, rs_spec
+from gmsklink.fec import CODECS, conv_spec, golay_spec, none_spec, rs_spec
 from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
-                           crossover_ber, run_point, run_sweep,
+                           crossover_ber, run_point, run_points, run_sweep,
                            semi_analytic_coded_ber, wilson_interval)
 from gmsklink.modem import alpha_for_bt, theoretical_ber
 
@@ -73,6 +73,46 @@ class TestRunPoint:
     def test_one_point_sweep_is_run_point(self):
         spec = SweepSpec(ebno_points=(2.0,), stop_rule=StopRule(50, 50_000), seed=9)
         assert run_sweep(spec) == [run_point(spec, 2.0)]
+
+
+class TestRunPoints:
+    # at 7 dB under this rule the codecs stop after 1, 2 and 3 chunks
+    EBNO = 7.0
+    STOP = StopRule(100, 150_000)
+
+    @pytest.fixture(scope="class")
+    def alone(self):
+        specs = {name: SweepSpec(ebno_points=(self.EBNO,), codec=codec.spec(4.0),
+                                 stop_rule=self.STOP, seed=4)
+                 for name, codec in CODECS.items()}
+        return specs, {name: run_point(spec, self.EBNO) for name, spec in specs.items()}
+
+    def test_codecs_stop_at_different_chunks(self, alone):
+        _, points = alone
+        assert len({p.bits_simulated for p in points.values()}) == 3
+
+    @pytest.mark.parametrize("order", [
+        ("none", "golay", "reed_solomon", "convolutional"),
+        ("convolutional", "reed_solomon", "golay", "none"),
+        ("golay", "convolutional", "none", "reed_solomon"),
+        ("reed_solomon", "none"),
+        ("convolutional", "golay"),
+    ])
+    def test_equals_run_point_per_spec(self, alone, order):
+        specs, points = alone
+        got = run_points([specs[name] for name in order], self.EBNO)
+        assert got == [points[name] for name in order]
+
+    def test_specs_of_different_seeds_and_rules(self):
+        specs = [SweepSpec(ebno_points=(6.0,), codec=golay_spec(), stop_rule=self.STOP, seed=4),
+                 SweepSpec(ebno_points=(6.0,), codec=golay_spec(), stop_rule=self.STOP, seed=5),
+                 SweepSpec(ebno_points=(6.0,), codec=conv_spec(), seed=5,
+                           stop_rule=StopRule(10**6, 60_000)),
+                 SweepSpec(ebno_points=(6.0,), stop_rule=self.STOP, seed=2**64 + 4)]
+        assert run_points(specs, 6.0) == [run_point(s, 6.0) for s in specs]
+
+    def test_no_specs(self):
+        assert run_points([], 1.0) == []
 
 
 class TestRunSweep:

@@ -14,7 +14,8 @@ import sys
 import numpy as np
 import pytest
 
-from gmsklink.channel import ChannelConfig, awgn, noise_variance, substream
+from gmsklink.channel import (ChannelConfig, NoiseStream, awgn, noise_variance,
+                              substream)
 from gmsklink.modem import (BasebandSignal, ModemConfig, demodulate,
                             gaussian_frequency_pulse, modulate,
                             receiver_lowpass)
@@ -123,6 +124,54 @@ def test_awgn_bit_identical_to_complex_sum(ebno):
     chan = ChannelConfig(ebno_db=ebno, samples_per_symbol=8, seed=41)
     np.testing.assert_array_equal(awgn(sig, chan).samples,
                                   reference_awgn(sig.samples, chan))
+
+
+@pytest.mark.parametrize("ebno", [0.0, 9.0, np.inf])
+@pytest.mark.parametrize("n_max", [0, 1, 700, 4000, 5000])
+def test_awgn_with_a_shared_stream_is_bit_identical(ebno, n_max):
+    # signals of 1 to 4000 samples read prefixes of one stream whose memo
+    # holds n_max normals: shortest first, longest first, and interleaved
+    rng = np.random.default_rng(5)
+    signals = [BasebandSignal(np.exp(1j * rng.random(n)), 1.0)
+               for n in (1, 333, 700, 1999, 4000)]
+    for order in (signals, signals[::-1], signals[1::2] + signals[::2]):
+        chan = ChannelConfig(ebno_db=ebno, code_rate=0.5, samples_per_symbol=8, seed=43)
+        stream = NoiseStream(chan.seed, n_max)
+        for sig in order:
+            np.testing.assert_array_equal(awgn(sig, chan, noise=stream).samples,
+                                          reference_awgn(sig.samples, chan))
+
+
+def test_awgn_stream_past_one_block():
+    n = 3 * NoiseStream._BLOCK + 17
+    sig = BasebandSignal(np.ones(n, dtype=complex), 1.0)
+    chan = ChannelConfig(ebno_db=2.0, samples_per_symbol=8, seed=44)
+    for stream in (None, NoiseStream(chan.seed, 1000), NoiseStream(chan.seed, n)):
+        np.testing.assert_array_equal(awgn(sig, chan, noise=stream).samples,
+                                      reference_awgn(sig.samples, chan))
+
+
+def test_awgn_in_place_is_bit_identical():
+    sig = modulate(np.random.default_rng(3).integers(0, 2, 3000), ModemConfig())
+    chan = ChannelConfig(ebno_db=4.0, samples_per_symbol=8, seed=45)
+    want = reference_awgn(sig.samples, chan)
+    before = sig.samples.copy()
+    np.testing.assert_array_equal(awgn(sig, chan).samples, want)
+    np.testing.assert_array_equal(sig.samples, before)  # input untouched by default
+    got = awgn(sig, chan, noise=NoiseStream(chan.seed, 5000), overwrite_input=True)
+    np.testing.assert_array_equal(got.samples, want)
+    assert np.shares_memory(got.samples, sig.samples)
+    # samples it cannot write in place are copied, not modified
+    narrow = BasebandSignal(before.astype(np.complex64), sig.sample_rate)
+    np.testing.assert_array_equal(awgn(narrow, chan, overwrite_input=True).samples,
+                                  reference_awgn(narrow.samples, chan))
+    np.testing.assert_array_equal(narrow.samples, before.astype(np.complex64))
+
+
+def test_awgn_rejects_a_stream_of_another_seed():
+    sig = BasebandSignal(np.ones(8, dtype=complex), 1.0)
+    with pytest.raises(ValueError):
+        awgn(sig, ChannelConfig(ebno_db=2.0, seed=1), noise=NoiseStream(2, 8))
 
 
 def test_demodulate_accepts_complex64_and_strided_samples():

@@ -325,9 +325,11 @@ class TestCliBasics:
     def test_codec_test_catches_one_wrong_rs_syndrome_row(self, monkeypatch, capsys):
         # rows past 225 are two-symbol patterns: send one of their syndromes
         # to the next pattern, a fault no random sample is likely to hit
-        row_of = reed_solomon._ROW_OF.copy()
+        patterns, weights, row_of = reed_solomon._decoding_tables()
+        row_of = row_of.copy()
         row_of[np.flatnonzero(row_of == 500)[0]] = 501
-        monkeypatch.setattr(reed_solomon, "_ROW_OF", row_of)
+        monkeypatch.setattr(reed_solomon, "_decoding_tables",
+                            lambda: (patterns, weights, row_of))
         assert cli.main(["codec-test", "--quick"]) == 2
         assert "rs-correction: FAIL" in capsys.readouterr().out.splitlines()
 
