@@ -3,7 +3,7 @@
 Reproduces the BER-vs-SNR experiment at desk scale: below the crossing the
 coded systems are worse (the rate penalty dominates), beyond it they win.
 
-Run:  python demos/03_ber_curves.py        (about a minute)
+Run:  python demos/03_ber_curves.py        (about two seconds)
 """
 
 import numpy as np

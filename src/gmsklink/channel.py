@@ -43,6 +43,8 @@ class ChannelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if np.isnan(self.ebno_db):
+            raise ConfigError("ebno_db must not be NaN")
         if not 0 < self.code_rate <= 1:
             raise ConfigError(f"code_rate must be in (0, 1], got {self.code_rate}")
         if self.samples_per_symbol < 1:
@@ -73,7 +75,7 @@ class LinkBudget:
             raise ConfigError(f"k_exp must be in [2, 4], got {self.k_exp}")
         if not self.distance_m > 0:
             raise ConfigError("distance_m must be positive")
-        if self.g_l <= 0 or self.m_l <= 0 or self.n_f <= 0 or self.sigma2 <= 0:
+        if not all(x > 0 for x in (self.g_l, self.m_l, self.n_f, self.sigma2)):
             raise ConfigError("gains, noise figure and sigma2 must be positive")
 
 

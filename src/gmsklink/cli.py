@@ -26,7 +26,7 @@ from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
 from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
-from .link import StopRule, SweepSpec, ber_csv_text, run_points
+from .link import StopRule, ber_csv_text, run_points
 from .netsim import compare_coded_uncoded, draw_trials, uncoded_totals
 from .params import load_config, parse_codecs
 
@@ -98,13 +98,11 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     seed = cfg["run.seed"]
     g_code = cfg["codec.g_code_db"]
 
-    # every codec at one Eb/N0 at once, so each chunk's noise is drawn once
-    specs = [SweepSpec(ebno_points=tuple(grid), codec=CODECS[name].spec(g_code),
-                       modem=modem, stop_rule=stop, seed=seed)
-             for name in codecs]
+    # every codec at one Eb/N0 at once, so each chunk is drawn once
+    specs = [CODECS[name].spec(g_code) for name in codecs]
     curves = {name: [] for name in codecs}
     for ebno_db in sorted(grid):
-        for name, point in zip(codecs, run_points(specs, ebno_db)):
+        for name, point in zip(codecs, run_points(specs, ebno_db, modem, stop, seed)):
             curves[name].append(point)
     for name in codecs:
         print(f"swept {name}: {len(grid)} points", file=sys.stderr)
@@ -357,7 +355,7 @@ def main(argv=None) -> int:
             overrides["run.seed"] = args.seed
         if args.out is not None:
             overrides["run.out_dir"] = args.out
-        if getattr(args, "codecs", None):
+        if getattr(args, "codecs", None) is not None:
             overrides["run.codecs"] = parse_codecs(args.codecs)
         if getattr(args, "variant", None):
             overrides["run.variant"] = args.variant

@@ -48,7 +48,7 @@ class PowerProfile:
 
     def __post_init__(self):
         for name in ("p_adc", "p_filt", "p_syn", "p_lna", "p_ifa", "p_mixer"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ConfigError(f"{name} must be >= 0")
         if not 0 < self.eta <= 1:
             raise ConfigError(f"eta must be in (0, 1], got {self.eta}")
@@ -63,7 +63,7 @@ class TimingProfile:
     bit_rate: float = 1e4
 
     def __post_init__(self):
-        if self.t_start < 0:
+        if not self.t_start >= 0:
             raise ConfigError("t_start must be >= 0")
         if self.l_bits < 1:
             raise ConfigError("l_bits must be >= 1")

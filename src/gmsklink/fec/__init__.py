@@ -98,7 +98,7 @@ class CodecPowerProfile:
     p_dec: float = 0.035
 
     def __post_init__(self):
-        if self.p_enc < 0 or self.p_dec < 0:
+        if not (self.p_enc >= 0 and self.p_dec >= 0):
             raise ConfigError("codec powers must be >= 0")
 
 

@@ -8,13 +8,14 @@ whether points run serially, in parallel, or in any order.  Eb/N0 is per
 information bit by default: coded pipelines pay the rate penalty on the
 channel.
 
-Chunk ``i``'s noise is keyed by (seed, Eb/N0, i) and not by the codec, so
-codecs measured at one Eb/N0 with one seed see the same noise stream:
-common random numbers, which makes their BER differences less noisy than
-independent draws would.  :func:`run_points` runs several specs chunk by
-chunk and draws each shared stream once per chunk into a
-:class:`~gmsklink.channel.NoiseStream`, whose memo is bounded by the
-longest signal in that chunk and is dropped with it.
+Chunk ``i``'s data and noise are keyed by (seed, Eb/N0, i) and not by the
+codec, so codecs measured at one Eb/N0 with one seed see the same bits and
+the same noise stream: common random numbers, which makes their BER
+differences less noisy than independent draws would.  :func:`run_points`
+runs several codecs over one modem, stop rule and seed chunk by chunk.  Each
+chunk draws its data bits once and its noise once, into a
+:class:`~gmsklink.channel.NoiseStream` whose memo is bounded by the longest
+signal in that chunk and is dropped with it.
 """
 
 from __future__ import annotations
@@ -99,92 +100,68 @@ def _ebno_entropy(ebno_db: float) -> int:
     return int(np.float64(ebno_db + 0.0).view(np.uint64))
 
 
-def _chunk_sizes(max_bits: int):
-    size = 25_000
-    while True:
-        yield min(size, max_bits)
-        size = min(2 * size, 200_000)
-
-
-class _Point:
-    """Stop-rule state of one spec at one Eb/N0."""
-
-    def __init__(self, spec: SweepSpec, ebits: int):
-        self.spec = spec
-        self.data_rng = substream(spec.seed, ebits, _DATA_TAG)
-        self.sizes = _chunk_sizes(spec.stop_rule.max_bits)
-        self.errors = 0
-        self.simulated = 0
-
-    def running(self) -> bool:
-        rule = self.spec.stop_rule
-        return self.errors < rule.min_bit_errors and self.simulated < rule.max_bits
-
-    def next_size(self) -> int:
-        return min(next(self.sizes), self.spec.stop_rule.max_bits - self.simulated)
-
-    def result(self, ebno_db: float) -> BerPoint:
-        ci_low, ci_high = wilson_interval(self.errors, self.simulated)
-        return BerPoint(
-            ebno_db=float(ebno_db),
-            measured_ber=self.errors / self.simulated,
-            bit_errors=self.errors,
-            bits_simulated=self.simulated,
-            ci_low=ci_low,
-            ci_high=ci_high,
-            low_confidence=self.errors < self.spec.stop_rule.min_bit_errors,
-        )
-
-
 def _noise_seed(seed: int, ebits: int, chunk_index: int) -> int:
     entropy = [seed & 0xFFFFFFFFFFFFFFFF, ebits, _NOISE_TAG, chunk_index]
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _run_chunk(point: _Point, n_bits: int, ebno_db: float, noise: NoiseStream):
-    spec = point.spec
-    bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
-    coded = apply_code(bits, spec.codec)
-    channel = ChannelConfig(ebno_db=ebno_db, code_rate=n_bits / coded.size,
-                            samples_per_symbol=spec.modem.samples_per_symbol,
+def _chunk_errors(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
+                  noise: NoiseStream) -> int:
+    coded = apply_code(bits, codec)
+    channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
+                            samples_per_symbol=modem.samples_per_symbol,
                             seed=noise.seed)
-    noisy = awgn(modulate(coded, spec.modem), channel, noise=noise, overwrite_input=True)
-    hard = demodulate(noisy, spec.modem, coded.size)
+    noisy = awgn(modulate(coded, modem), channel, noise=noise, overwrite_input=True)
+    hard = demodulate(noisy, modem, coded.size)
     del noisy
-    decoded = strip_code(hard, spec.codec, n_bits)
-    point.errors += int(np.count_nonzero(decoded != bits))
-    point.simulated += n_bits
+    decoded = strip_code(hard, codec, bits.size)
+    return int(np.count_nonzero(decoded != bits))
 
 
-def run_points(specs, ebno_db: float) -> list[BerPoint]:
-    """Measure every spec's BER at one Eb/N0; equal to ``run_point`` per spec.
+def run_points(codecs, ebno_db: float, modem: ModemConfig, stop_rule: StopRule,
+               seed: int) -> list[BerPoint]:
+    """Measure each codec's BER at one Eb/N0; equal to ``run_point`` per codec.
 
-    Chunk 0 runs for every spec, then chunk 1 for the specs whose stop rule
-    still runs, and so on.  Specs whose chunk draws the same noise seed
-    share one :class:`NoiseStream` for it, sized to the longest signal.
+    Chunk 0 runs for every codec, then chunk 1 for the codecs short of
+    ``stop_rule.min_bit_errors``, and so on until ``max_bits``.  Each chunk
+    draws its data bits once and its noise once, into one
+    :class:`NoiseStream` sized to the longest signal of the codecs running.
     """
+    if math.isnan(ebno_db):
+        raise ConfigError("ebno_db must not be NaN")
     ebits = _ebno_entropy(ebno_db)
-    points = [_Point(spec, ebits) for spec in specs]
-    chunk_index = 0
-    while True:
-        chunk = [(p, p.next_size()) for p in points if p.running()]
-        if not chunk:
+    data_rng = substream(seed, ebits, _DATA_TAG)
+    errors = [0] * len(codecs)
+    bits_simulated = [0] * len(codecs)
+    simulated, size, chunk_index = 0, 25_000, 0
+    while simulated < stop_rule.max_bits:
+        running = [i for i, e in enumerate(errors) if e < stop_rule.min_bit_errors]
+        if not running:
             break
-        seeds = [_noise_seed(p.spec.seed, ebits, chunk_index) for p, _ in chunk]
-        n_max = {}
-        for seed, (p, n_bits) in zip(seeds, chunk):
-            coded_bits = block_layout(n_bits, p.spec.codec).coded_bits
-            n_max[seed] = max(n_max.get(seed, 0), signal_length(coded_bits, p.spec.modem))
-        streams = {seed: NoiseStream(seed, n) for seed, n in n_max.items()}
-        for seed, (p, n_bits) in zip(seeds, chunk):
-            _run_chunk(p, n_bits, ebno_db, streams[seed])
+        n_bits = min(size, stop_rule.max_bits - simulated)
+        bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
+        n_max = max(signal_length(block_layout(n_bits, codecs[i]).coded_bits, modem)
+                    for i in running)
+        noise = NoiseStream(_noise_seed(seed, ebits, chunk_index), n_max)
+        simulated += n_bits
+        for i in running:
+            errors[i] += _chunk_errors(bits, codecs[i], modem, ebno_db, noise)
+            bits_simulated[i] = simulated
+        size = min(2 * size, 200_000)
         chunk_index += 1
-    return [p.result(ebno_db) for p in points]
+    points = []
+    for e, n in zip(errors, bits_simulated):
+        ci_low, ci_high = wilson_interval(e, n)
+        points.append(BerPoint(ebno_db=float(ebno_db), measured_ber=e / n,
+                               bit_errors=e, bits_simulated=n, ci_low=ci_low,
+                               ci_high=ci_high,
+                               low_confidence=e < stop_rule.min_bit_errors))
+    return points
 
 
 def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
     """Measure the BER at one Eb/N0 value; deterministic given (seed, ebno_db)."""
-    return run_points([spec], ebno_db)[0]
+    return run_points([spec.codec], ebno_db, spec.modem, spec.stop_rule, spec.seed)[0]
 
 
 def run_sweep(spec: SweepSpec) -> list[BerPoint]:

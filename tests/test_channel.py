@@ -69,6 +69,10 @@ class TestAwgn:
         with pytest.raises(ConfigError):
             ChannelConfig(ebno_db=5.0, samples_per_symbol=0)
 
+    def test_nan_ebno_rejected(self):
+        with pytest.raises(ConfigError, match="NaN"):
+            ChannelConfig(ebno_db=float("nan"))
+
 
 class TestPathGain:
     def test_reference_distance(self):
@@ -97,6 +101,11 @@ class TestPathGain:
             LinkBudget(distance_m=0.0)
         with pytest.raises(ConfigError):
             LinkBudget(sigma2=-1.0)
+
+    @pytest.mark.parametrize("name", ["g_l", "m_l", "n_f", "sigma2"])
+    def test_nan_budget_rejected(self, name):
+        with pytest.raises(ConfigError, match="must be positive"):
+            LinkBudget(**{name: float("nan")})
 
 
 def test_substream_reproducible_and_independent():

@@ -1,8 +1,9 @@
-"""The demos that use the energy and route API run to completion.
+"""Every demo runs to completion.
 
-Demo 05 is the main user of the public ``route_energy`` and
-``compare_coded_uncoded`` API; demo 04 of ``total_energy_coded`` and
-``crossover_distance``.  Each takes under a second.
+Demo 03 is the one user of ``run_sweep``; demo 04 of ``total_energy_coded``
+and ``crossover_distance``; demo 05 of the public ``route_energy`` and
+``compare_coded_uncoded`` API.  Demo 03 takes about two seconds, the others
+under one.
 """
 
 import os
@@ -15,7 +16,9 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("demo", ["04_energy_vs_distance.py", "05_route_energy.py"])
+@pytest.mark.parametrize("demo", ["01_gmsk_waveform.py", "02_error_correction.py",
+                                  "03_ber_curves.py", "04_energy_vs_distance.py",
+                                  "05_route_energy.py"])
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(

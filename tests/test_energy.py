@@ -255,3 +255,23 @@ class TestTimingProfile:
             TimingProfile(l_bits=0)
         with pytest.raises(ConfigError):
             TimingProfile(bit_rate=0.0)
+
+
+class TestNanRejected:
+    # a NaN compares false both ways, so each check must be written to fail it
+
+    @pytest.mark.parametrize("name", ["p_adc", "p_filt", "p_syn", "p_lna",
+                                      "p_ifa", "p_mixer"])
+    def test_power_profile(self, name):
+        with pytest.raises(ConfigError, match=f"{name} must be >= 0"):
+            PowerProfile(**{name: math.nan})
+
+    @pytest.mark.parametrize("value", [math.nan, -1e-6])
+    def test_timing_profile(self, value):
+        with pytest.raises(ConfigError, match="t_start must be >= 0"):
+            TimingProfile(t_start=value)
+
+    @pytest.mark.parametrize("name", ["p_enc", "p_dec"])
+    def test_codec_power_profile(self, name):
+        with pytest.raises(ConfigError, match="codec powers must be >= 0"):
+            CodecPowerProfile(**{name: math.nan})

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from gmsklink import link
 from gmsklink.errors import ConfigError
 from gmsklink.fec import CODECS, conv_spec, golay_spec, none_spec, rs_spec
 from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
                            crossover_ber, run_point, run_points, run_sweep,
                            semi_analytic_coded_ber, wilson_interval)
-from gmsklink.modem import alpha_for_bt, theoretical_ber
+from gmsklink.modem import ModemConfig, alpha_for_bt, theoretical_ber
 
 ALPHA = alpha_for_bt(0.3)
 
@@ -79,13 +80,17 @@ class TestRunPoints:
     # at 7 dB under this rule the codecs stop after 1, 2 and 3 chunks
     EBNO = 7.0
     STOP = StopRule(100, 150_000)
+    MODEM = ModemConfig()
+    SEED = 4
 
     @pytest.fixture(scope="class")
     def alone(self):
-        specs = {name: SweepSpec(ebno_points=(self.EBNO,), codec=codec.spec(4.0),
-                                 stop_rule=self.STOP, seed=4)
-                 for name, codec in CODECS.items()}
-        return specs, {name: run_point(spec, self.EBNO) for name, spec in specs.items()}
+        codecs = {name: codec.spec(4.0) for name, codec in CODECS.items()}
+        return codecs, {
+            name: run_point(SweepSpec(ebno_points=(self.EBNO,), codec=codec,
+                                      modem=self.MODEM, stop_rule=self.STOP,
+                                      seed=self.SEED), self.EBNO)
+            for name, codec in codecs.items()}
 
     def test_codecs_stop_at_different_chunks(self, alone):
         _, points = alone
@@ -99,20 +104,18 @@ class TestRunPoints:
         ("convolutional", "golay"),
     ])
     def test_equals_run_point_per_spec(self, alone, order):
-        specs, points = alone
-        got = run_points([specs[name] for name in order], self.EBNO)
+        codecs, points = alone
+        got = run_points([codecs[name] for name in order], self.EBNO,
+                         self.MODEM, self.STOP, self.SEED)
         assert got == [points[name] for name in order]
 
-    def test_specs_of_different_seeds_and_rules(self):
-        specs = [SweepSpec(ebno_points=(6.0,), codec=golay_spec(), stop_rule=self.STOP, seed=4),
-                 SweepSpec(ebno_points=(6.0,), codec=golay_spec(), stop_rule=self.STOP, seed=5),
-                 SweepSpec(ebno_points=(6.0,), codec=conv_spec(), seed=5,
-                           stop_rule=StopRule(10**6, 60_000)),
-                 SweepSpec(ebno_points=(6.0,), stop_rule=self.STOP, seed=2**64 + 4)]
-        assert run_points(specs, 6.0) == [run_point(s, 6.0) for s in specs]
-
     def test_no_specs(self):
-        assert run_points([], 1.0) == []
+        assert run_points([], 1.0, self.MODEM, self.STOP, self.SEED) == []
+
+    def test_nan_ebno_rejected_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(link, "substream", lambda *entropy: pytest.fail("drew"))
+        with pytest.raises(ConfigError, match="NaN"):
+            run_points([none_spec()], math.nan, self.MODEM, self.STOP, self.SEED)
 
 
 class TestRunSweep:

@@ -274,12 +274,14 @@ class TestCliBasics:
         ("energy-distance", "timing.l_bits = 1e10"),
         ("ber-sweep", "modem.samples_per_symbol = 257"),
         ("ber-sweep", "modem.pulse_span_symbols = 65"),
+        ("ber-sweep --quick --codecs=", ""),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"
         bad.write_text(line + "\n")
         out = tmp_path / "out"
-        assert cli.main([command, "--config", str(bad), "--out", str(out)]) == 1
+        argv = command.split(" ") + ["--config", str(bad), "--out", str(out)]
+        assert cli.main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
