@@ -26,7 +26,7 @@ from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
                     gaussian_frequency_pulse, modulate, qfunc, theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,
                      build_route, compare_coded_uncoded, deploy_random,
-                     draw_trials, route_energy, uncoded_totals)
+                     draw_trials, hop_powers, route_energy, uncoded_totals)
 from .params import RunConfig, load_config
 
 __version__ = "0.1.0"

@@ -11,10 +11,13 @@ seed's stream: ``z[:n]`` scaled onto I and ``z[n:2n]`` onto Q.  Signals of
 different lengths under one seed therefore read prefixes of one stream, and
 a :class:`NoiseStream` lets them share it: it keeps the first ``n_max``
 normals drawn once, and any consumer that needs more draws the rest from
-the generator state saved there.  The memo is bounded by ``n_max``, every
-other noise buffer by one block, and the object holds nothing once it is
-dropped; a plain :func:`awgn` call keeps no memo at all.  The BER engine
-shares one stream among all codecs of a chunk (see :mod:`gmsklink.link`).
+the generator state saved there, each consumer on its own, so normals past
+the memo are drawn once per consumer that reads them.  The memo is bounded
+by ``n_max``, every other noise buffer by one block, and the object holds
+nothing once it is dropped; a plain :func:`awgn` call keeps no memo at all.
+The BER engine shares one stream among all codecs of a chunk with ``n_max``
+the longest signal's sample count, half of the ``2 n`` normals that signal
+reads (see :mod:`gmsklink.link`).
 """
 
 from __future__ import annotations
@@ -47,7 +50,7 @@ class ChannelConfig:
             raise ConfigError("ebno_db must not be NaN")
         if not 0 < self.code_rate <= 1:
             raise ConfigError(f"code_rate must be in (0, 1], got {self.code_rate}")
-        if self.samples_per_symbol < 1:
+        if not self.samples_per_symbol >= 1:
             raise ConfigError("samples_per_symbol must be >= 1")
 
 
@@ -102,9 +105,10 @@ class NoiseStream:
 
     The first ``n_max`` normals are drawn on first use and kept; the
     generator state after them is saved, and a consumer that reads past
-    ``n_max`` draws from a copy of that state, one bounded block at a time.
-    Every consumer therefore reads exactly the stream ``substream(seed)``
-    would give it alone.
+    ``n_max`` draws from a copy of that state, one bounded block at a time,
+    so two consumers that both read past the memo draw those normals twice.
+    Every consumer reads exactly the stream ``substream(seed)`` would give
+    it alone.
     """
 
     _BLOCK = 1 << 15

@@ -27,7 +27,8 @@ from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
 from .link import StopRule, ber_csv_text, run_points
-from .netsim import compare_coded_uncoded, draw_trials, uncoded_totals
+from .netsim import (compare_coded_uncoded, draw_trials, hop_powers,
+                     uncoded_totals)
 from .params import load_config, parse_codecs
 
 _EXIT_OK = 0
@@ -220,9 +221,9 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
 def _route_mode(cfg, mode: str, ens, trials: int, variant_selection: str) -> dict:
     """The CSV text of one ensemble per variant, keyed by file name.
 
-    The trials are drawn and priced uncoded once, and every variant is
-    priced from those draws; they are dropped on return, so one ensemble's
-    draws are held at a time.
+    The trials are drawn, raised to the path-loss exponent and priced
+    uncoded once, and every variant is priced from those draws; they are
+    dropped on return, so one ensemble's draws are held at a time.
     """
     power = cfg.power_profile()
     timing = cfg.timing_profile()
@@ -232,12 +233,13 @@ def _route_mode(cfg, mode: str, ens, trials: int, variant_selection: str) -> dic
     pe = cfg["link.target_pe"]
     alpha = cfg.alpha()
     draws = draw_trials(ens, trials)
-    uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha)
+    powers = hop_powers(draws, budget.k_exp)
+    uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha, powers)
     outputs = {}
     for variant in _variants(variant_selection):
         stats = compare_coded_uncoded(draws, trials, power, timing, budget, pe,
                                       alpha, spec, codec_power, variant,
-                                      uncoded=uncoded)
+                                      uncoded=uncoded, powers=powers)
         lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
         for trial, e_u, e_c, s in stats.samples:
             lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")

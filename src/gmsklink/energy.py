@@ -65,7 +65,7 @@ class TimingProfile:
     def __post_init__(self):
         if not self.t_start >= 0:
             raise ConfigError("t_start must be >= 0")
-        if self.l_bits < 1:
+        if not self.l_bits >= 1:
             raise ConfigError("l_bits must be >= 1")
         if not self.bit_rate > 0:
             raise ConfigError("bit_rate must be positive")
@@ -142,10 +142,10 @@ class LinkConstants:
     """The distance-free terms of one link's energy, computed once.
 
     Every quantity that does not depend on the hop length is evaluated here,
-    so pricing a link of length ``d`` is :meth:`hop`: one power of ``d`` and
-    a few products.  :func:`total_energy_coded` and the route energy in
-    :mod:`gmsklink.netsim` both price links through it, so the link-energy
-    arithmetic is written once.
+    so pricing a link of length ``d`` is one power of ``d`` and a few
+    products.  :meth:`hop_terms` is that arithmetic, written once:
+    :func:`total_energy_coded` calls it on one link through :meth:`hop`, and
+    the route energy in :mod:`gmsklink.netsim` on an array of links.
     """
 
     rx: float  # required received energy per bit (J)
@@ -159,6 +159,19 @@ class LinkConstants:
     e_transient: float
     e_codec: float
 
+    def hop_terms(self, d_k):
+        """Radiated and PA overhead energy of links whose ``d**k_exp`` is ``d_k``.
+
+        ``d_k`` is a float for one link or an array for many.  Every step is
+        one correctly rounded multiply or divide, so an array gives each
+        link the bytes its float would; the power itself is left to the
+        caller, because ``np.power`` can round differently from ``**``.
+        """
+        # rx energy per bit times the path gain G_l d**k M_l times L, over
+        # the coding gain
+        e_rad = self.rx * (self.g_l * d_k * self.m_l) * self.l_bits / self.g_code
+        return e_rad, self.beta * e_rad
+
     def hop(self, d: float) -> tuple[float, float, float]:
         """Radiated, PA overhead and total energy of one link ``d`` metres long.
 
@@ -167,10 +180,7 @@ class LinkConstants:
         """
         if not d > 0:
             raise ConfigError("distance_m must be positive")
-        # rx energy per bit times the path gain G_l d**k M_l times L, over
-        # the coding gain
-        e_rad = self.rx * (self.g_l * d**self.k_exp * self.m_l) * self.l_bits / self.g_code
-        e_pa = self.beta * e_rad
+        e_rad, e_pa = self.hop_terms(d**self.k_exp)
         return e_rad, e_pa, e_rad + e_pa + self.e_circuit + self.e_transient
 
 

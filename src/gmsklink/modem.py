@@ -56,7 +56,7 @@ def qfunc(x):
 
 def alpha_for_bt(bt_product: float) -> float:
     """Interpolated BER-model alpha for a given BT product."""
-    if bt_product <= 0:
+    if not bt_product > 0:
         raise ConfigError(f"BT product must be positive, got {bt_product}")
     (bt_lo, a_lo), (bt_hi, a_hi) = ALPHA_ANCHORS
     if bt_product <= bt_lo:
@@ -93,7 +93,7 @@ class ModemConfig:
         sps = self.samples_per_symbol
         if sps < 4 or sps % 2 != 0:
             raise ConfigError(f"samples_per_symbol must be even and >= 4, got {sps}")
-        if self.pulse_span_symbols < 1:
+        if not self.pulse_span_symbols >= 1:
             raise ConfigError("pulse_span_symbols must be >= 1")
         if self.bt_product <= 0.5 and self.pulse_span_symbols < 2:
             raise ConfigError(

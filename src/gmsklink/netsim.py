@@ -8,17 +8,23 @@ replication mode draws hop distances directly (uniform in a range) instead
 of routing over geometry, isolating the route-energy arithmetic from
 routing choices.
 
-``route-sim`` draws each ensemble once per command (:func:`draw_trials`)
-and prices its uncoded routes once (:func:`uncoded_totals`); both
-coded variants are priced from those same draws.  Every hop of an ensemble shares one
-:class:`~gmsklink.energy.LinkConstants`, so a hop costs one power of its
-distance and a few products.
+``route-sim`` draws each ensemble once per command (:func:`draw_trials`),
+raises every hop distance to the path-loss exponent once (:func:`hop_powers`)
+and prices its uncoded routes once (:func:`uncoded_totals`); both coded
+variants are priced from those same draws.  Every route of an ensemble is
+priced in one array pass: the powers sit in a ``(routes, widest route)``
+table padded with zeros, every hop shares one
+:class:`~gmsklink.energy.LinkConstants`, and each route's sums are taken
+column by column in hop order, so a route of the ensemble prices to the
+bytes :func:`route_energy` gives it alone.  The powers are Python ``**`` on
+floats; only the multiplies, divides and adds run on arrays.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -81,12 +87,12 @@ def deploy_random(n_nodes: int, width: float, height: float, seed: int) -> Deplo
     """Uniform i.i.d. node placement; node ids run 1..n."""
     if n_nodes < 2:
         raise ConfigError("need at least 2 nodes")
-    if width <= 0 or height <= 0:
+    if not (width > 0 and height > 0):
         raise ConfigError("field must have positive area")
     rng = substream(seed, _DEPLOY_TAG)
     xs = rng.uniform(0.0, width, n_nodes)
     ys = rng.uniform(0.0, height, n_nodes)
-    nodes = tuple((i + 1, float(xs[i]), float(ys[i])) for i in range(n_nodes))
+    nodes = tuple(zip(range(1, n_nodes + 1), xs.tolist(), ys.tolist()))
     return Deployment(nodes=nodes, field_width=width, field_height=height)
 
 
@@ -100,35 +106,37 @@ def build_route(deployment: Deployment, source_id, sink_id,
     """
     if source_id == sink_id:
         raise ConfigError("source and sink must differ")
-    positions = {nid: (x, y) for nid, x, y in deployment.nodes}
-    if source_id not in positions or sink_id not in positions:
+    # node i of the deployment is ids[i] at (xs[i], ys[i])
+    ids, xs, ys = zip(*deployment.nodes)
+    if source_id not in ids or sink_id not in ids:
         raise ConfigError("source and sink must be deployed nodes")
-    sx, sy = positions[sink_id]
-    to_sink = {nid: math.hypot(x - sx, y - sy) for nid, (x, y) in positions.items()}
+    here = ids.index(source_id)
+    sink = ids.index(sink_id)
+    sx, sy = xs[sink], ys[sink]
+    to_sink = [math.hypot(x - sx, y - sy) for x, y in zip(xs, ys)]
 
     hops = [source_id]
     dists = []
     current = source_id
-    while current != sink_id:
-        hx, hy = positions[current]
-        best = None
+    while here != sink:
+        hx, hy = xs[here], ys[here]
+        best = -1
         # the current node never passes the first test: its distance to the
         # sink is where best_to_sink starts
-        best_to_sink = to_sink[current]
-        for nid, (x, y) in positions.items():
-            d_sink = to_sink[nid]
-            if d_sink < best_to_sink and not math.hypot(hx - x, hy - y) > max_hop_m:
-                best = nid
+        best_to_sink = to_sink[here]
+        for i, d_sink in enumerate(to_sink):
+            if d_sink < best_to_sink and not math.hypot(hx - xs[i], hy - ys[i]) > max_hop_m:
+                best = i
                 best_to_sink = d_sink
-        if best is None:
+        if best < 0:
             raise RoutingError(
                 f"no neighbour of node {current!r} within {max_hop_m} m "
                 f"is closer to the sink"
             )
-        bx, by = positions[best]
-        dists.append(math.hypot(hx - bx, hy - by))
-        hops.append(best)
-        current = best
+        dists.append(math.hypot(hx - xs[best], hy - ys[best]))
+        here = best
+        current = ids[best]
+        hops.append(current)
     return Route(hops=tuple(hops), per_hop_distance=tuple(dists))
 
 
@@ -162,30 +170,72 @@ def _route_constants(power: PowerProfile, timing: TimingProfile,
                           variant)
 
 
-def _price_route(distances, link: LinkConstants) -> RouteEnergy:
-    if len(distances) == 0:
+class HopPowers(NamedTuple):
+    """Every drawn route's hop distances raised to ``k_exp``, a route a row.
+
+    ``table`` is ``(routes, hops of the widest route)`` and holds zeros past
+    each route's last hop, which price to exact zeros.
+    """
+
+    k_exp: float
+    table: np.ndarray
+    n_hops: np.ndarray
+
+
+def hop_powers(draws, k_exp: float) -> HopPowers:
+    """``d ** k_exp`` of every hop of the ``(trial, hop distances)`` pairs.
+
+    Each power is Python's ``**`` on a float, so a hop's bytes do not depend
+    on which SIMD ``np.power`` would dispatch to.
+    """
+    draws = tuple(draws)
+    n_hops = [len(distances) for _, distances in draws]
+    if 0 in n_hops:
         raise ConfigError("route must have at least one hop")
-    e_rad = e_pa = e_circ = e_trans = 0.0
-    per_hop = []
-    for d in distances:
-        rad, pa, total = link.hop(d)
-        e_rad += rad
-        e_pa += pa
-        e_circ += link.e_circuit
-        e_trans += link.e_transient
-        per_hop.append(total)
+    flat = np.array([d for _, distances in draws for d in distances], dtype=float)
+    if not (flat > 0).all():  # NaN fails too
+        raise ConfigError("distance_m must be positive")
+    table = np.zeros((len(draws), max(n_hops, default=0)))
+    n_hops = np.array(n_hops, dtype=np.intp)
+    # a boolean mask fills row by row, so each route's hops land in order
+    table[np.arange(table.shape[1]) < n_hops[:, None]] = [
+        d**k_exp for d in flat.tolist()]
+    return HopPowers(k_exp, table, n_hops)
+
+
+def _route_sums(powers: HopPowers, link: LinkConstants) -> tuple:
+    """Every route's per-hop radiated and PA energies, and its radiated, PA,
+    circuit and transient sums, each sum taken hop by hop from the source."""
+    rad, pa = link.hop_terms(powers.table)
+    e_rad = np.zeros(len(rad))
+    e_pa = np.zeros(len(rad))
+    circ = [0.0]
+    trans = [0.0]
+    # column by column, so every route adds its hops in order; a padding
+    # column adds an exact zero
+    for hop in range(rad.shape[1]):
+        e_rad += rad[:, hop]
+        e_pa += pa[:, hop]
+        circ.append(circ[-1] + link.e_circuit)
+        trans.append(trans[-1] + link.e_transient)
+    return (rad, pa, e_rad, e_pa, np.array(circ)[powers.n_hops],
+            np.array(trans)[powers.n_hops])
+
+
+def _route_totals(powers: HopPowers, link: LinkConstants) -> tuple:
+    """``(e_total, e_total_radiated_only)`` arrays, a route an entry."""
+    _, _, e_rad, e_pa, e_circ, e_trans = _route_sums(powers, link)
     # encoding is paid once at the source and decoding once at the sink
-    e_codec = link.e_codec
-    return RouteEnergy(
-        e_radiated=e_rad,
-        e_pa_overhead=e_pa,
-        e_circuit=e_circ,
-        e_transient=e_trans,
-        e_codec=e_codec,
-        e_total=e_rad + e_pa + e_circ + e_trans + e_codec,
-        per_hop_total=tuple(per_hop),
-        e_total_radiated_only=e_rad + e_pa + e_codec,
-    )
+    return (e_rad + e_pa + e_circ + e_trans + link.e_codec,
+            e_rad + e_pa + link.e_codec)
+
+
+def _checked_powers(draws, budget: LinkBudget, powers: HopPowers | None) -> HopPowers:
+    if powers is None:
+        return hop_powers(draws, budget.k_exp)
+    if powers.k_exp != budget.k_exp or len(powers.n_hops) != len(draws):
+        raise ConfigError("hop powers must be the drawn trials' at the budget's k_exp")
+    return powers
 
 
 def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
@@ -198,14 +248,27 @@ def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
     Accepts a :class:`Route` or a bare sequence of hop distances.  Each hop
     is sized for its own distance at the target error probability; encode
     energy is charged once, decode once, and one 2 P_syn T_start transient
-    per link.
+    per link.  This is the one-route case of the ensemble's array pass.
     """
     if isinstance(route_or_distances, Route):
         distances = route_or_distances.per_hop_distance
     else:
         distances = tuple(route_or_distances)
-    return _price_route(distances, _route_constants(
-        power, timing, budget, pe, alpha, spec, codec_power, variant))
+    link = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
+                            variant)
+    rad, pa, *sums = _route_sums(hop_powers(((0, distances),), budget.k_exp), link)
+    e_rad, e_pa, e_circ, e_trans = (float(s[0]) for s in sums)
+    e_codec = link.e_codec
+    return RouteEnergy(
+        e_radiated=e_rad,
+        e_pa_overhead=e_pa,
+        e_circuit=e_circ,
+        e_transient=e_trans,
+        e_codec=e_codec,
+        e_total=e_rad + e_pa + e_circ + e_trans + e_codec,
+        per_hop_total=tuple((rad[0] + pa[0] + link.e_circuit + link.e_transient).tolist()),
+        e_total_radiated_only=e_rad + e_pa + e_codec,
+    )
 
 
 @dataclass(frozen=True)
@@ -260,9 +323,13 @@ def _trial_distances(ens: EnsembleSpec, trial: int) -> tuple:
         return tuple(rng.uniform(lo, hi, ens.n_relays + 1).tolist())
     dep = deploy_random(ens.n_nodes, ens.field_width, ens.field_height,
                         seed=ens.seed + trial)
-    src = dep.nodes[0][0]
-    sx, sy = dep.position(src)
-    sink = max(dep.nodes[1:], key=lambda n: math.hypot(n[1] - sx, n[2] - sy))[0]
+    (src, sx, sy), *others = dep.nodes
+    # the sink is the first node farthest from the source
+    sink, farthest = None, -1.0
+    for nid, x, y in others:
+        d = math.hypot(x - sx, y - sy)
+        if d > farthest:
+            sink, farthest = nid, d
     return build_route(dep, src, sink, ens.max_hop_m).per_hop_distance
 
 
@@ -286,19 +353,19 @@ def draw_trials(ens: EnsembleSpec, trials: int) -> tuple:
 
 
 def uncoded_totals(draws, power: PowerProfile, timing: TimingProfile,
-                   budget: LinkBudget, pe: float, alpha: float) -> tuple:
+                   budget: LinkBudget, pe: float, alpha: float,
+                   powers: HopPowers | None = None) -> tuple:
     """``(e_total, e_total_radiated_only)`` of each drawn trial's uncoded route.
 
     ``draws`` holds ``(trial, hop distances)`` pairs, as :func:`draw_trials`
-    returns them.
+    returns them; ``powers`` may give their :func:`hop_powers` at
+    ``budget.k_exp``, so that they are computed once.
     """
     link = _route_constants(power, timing, budget, pe, alpha, None, None,
                             CodedVariant.LITERAL)
-    totals = []
-    for _, distances in draws:
-        route = _price_route(distances, link)
-        totals.append((route.e_total, route.e_total_radiated_only))
-    return tuple(totals)
+    e_total, e_radiated_only = _route_totals(_checked_powers(draws, budget, powers),
+                                             link)
+    return tuple(zip(e_total.tolist(), e_radiated_only.tolist()))
 
 
 def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
@@ -307,14 +374,16 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
                           codec_power: CodecPowerProfile,
                           variant: CodedVariant = CodedVariant.LITERAL,
                           radiated_only: bool = False,
-                          uncoded: tuple | None = None) -> SavingsStats:
+                          uncoded: tuple | None = None,
+                          powers: HopPowers | None = None) -> SavingsStats:
     """Coded-vs-uncoded route energy over an ensemble of trials.
 
     ``ens`` is an :class:`EnsembleSpec`, whose first ``trials`` trials are
     drawn, or the pairs :func:`draw_trials` returned for ``trials`` trials,
     so that several comparisons can share one draw.  ``uncoded`` may give
     the pairs' :func:`uncoded_totals` for the same power, timing, budget,
-    ``pe`` and ``alpha``, so that they are priced once.
+    ``pe`` and ``alpha``, and ``powers`` their :func:`hop_powers` at
+    ``budget.k_exp``, so that each is computed once.
 
     Savings per trial is ``1 - E_coded / E_uncoded`` over the same hop
     distances.  Geometry-mode trials whose route construction fails are
@@ -329,24 +398,22 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
         raise RoutingError("every trial failed to build a route")
     if len(draws) > trials:
         raise ConfigError(f"{len(draws)} drawn trials but only {trials} attempted")
+    powers = _checked_powers(draws, budget, powers)
     if uncoded is None:
-        uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha)
+        uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha, powers)
     elif len(uncoded) != len(draws):
         raise ConfigError("uncoded totals must match the drawn trials one to one")
     link = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
                             variant)
-    samples = []
-    for (trial, distances), (u_total, u_radiated_only) in zip(draws, uncoded):
-        cod = _price_route(distances, link)
-        e_u = u_radiated_only if radiated_only else u_total
-        e_c = cod.e_total_radiated_only if radiated_only else cod.e_total
-        samples.append((trial, e_u, e_c, 1.0 - e_c / e_u))
-    sv = np.array([s[3] for s in samples])
+    e_u = np.array(uncoded, dtype=float)[:, int(radiated_only)]
+    e_c = _route_totals(powers, link)[int(radiated_only)]
+    sv = 1.0 - e_c / e_u
     return SavingsStats(
         mean=float(sv.mean()),
         std=float(sv.std(ddof=1)) if len(sv) > 1 else 0.0,
         min=float(sv.min()),
         max=float(sv.max()),
-        n_trials=len(samples),
-        samples=tuple(samples),
+        n_trials=len(sv),
+        samples=tuple(zip([trial for trial, _ in draws], e_u.tolist(),
+                          e_c.tolist(), sv.tolist())),
     )

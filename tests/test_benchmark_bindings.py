@@ -2,7 +2,8 @@
 
 ``benchmark/tracing.py`` replaces named functions at the module bindings
 their callers use.  A refactor that renames or unbinds one of them breaks
-the traced benchmark run; this test makes it break the test suite too.
+the traced benchmark run; these tests make it break the test suite too,
+and so does an ensemble that stops calling the functions traced in it.
 """
 
 import importlib.util
@@ -11,10 +12,31 @@ from pathlib import Path
 TRACING = Path(__file__).resolve().parents[1] / "benchmark" / "tracing.py"
 
 
-def test_every_traced_binding_exists():
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("benchmark_tracing", TRACING)
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_every_traced_binding_exists():
+    tracing = _load_tracing()
     functions = tracing.bound_functions()
     assert len(functions) == len(tracing.BINDINGS)
     assert all(callable(f) for f in functions)
+
+
+def test_route_sim_calls_its_traced_functions(tmp_path):
+    # a binding the ensemble stops calling would read 0 in every traced run
+    from gmsklink import cli
+
+    tracing = _load_tracing()
+    with tracing.Tracer() as tracer:
+        assert cli.main(["route-sim", "--quick", "--seed", "7",
+                         "--out", str(tmp_path)]) == 0
+    _, _, calls = tracer.totals(0)
+    compares = calls["netsim.compare_coded_uncoded"]
+    assert compares >= 2
+    # --quick attempts 100 trials per ensemble; geometry draws each once
+    assert calls["netsim.deploy"] == calls["netsim.build_route"] == 100
+    assert tracer.counts[0]["netsim.trials_attempted"] == 100 * compares

@@ -73,6 +73,10 @@ class TestAwgn:
         with pytest.raises(ConfigError, match="NaN"):
             ChannelConfig(ebno_db=float("nan"))
 
+    def test_nan_samples_per_symbol_rejected(self):
+        with pytest.raises(ConfigError, match="samples_per_symbol must be >= 1"):
+            ChannelConfig(ebno_db=5.0, samples_per_symbol=float("nan"))
+
 
 class TestPathGain:
     def test_reference_distance(self):

@@ -275,3 +275,7 @@ class TestNanRejected:
     def test_codec_power_profile(self, name):
         with pytest.raises(ConfigError, match="codec powers must be >= 0"):
             CodecPowerProfile(**{name: math.nan})
+
+    def test_timing_profile_l_bits(self):
+        with pytest.raises(ConfigError, match="l_bits must be >= 1"):
+            TimingProfile(l_bits=math.nan)

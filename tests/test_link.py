@@ -33,6 +33,18 @@ class TestWilsonInterval:
         assert (hi2 - lo2) < (hi1 - lo1)
 
 
+class TestStopRule:
+    @pytest.mark.parametrize("value", [0, math.nan])
+    def test_min_bit_errors_checked(self, value):
+        with pytest.raises(ConfigError, match="min_bit_errors must be >= 1"):
+            StopRule(min_bit_errors=value)
+
+    @pytest.mark.parametrize("value", [0, math.nan])
+    def test_max_bits_checked(self, value):
+        with pytest.raises(ConfigError, match="max_bits must be >= 1"):
+            StopRule(max_bits=value)
+
+
 class TestRunPoint:
     def test_deterministic_given_seed_and_ebno(self):
         spec = SweepSpec(ebno_points=(4.0,), stop_rule=StopRule(50, 100_000),

@@ -34,6 +34,10 @@ class TestModemConfig:
     def test_wide_bt_allows_short_span(self):
         ModemConfig(bt_product=2.0, pulse_span_symbols=1)
 
+    def test_rejects_nan_span(self):
+        with pytest.raises(ConfigError, match="pulse_span_symbols must be >= 1"):
+            ModemConfig(bt_product=2.0, pulse_span_symbols=float("nan"))
+
 
 class TestFrequencyPulse:
     def test_taps_sum_to_half(self):
@@ -209,6 +213,11 @@ class TestAlphaTable:
         grid = np.linspace(0.2, 2.0, 40)
         vals = [alpha_for_bt(b) for b in grid]
         assert all(x <= y + 1e-15 for x, y in zip(vals, vals[1:]))
+
+    @pytest.mark.parametrize("bt", [0.0, -0.3, float("nan")])
+    def test_rejects_non_positive_bt(self, bt):
+        with pytest.raises(ConfigError, match="BT product must be positive"):
+            alpha_for_bt(bt)
 
 
 class TestQfunc:

@@ -14,7 +14,8 @@ from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
 from gmsklink.netsim import (Deployment, EnsembleSpec, build_route,
                              compare_coded_uncoded, deploy_random,
-                             draw_trials, route_energy, uncoded_totals)
+                             draw_trials, hop_powers, route_energy,
+                             uncoded_totals)
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -50,6 +51,11 @@ class TestDeployRandom:
             deploy_random(5, 0.0, 100.0, seed=1)
         with pytest.raises(ConfigError):
             deploy_random(1, 100.0, 100.0, seed=1)
+
+    @pytest.mark.parametrize("width, height", [(math.nan, 100.0), (100.0, math.nan)])
+    def test_nan_field_rejected(self, width, height):
+        with pytest.raises(ConfigError, match="field must have positive area"):
+            deploy_random(5, width, height, seed=1)
 
     def test_unique_ids_enforced(self):
         with pytest.raises(ConfigError):
@@ -408,3 +414,60 @@ class TestDrawOnce:
         with pytest.raises(ConfigError, match="one to one"):
             compare_coded_uncoded(draws, 5, POWER, TIMING, BUDGET, 1e-4, 0.68,
                                   GOLAY, CODEC_POWER, uncoded=uncoded)
+
+
+class TestArrayPricing:
+    # narrow fields with a few nodes give routes of every length, so the
+    # padded table holds every amount of padding at once
+    RAGGED = [EnsembleSpec(mode="geometry", seed=1, n_nodes=6, max_hop_m=70.0,
+                           field_width=200.0, field_height=20.0),
+              EnsembleSpec(mode="geometry", seed=500, n_nodes=8, max_hop_m=75.0,
+                           field_width=250.0, field_height=20.0)]
+
+    @pytest.mark.parametrize("ens", RAGGED)
+    def test_ragged_ensemble_matches_reference_exactly(self, ens):
+        trials = 200
+        draws = draw_trials(ens, trials)
+        widths = {len(distances) for _, distances in draws}
+        assert widths == set(range(1, max(widths) + 1)) and max(widths) >= 4
+        powers = hop_powers(draws, BUDGET.k_exp)
+        uncoded = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68, powers)
+        for variant in CodedVariant:
+            for radiated_only in (False, True):
+                expected = _reference_samples(ens, trials, GOLAY, variant,
+                                              radiated_only)
+                got = compare_coded_uncoded(draws, trials, POWER, TIMING, BUDGET,
+                                            1e-4, 0.68, GOLAY, CODEC_POWER,
+                                            variant, radiated_only,
+                                            uncoded=uncoded, powers=powers)
+                assert repr(got.samples) == repr(tuple(expected))
+
+    @pytest.mark.parametrize("ens", [EnsembleSpec(seed=5, n_relays=4),
+                                     RAGGED[0]])
+    def test_uncoded_totals_equal_route_energy(self, ens):
+        draws = draw_trials(ens, 100)
+        totals = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        for (_, distances), (e_total, e_radiated_only) in zip(draws, totals):
+            route = route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68)
+            assert (e_total, e_radiated_only) == (route.e_total,
+                                                   route.e_total_radiated_only)
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
+    def test_bad_hop_distance_rejected(self, bad):
+        draws = ((0, (60.0, 70.0)), (1, (80.0, bad, 90.0)))
+        with pytest.raises(ConfigError, match="distance_m must be positive"):
+            uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        with pytest.raises(ConfigError, match="distance_m must be positive"):
+            compare_coded_uncoded(draws, 2, POWER, TIMING, BUDGET, 1e-4, 0.68,
+                                  GOLAY, CODEC_POWER)
+
+    def test_hop_powers_must_match_draws_and_budget(self):
+        draws = draw_trials(EnsembleSpec(), 5)
+        args = (POWER, TIMING, BUDGET, 1e-4, 0.68)
+        for powers in (hop_powers(draws[:4], BUDGET.k_exp),
+                       hop_powers(draws, BUDGET.k_exp + 0.5)):
+            with pytest.raises(ConfigError, match="hop powers must be"):
+                uncoded_totals(draws, *args, powers)
+            with pytest.raises(ConfigError, match="hop powers must be"):
+                compare_coded_uncoded(draws, 5, *args, GOLAY, CODEC_POWER,
+                                      powers=powers)
