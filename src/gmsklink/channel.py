@@ -22,6 +22,7 @@ reads (see :mod:`gmsklink.link`).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,6 +53,10 @@ class ChannelConfig:
             raise ConfigError(f"code_rate must be in (0, 1], got {self.code_rate}")
         if not self.samples_per_symbol >= 1:
             raise ConfigError("samples_per_symbol must be >= 1")
+        if not math.isfinite(noise_variance(self)):
+            raise ConfigError(f"ebno_db {self.ebno_db!r} at code rate "
+                              f"{self.code_rate!r} gives a noise variance that "
+                              f"is not finite")
 
 
 @dataclass(frozen=True)
@@ -90,10 +95,15 @@ def substream(*entropy) -> np.random.Generator:
 
 def noise_variance(config: ChannelConfig) -> float:
     """Total complex noise variance per sample for the configured Eb/N0."""
-    ebno = 10.0 ** (config.ebno_db / 10.0)
+    try:
+        ebno = 10.0 ** (config.ebno_db / 10.0)
+    except OverflowError:
+        return 0.0
     ebno_channel_bit = ebno * config.code_rate
     if np.isinf(ebno_channel_bit):
         return 0.0
+    if ebno_channel_bit == 0.0:
+        return math.inf
     # Unit-power signal: energy per channel bit is sps in sample units, and
     # discrete white noise of variance sigma2 has PSD sigma2, so
     # Eb/N0 = sps / sigma2.

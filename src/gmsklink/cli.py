@@ -26,7 +26,7 @@ from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
 from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_blocks)
-from .link import StopRule, ber_csv_text, run_points
+from .link import StopRule, ber_csv_text, run_grid
 from .netsim import (compare_coded_uncoded, draw_trials, hop_powers,
                      uncoded_totals)
 from .params import load_config, parse_codecs
@@ -99,11 +99,10 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
     seed = cfg["run.seed"]
     g_code = cfg["codec.g_code_db"]
 
-    # every codec at one Eb/N0 at once, so each chunk is drawn once
     specs = [CODECS[name].spec(g_code) for name in codecs]
     curves = {name: [] for name in codecs}
-    for ebno_db in sorted(grid):
-        for name, point in zip(codecs, run_points(specs, ebno_db, modem, stop, seed)):
+    for points in run_grid(specs, sorted(grid), modem, stop, seed):
+        for name, point in zip(codecs, points):
             curves[name].append(point)
     for name in codecs:
         print(f"swept {name}: {len(grid)} points", file=sys.stderr)

@@ -125,6 +125,10 @@ class Codec:
     errors corrected (in the code's symbols) and the blocks flagged
     uncorrectable.  ``layout`` frames a stream; a fixed code's specs all
     have its ``shape``, that is ``(n, k, t, d_min, symbol_bits)``.
+    ``decode_rows(coded, spec)``, where given, decodes a ``(P, L)`` array
+    of ``P`` equal-length streams in one call, for a decoder whose cost per
+    stream falls as the batch widens; the BER engine holds such a codec's
+    streams and decodes a round of them at once.
     """
 
     name: str
@@ -133,6 +137,7 @@ class Codec:
     decode: Callable[[np.ndarray, CodeSpec, int], tuple[np.ndarray, int, int]]
     layout: Callable[[int, CodeSpec], BlockLayout] = _padded_layout
     shape: tuple | None = None
+    decode_rows: Callable[[np.ndarray, CodeSpec], np.ndarray] | None = None
 
 
 def _fixed_spec(codec: Codec, g_code_db: float) -> CodeSpec:
@@ -217,7 +222,8 @@ _RS = Codec("reed_solomon", rs_spec, _rs_encode, _rs_decode,
             shape=(reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS,
                    reed_solomon.T_CORRECT, reed_solomon.D_MIN, reed_solomon.SYMBOL_BITS))
 _CONV = Codec("convolutional", lambda g_code_db: conv_spec(g_code_db=g_code_db),
-              _conv_encode, _conv_decode, layout=_conv_layout)
+              _conv_encode, _conv_decode, layout=_conv_layout,
+              decode_rows=lambda coded, spec: viterbi_decode_segments(coded, spec.n))
 
 CODECS = {codec.name: codec for codec in (_NONE, _GOLAY, _RS, _CONV)}
 

@@ -23,6 +23,10 @@ G2_TAPS = np.array([1, 0, 1, 1, 0, 1, 1], dtype=np.uint8)  # 133 octal
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 _HALF = _N_STATES // 2
 
+# Steps whose add-compare-select choices are kept a byte per choice before
+# they are packed eight to the byte.
+_STAGE = 64
+
 
 def _branch_tables():
     """Branch metrics of the butterflies, indexed by the received pair.
@@ -85,31 +89,45 @@ def viterbi_decode_blocks(coded: np.ndarray) -> np.ndarray:
 
 
 def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
-    """Decode a stream of terminated segments of ``n`` coded bits each, the
+    """Decode streams of terminated segments of ``n`` coded bits each, the
     last of which may be shorter; returns the information bits.
 
-    The short last segment rides in the same batch as the full ones: it is
-    padded with zeros at the front, and its trellis restarts in the zero
-    state at its own first step, so it decodes as it would alone.
+    ``coded`` is one stream, or a ``(P, L)`` array of ``P`` streams of equal
+    length decoded in one batch; the result has the same number of
+    dimensions.  Each stream's short last segment rides in the batch with
+    the full ones: it is padded with zeros at the front, and its trellis
+    restarts in the zero state at its own first step, so it decodes as it
+    would alone.
     """
     c = np.asarray(coded, dtype=np.uint8)
-    pad = -c.size % n
-    batch = np.insert(c, c.size - c.size % n, np.zeros(pad, np.uint8)).reshape(-1, n)
-    bits = _decode(batch, last_start=pad // 2)
-    return np.concatenate([bits[:-1].reshape(-1), bits[-1, pad // 2:]])
+    streams = c.reshape(-1, c.shape[-1])
+    count, length = streams.shape
+    full = length - length % n
+    pad = -length % n
+    batch = np.zeros((count, length + pad), dtype=np.uint8)
+    batch[:, :full] = streams[:, :full]
+    batch[:, full + pad:] = streams[:, full:]
+    segments = batch.shape[1] // n
+    restart = np.zeros((count, segments), dtype=np.intp)
+    restart[:, -1] = pad // 2
+    bits = _decode(batch.reshape(-1, n), restart.ravel()).reshape(count, segments, -1)
+    out = np.concatenate([bits[:, :-1].reshape(count, -1), bits[:, -1, pad // 2:]],
+                         axis=1)
+    return out.reshape(*c.shape[:-1], -1)
 
 
-def _decode(c: np.ndarray, last_start: int = 0) -> np.ndarray:
+def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
     """Hard-decision Viterbi over a (B, 2T) batch; returns (B, T - 6) bits.
 
-    The last row's trellis restarts in the zero state at step
-    ``last_start``, so its bits before that step mean nothing.  Each step
-    is one add-compare-select over the 32 butterflies: both predecessor
-    halves of the metric vector are views, ties keep pred0, and the winners
-    go straight into the natural-order view of the next metric vector.
-    Paths from a nonzero start state carry a penalty above any metric a
-    zero-start path reaches, so they never win against one; metrics stay
-    within ``4 T + 1`` and use the narrowest integer type that holds it.
+    Row ``i``'s trellis restarts in the zero state at step ``restart[i]``
+    (0 for every row when ``restart`` is None), so its bits before that
+    step mean nothing.  Each step is one add-compare-select over the 32
+    butterflies: both predecessor halves of the metric vector are views,
+    ties keep pred0, and the winners go straight into the natural-order
+    view of the next metric vector.  Paths from a nonzero start state carry
+    a penalty above any metric a zero-start path reaches, so they never win
+    against one; metrics stay within ``4 T + 1`` and use the narrowest
+    integer type that holds it.  The choices are kept at one bit each.
     """
     nb, width = c.shape
     steps = width // 2
@@ -122,27 +140,42 @@ def _decode(c: np.ndarray, last_start: int = 0) -> np.ndarray:
     pm = np.tile(start, (nb, 1))
     nxt = np.empty_like(pm)
     b0, b1, c0, c1 = (np.empty((nb, 2, _HALF), dtype=dtype) for _ in range(4))
-    back = np.empty((steps, nb, 2, _HALF), dtype=bool)
+    # the choices of _STAGE steps at a time, one byte each, are packed into
+    # back at eight to the byte
+    stage = np.empty((_STAGE, nb * _N_STATES), dtype=bool)
+    back = np.empty((steps, nb * _N_STATES // 8), dtype=np.uint8)
+    restarts = {}
+    if restart is not None:
+        for t in np.unique(restart[restart > 0]):
+            restarts[int(t)] = np.flatnonzero(restart == t)
     for t in range(steps):
-        if t == last_start:
-            pm[-1] = start
+        rows = restarts.get(t)
+        if rows is not None:
+            pm[rows] = start
         np.take(bm0, received[t], axis=0, out=b0)
         np.take(bm1, received[t], axis=0, out=b1)
         np.add(pm[:, None, :_HALF], b0, out=c0)
         np.add(pm[:, None, _HALF:], b1, out=c1)
-        np.less(c1, c0, out=back[t])
+        np.less(c1, c0, out=stage[t % _STAGE].reshape(nb, 2, _HALF))
         np.minimum(c0, c1, out=nxt.reshape(nb, _HALF, 2).transpose(0, 2, 1))
         pm, nxt = nxt, pm
+        if t % _STAGE == _STAGE - 1 or t == steps - 1:
+            t0 = t - t % _STAGE
+            back[t0:t + 1] = np.packbits(stage[:t + 1 - t0], axis=None,
+                                         bitorder="little").reshape(t + 1 - t0, -1)
 
-    # tail-terminated: trace back from state 0; back[t, i, b, j] is the
-    # choice into state 2j + b
-    flat = back.reshape(steps, nb * _N_STATES)
+    # tail-terminated: trace back from state 0; choice b * 32 + j of row i
+    # at step t, flat[t, 64 i + 32 b + j], is the choice into state 2j + b
     base = np.arange(nb) * _N_STATES
     state = np.zeros(nb, dtype=np.intp)
     bits = np.empty((steps, nb), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
+        if t == steps - 1 or t % _STAGE == _STAGE - 1:
+            t0 = t - t % _STAGE
+            flat = np.unpackbits(back[t0:t + 1], axis=None, bitorder="little")
+            flat = flat.reshape(t + 1 - t0, -1)
         bit = state & 1
         bits[t] = bit
         j = state >> 1
-        state = j | (flat[t, base + (bit * _HALF + j)].astype(np.intp) * _HALF)
+        state = j | (flat[t - t0, base + (bit * _HALF + j)].astype(np.intp) * _HALF)
     return bits[: steps - (CONSTRAINT_LENGTH - 1)].T.copy()

@@ -11,19 +11,30 @@ channel.
 Chunk ``i``'s data and noise are keyed by (seed, Eb/N0, i) and not by the
 codec, so codecs measured at one Eb/N0 with one seed see the same bits and
 the same noise stream: common random numbers, which makes their BER
-differences less noisy than independent draws would.  :func:`run_points`
-runs several codecs over one modem, stop rule and seed chunk by chunk.  Each
-chunk draws its data bits once and shares one
-:class:`~gmsklink.channel.NoiseStream`, dropped with the chunk, whose memo
-holds as many normals as the longest signal in that chunk has samples.  A
-signal of ``n`` samples reads ``2 n`` normals, so the normals past the memo
-(the Q component of the longer signals) are drawn again by every codec that
-reads them: a ``sweep-curve`` benchmark pass draws about 1.65 normals for
-each distinct one.
+differences less noisy than independent draws would.  :func:`run_grid`
+runs several codecs over one modem, stop rule, seed and Eb/N0 grid in chunk
+rounds: round ``i`` runs for every point with a codec short of the stop rule
+before round ``i + 1`` runs for any.  A point's round draws its data bits
+once and shares one :class:`~gmsklink.channel.NoiseStream`, dropped with the
+round, whose memo holds as many normals as the longest signal in that round
+has samples.  A signal of ``n`` samples reads ``2 n`` normals, so the
+normals past the memo (the Q component of the longer signals) are drawn
+again by every codec that reads them: a ``sweep-curve`` benchmark pass draws
+about 1.65 normals for each distinct one.
+
+Modulation, noise and demodulation run one point at a time, so their memory
+does not grow with the grid.  A codec with a batch decoder (the
+convolutional code) keeps only its hard decisions and data bits until the
+end of the round, when every point's stream of that round is decoded in one
+Viterbi call: the decoder's cost per call is mostly per trellis step, so a
+wide batch amortises it.  Points run in groups that keep that call within
+``_DECODE_ROWS`` segments.  Since every point keeps its own keys, the
+results are those of running each point alone.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -31,7 +42,8 @@ import numpy as np
 
 from .channel import ChannelConfig, NoiseStream, awgn, substream
 from .errors import ConfigError
-from .fec import CodeSpec, apply_code, block_layout, none_spec, strip_code
+from .fec import (CODECS, CodeSpec, apply_code, block_layout, none_spec,
+                  strip_code)
 from .modem import (ModemConfig, demodulate, modulate, signal_length,
                     theoretical_ber)
 
@@ -40,6 +52,11 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 # domain separators for substream derivation
 _DATA_TAG = 0x6D6B
 _NOISE_TAG = 0x6E7A
+
+# Most segments one batched decode call takes, unless one point's chunk
+# alone has more.  The Viterbi decoder's time per segment stops falling at
+# about this width, and its traceback state for 512-bit segments is 4 MB.
+_DECODE_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -109,59 +126,133 @@ def _noise_seed(seed: int, ebits: int, chunk_index: int) -> int:
     return int(np.random.SeedSequence(entropy).generate_state(1, dtype=np.uint64)[0])
 
 
-def _chunk_errors(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
-                  noise: NoiseStream) -> int:
+def check_ebno(codecs, ebno_db: float, modem: ModemConfig):
+    """Raise :class:`ConfigError` unless every chunk of every codec gets a
+    finite noise variance at ``ebno_db``; NaN fails too.
+
+    A one-bit chunk codes to the most channel bits per information bit, so
+    it has the lowest code rate and the largest noise variance of any chunk.
+    """
+    rate = min((1 / block_layout(1, spec).coded_bits for spec in codecs), default=1.0)
+    ChannelConfig(ebno_db=ebno_db, code_rate=rate,
+                  samples_per_symbol=modem.samples_per_symbol)
+
+
+def _rounds(max_bits: int):
+    """Information bits of each chunk round: 25 000, doubling up to 200 000,
+    until ``max_bits`` in all."""
+    simulated, size = 0, 25_000
+    while simulated < max_bits:
+        n_bits = min(size, max_bits - simulated)
+        yield n_bits
+        simulated += n_bits
+        size = min(2 * size, 200_000)
+
+
+def _channel(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
+             noise: NoiseStream) -> np.ndarray:
+    """The hard decisions on ``bits`` coded, modulated and sent through AWGN."""
     coded = apply_code(bits, codec)
     channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
                             samples_per_symbol=modem.samples_per_symbol,
                             seed=noise.seed)
     noisy = awgn(modulate(coded, modem), channel, noise=noise, overwrite_input=True)
-    hard = demodulate(noisy, modem, coded.size)
-    del noisy
-    decoded = strip_code(hard, codec, bits.size)
-    return int(np.count_nonzero(decoded != bits))
+    return demodulate(noisy, modem, coded.size)
 
 
-def run_points(codecs, ebno_db: float, modem: ModemConfig, stop_rule: StopRule,
-               seed: int) -> list[BerPoint]:
-    """Measure each codec's BER at one Eb/N0; equal to ``run_point`` per codec.
+class _Point:
+    """One Eb/N0 point's data stream and its per-codec error and bit counts."""
 
-    Chunk 0 runs for every codec, then chunk 1 for the codecs short of
-    ``stop_rule.min_bit_errors``, and so on until ``max_bits``.  Each chunk
-    draws its data bits once and shares one :class:`NoiseStream` whose memo
-    holds as many normals as the longest signal of the codecs running has
-    samples; each codec draws for itself the normals it reads past the memo.
+    def __init__(self, ebno_db: float, n_codecs: int, seed: int):
+        self.ebno_db = ebno_db
+        self.ebits = _ebno_entropy(ebno_db)
+        self.data_rng = substream(seed, self.ebits, _DATA_TAG)
+        self.errors = [0] * n_codecs
+        self.bits_simulated = [0] * n_codecs
+
+
+def run_grid(codecs, ebno_points, modem: ModemConfig, stop_rule: StopRule,
+             seed: int) -> list[list[BerPoint]]:
+    """Measure each codec's BER at each Eb/N0; one list of points per Eb/N0,
+    in the order given, each equal to ``run_point`` per codec.
+
+    The points run in groups, chunk round by chunk round, and a codec with
+    a batch decoder (``decode_rows``) has each round's streams of a group
+    decoded in one call; groups are as large as keep that call within
+    ``_DECODE_ROWS`` segments (see the module docstring).
     """
-    if math.isnan(ebno_db):
-        raise ConfigError("ebno_db must not be NaN")
-    ebits = _ebno_entropy(ebno_db)
-    data_rng = substream(seed, ebits, _DATA_TAG)
-    errors = [0] * len(codecs)
-    bits_simulated = [0] * len(codecs)
-    simulated, size, chunk_index = 0, 25_000, 0
-    while simulated < stop_rule.max_bits:
-        running = [i for i, e in enumerate(errors) if e < stop_rule.min_bit_errors]
-        if not running:
+    codecs = list(codecs)
+    for ebno_db in ebno_points:
+        check_ebno(codecs, ebno_db, modem)
+    held = [i for i, spec in enumerate(codecs) if CODECS[spec.name].decode_rows]
+    # rounds past the fourth are never longer than it
+    longest = max(itertools.islice(_rounds(stop_rule.max_bits), 4))
+    rows = max((block_layout(longest, codecs[i]).n_blocks for i in held), default=1)
+    group = max(1, _DECODE_ROWS // rows)
+    out = []
+    for g0 in range(0, len(ebno_points), group):
+        points = [_Point(e, len(codecs), seed) for e in ebno_points[g0:g0 + group]]
+        _run_rounds(points, codecs, held, modem, stop_rule, seed)
+        out.extend(_ber_points(p, stop_rule) for p in points)
+    return out
+
+
+def _run_rounds(points, codecs, held, modem, stop_rule, seed):
+    simulated = 0
+    for chunk_index, n_bits in enumerate(_rounds(stop_rule.max_bits)):
+        running = [[i for i, e in enumerate(point.errors)
+                    if e < stop_rule.min_bit_errors] for point in points]
+        if not any(running):
             break
-        n_bits = min(size, stop_rule.max_bits - simulated)
-        bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
-        n_max = max(signal_length(block_layout(n_bits, codecs[i]).coded_bits, modem)
-                    for i in running)
-        noise = NoiseStream(_noise_seed(seed, ebits, chunk_index), n_max)
         simulated += n_bits
-        for i in running:
-            errors[i] += _chunk_errors(bits, codecs[i], modem, ebno_db, noise)
-            bits_simulated[i] = simulated
-        size = min(2 * size, 200_000)
-        chunk_index += 1
+        streams = {i: [] for i in held}  # (point, bits, hard decisions)
+        for point, ids in zip(points, running):
+            if not ids:
+                continue
+            bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
+            coded_bits = {i: block_layout(n_bits, codecs[i]).coded_bits for i in ids}
+            noise = NoiseStream(_noise_seed(seed, point.ebits, chunk_index),
+                                signal_length(max(coded_bits.values()), modem))
+            # longest signal first, so every later signal fits in the block
+            # it frees and the noise memo never splits two of them
+            for i in sorted(ids, key=coded_bits.get, reverse=True):
+                hard = _channel(bits, codecs[i], modem, point.ebno_db, noise)
+                if i in streams:
+                    streams[i].append((point, bits, hard))
+                else:
+                    decoded = strip_code(hard, codecs[i], n_bits)
+                    point.errors[i] += int(np.count_nonzero(decoded != bits))
+                point.bits_simulated[i] = simulated
+            del noise  # free the memo before the next point's draws
+        for i, round_streams in streams.items():
+            if round_streams:
+                owners, data, hard = zip(*round_streams)
+                wrong = _held_errors(np.stack(hard), np.stack(data), codecs[i])
+                for point, w in zip(owners, wrong):
+                    point.errors[i] += w
+
+
+def _held_errors(hard, data, codec: CodeSpec) -> list[int]:
+    """Bit errors of each row of ``hard`` decoded as one batch."""
+    decoded = CODECS[codec.name].decode_rows(hard, codec)
+    return np.count_nonzero(decoded != data, axis=1).tolist()
+
+
+def _ber_points(point: _Point, stop_rule: StopRule) -> list[BerPoint]:
     points = []
-    for e, n in zip(errors, bits_simulated):
+    for e, n in zip(point.errors, point.bits_simulated):
         ci_low, ci_high = wilson_interval(e, n)
-        points.append(BerPoint(ebno_db=float(ebno_db), measured_ber=e / n,
+        points.append(BerPoint(ebno_db=float(point.ebno_db), measured_ber=e / n,
                                bit_errors=e, bits_simulated=n, ci_low=ci_low,
                                ci_high=ci_high,
                                low_confidence=e < stop_rule.min_bit_errors))
     return points
+
+
+def run_points(codecs, ebno_db: float, modem: ModemConfig, stop_rule: StopRule,
+               seed: int) -> list[BerPoint]:
+    """Measure each codec's BER at one Eb/N0: :func:`run_grid` of one point."""
+    return run_grid(codecs, [ebno_db], modem, stop_rule, seed)[0]
 
 
 def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
@@ -171,7 +262,8 @@ def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
 
 def run_sweep(spec: SweepSpec) -> list[BerPoint]:
     """Run every grid point; output sorted by Eb/N0."""
-    return [run_point(spec, e) for e in sorted(spec.ebno_points)]
+    return [p[0] for p in run_grid([spec.codec], sorted(spec.ebno_points),
+                                   spec.modem, spec.stop_rule, spec.seed)]
 
 
 def crossover_ber(coded_curve: list[BerPoint],

@@ -33,6 +33,10 @@ ALPHA_ANCHORS = ((0.25, 0.68), (1.0, 0.85))
 # Exact powers of j (j**k = _JPOW[k % 4]).
 _JPOW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
+# Sign of the filter-output component that is decision k's derotated real
+# part, by k % 4 (see demodulate).
+_DEROTATE = np.array([-1.0, -1.0, 1.0, 1.0])
+
 # Window delays per modulator phasor table: a table has 4 * 2**_TABLE_BITS
 # rows of samples_per_symbol phasors, so it stays small for any pulse span.
 _TABLE_BITS = 8
@@ -209,18 +213,18 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
     window = 2 * config.pulse_span_symbols + 1
     rows = n + window - 1
     cumtaps = np.cumsum(gaussian_frequency_pulse(config)).reshape(window, sps)
-    symbols = 2 * tx.astype(np.intp) - 1
-    # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4
-    ended = np.zeros(rows, dtype=np.intp)
-    np.cumsum(symbols[:n - 1], out=ended[window:])
-    quarter_turns = (ended & 3).astype(np.uint16)
+    tx16 = tx.astype(np.uint16)
+    # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4, summed
+    # mod 2**16 (a symbol of -1 is 2**16 - 1), which keeps the sum mod 4
+    quarter_turns = np.zeros(rows, dtype=np.uint16)
+    np.cumsum(2 * tx16[:n - 1] - 1, dtype=np.uint16, out=quarter_turns[window:])
+    quarter_turns &= 3
     out = np.empty((rows, sps), dtype=complex)
 
     # Interior rows window-1 .. n-1: every pulse in flight is a real symbol.
     # Table indices are below 4 * 2**_TABLE_BITS, so uint16 holds them.
     if n >= window:
         interior = out[window - 1:n]
-        tx16 = tx.astype(np.uint16)
         for d0, d1, table in _window_tables(cumtaps):
             index = np.zeros(n - window + 1, dtype=np.uint16)
             for d in range(d0, d1):
@@ -231,11 +235,12 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
             else:
                 interior *= table[index]
 
-    # Edge rows: pad the symbols with zeros and sum the window directly.
+    # Edge rows: sum the window directly, with zero symbols past either end.
     edge = np.r_[0:window - 1, max(n, window - 1):rows]
-    padded = np.zeros(n + 2 * (window - 1))
-    padded[window - 1:window - 1 + n] = symbols
-    local = padded[edge[:, None] + (window - 1) - np.arange(window)] @ cumtaps
+    k = edge[:, None] - np.arange(window)
+    inside = (k >= 0) & (k < n)
+    symbols = np.where(inside, 2.0 * tx[np.clip(k, 0, n - 1)] - 1.0, 0.0)
+    local = symbols @ cumtaps
     out[edge] = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * local)
     return BasebandSignal(samples=out.ravel(), sample_rate=config.bit_rate * sps)
 
@@ -301,19 +306,20 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
     if lead or trail:
         frames = np.pad(frames, ((lead, trail), (0, 0)))
         q += lead
-    quads = -(-num_bits // 4)
-    y = np.zeros((4 * quads, 2))
     step = max(1, _PRODUCT_SIZE // (4 * sps))
+    y = np.empty((min(step, num_bits), 2))
+    decisions = np.empty(num_bits, dtype=np.uint8)
     for b0 in range(0, num_bits, step):
         b1 = min(b0 + step, num_bits)
-        block = y[b0:b1]
+        block = y[:b1 - b0]
         np.matmul(frames[q + b0:q + b1], poly[0], out=block)
         for t in range(1, frames_per_decision):
             block += frames[q + t + b0:q + t + b1] @ poly[t]
-    # Derotating decision k by j**(k+1) leaves as its real part -Q, -I, +Q
-    # and +I of the filter output for k = 0, 1, 2 and 3 (mod 4).
-    z = y.reshape(quads, 8)[:, [1, 2, 5, 6]] * [-1.0, -1.0, 1.0, 1.0]
-    decisions = (z.ravel()[:num_bits] < 0).astype(np.uint8)
+        # Derotating decision k by j**(k+1) leaves as its real part -Q, -I,
+        # +Q and +I of the filter output for k = 0, 1, 2 and 3 (mod 4).
+        k = np.arange(b0, b1)
+        np.less(block[k - b0, (k + 1) & 1] * _DEROTATE[k & 3], 0,
+                out=decisions[b0:b1])
     if config.differential_precoding:
         return decisions
     out = decisions.copy()

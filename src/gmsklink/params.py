@@ -18,7 +18,7 @@ from .channel import LinkBudget
 from .energy import PowerProfile, TimingProfile
 from .errors import ConfigError
 from .fec import CODECS, CodecPowerProfile
-from .link import StopRule
+from .link import StopRule, check_ebno
 from .modem import ModemConfig, alpha_for_bt
 from .netsim import EnsembleSpec
 
@@ -232,6 +232,10 @@ class RunConfig:
         self.alpha()
         self.stop_rule()
         self.ebno_grid()
+        # the grid's first point gets the most noise
+        check_ebno([CODECS[name].spec(self["codec.g_code_db"])
+                    for name in self["run.codecs"]],
+                   self["sweep.ebno_start_db"], self.modem_config())
         self.distance_grid()
         self.ensembles()
 

@@ -73,6 +73,19 @@ class TestAwgn:
         with pytest.raises(ConfigError, match="NaN"):
             ChannelConfig(ebno_db=float("nan"))
 
+    @pytest.mark.parametrize("ebno_db, code_rate", [
+        (-np.inf, 1.0),      # 10 ** (Eb/N0 / 10) is 0: the variance divides by it
+        (-4000.0, 1.0),
+        (-3200.0, 1 / 60),   # subnormal Eb/N0 per channel bit: variance inf
+    ])
+    def test_infinite_noise_variance_rejected(self, ebno_db, code_rate):
+        with pytest.raises(ConfigError, match="noise variance that is not finite"):
+            ChannelConfig(ebno_db=ebno_db, code_rate=code_rate)
+
+    def test_huge_ebno_is_noise_free(self):
+        # 10.0 ** 400 overflows a Python float
+        assert noise_variance(ChannelConfig(ebno_db=4000.0)) == 0.0
+
     def test_nan_samples_per_symbol_rejected(self):
         with pytest.raises(ConfigError, match="samples_per_symbol must be >= 1"):
             ChannelConfig(ebno_db=5.0, samples_per_symbol=float("nan"))

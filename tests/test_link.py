@@ -6,12 +6,15 @@ import numpy as np
 import pytest
 
 from gmsklink import link
+from gmsklink.channel import ChannelConfig, NoiseStream, awgn, substream
 from gmsklink.errors import ConfigError
-from gmsklink.fec import CODECS, conv_spec, golay_spec, none_spec, rs_spec
+from gmsklink.fec import (CODECS, apply_code, block_layout, conv_spec, convolutional,
+                          golay_spec, none_spec, rs_spec, strip_code)
 from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
-                           crossover_ber, run_point, run_points, run_sweep,
-                           semi_analytic_coded_ber, wilson_interval)
-from gmsklink.modem import ModemConfig, alpha_for_bt, theoretical_ber
+                           crossover_ber, run_grid, run_point, run_points,
+                           run_sweep, semi_analytic_coded_ber, wilson_interval)
+from gmsklink.modem import (ModemConfig, alpha_for_bt, demodulate, modulate,
+                            signal_length, theoretical_ber)
 
 ALPHA = alpha_for_bt(0.3)
 
@@ -128,6 +131,116 @@ class TestRunPoints:
         monkeypatch.setattr(link, "substream", lambda *entropy: pytest.fail("drew"))
         with pytest.raises(ConfigError, match="NaN"):
             run_points([none_spec()], math.nan, self.MODEM, self.STOP, self.SEED)
+
+    @pytest.mark.parametrize("ebno_db, codec", [
+        (-math.inf, none_spec()), (-4000.0, none_spec()), (-3200.0, rs_spec()),
+    ])
+    def test_infinite_noise_rejected_before_drawing(self, monkeypatch, ebno_db, codec):
+        monkeypatch.setattr(link, "substream", lambda *entropy: pytest.fail("drew"))
+        with pytest.raises(ConfigError, match="noise variance that is not finite"):
+            run_points([none_spec(), codec], ebno_db, self.MODEM, self.STOP, self.SEED)
+
+    def test_run_point_rejects_minus_infinity(self):
+        with pytest.raises(ConfigError, match="not finite"):
+            run_point(SweepSpec(ebno_points=(0.0,)), -math.inf)
+
+
+def _reference_run_points(codecs, ebno_db, modem, stop_rule, seed):
+    """The per-point engine that the round engine replaced: every chunk of
+    one Eb/N0 point runs and is decoded before the next point starts."""
+    ebits = link._ebno_entropy(ebno_db)
+    data_rng = substream(seed, ebits, link._DATA_TAG)
+    errors = [0] * len(codecs)
+    bits_simulated = [0] * len(codecs)
+    simulated, size, chunk_index = 0, 25_000, 0
+    while simulated < stop_rule.max_bits:
+        running = [i for i, e in enumerate(errors) if e < stop_rule.min_bit_errors]
+        if not running:
+            break
+        n_bits = min(size, stop_rule.max_bits - simulated)
+        bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
+        n_max = max(signal_length(block_layout(n_bits, codecs[i]).coded_bits, modem)
+                    for i in running)
+        noise = NoiseStream(link._noise_seed(seed, ebits, chunk_index), n_max)
+        simulated += n_bits
+        for i in running:
+            coded = apply_code(bits, codecs[i])
+            channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
+                                    samples_per_symbol=modem.samples_per_symbol,
+                                    seed=noise.seed)
+            noisy = awgn(modulate(coded, modem), channel, noise=noise,
+                         overwrite_input=True)
+            decoded = strip_code(demodulate(noisy, modem, coded.size), codecs[i],
+                                 bits.size)
+            errors[i] += int(np.count_nonzero(decoded != bits))
+            bits_simulated[i] = simulated
+        size = min(2 * size, 200_000)
+        chunk_index += 1
+    points = []
+    for e, n in zip(errors, bits_simulated):
+        ci_low, ci_high = wilson_interval(e, n)
+        points.append(BerPoint(float(ebno_db), e / n, e, n, ci_low, ci_high,
+                               e < stop_rule.min_bit_errors))
+    return points
+
+
+class TestRunGrid:
+    # under this rule the points stop after 3, 1, 3 and 2 rounds, and at
+    # 7 dB the codecs stop after 1, 2 and 3
+    GRID = (9.0, 1.0, 7.0, 6.0)
+    STOP = StopRule(100, 150_000)
+    MODEM = ModemConfig()
+    SEED = 4
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        codecs = {name: codec.spec(4.0) for name, codec in CODECS.items()}
+        specs = list(codecs.values())
+        return codecs, [dict(zip(codecs, _reference_run_points(
+            specs, e, self.MODEM, self.STOP, self.SEED))) for e in self.GRID]
+
+    def test_points_stop_at_different_rounds(self, reference):
+        _, points = reference
+        assert [max(p.bits_simulated for p in row.values()) for row in points] == [
+            150_000, 25_000, 150_000, 75_000]
+        assert len({p.bits_simulated for p in points[2].values()}) == 3
+
+    @pytest.mark.parametrize("order, cap", [
+        (("convolutional", "none", "golay", "reed_solomon"), None),
+        (("none", "golay", "reed_solomon", "convolutional"), None),
+        (("none", "golay", "reed_solomon", "convolutional"), 300),  # 2-point groups
+        (("convolutional",), None),
+        (("golay", "none", "reed_solomon"), None),
+    ])
+    def test_equals_per_point_engine(self, reference, monkeypatch, order, cap):
+        codecs, points = reference
+        if cap is not None:
+            monkeypatch.setattr(link, "_DECODE_ROWS", cap)
+        got = run_grid([codecs[name] for name in order], self.GRID, self.MODEM,
+                       self.STOP, self.SEED)
+        assert got == [[row[name] for name in order] for row in points]
+
+    def test_decode_calls_stay_within_the_row_cap(self, monkeypatch):
+        # rounds of 25 000 and 50 000 bits: 13 and 25 segments of 2048 bits
+        # per point, so a cap of 50 takes two points a group and a cap of 20
+        # one, whose 25-segment round exceeds it
+        spec = conv_spec(2048)
+        stop = StopRule(10**9, 75_000)
+        grid = (0.0, 1.0, 2.0)
+        modem = ModemConfig(samples_per_symbol=4)
+        want = run_grid([spec], grid, modem, stop, self.SEED)
+        calls = []
+        decode = convolutional._decode
+        monkeypatch.setattr(convolutional, "_decode",
+                            lambda c, *a: calls.append(c.shape[0]) or decode(c, *a))
+        for cap, expected in ((1000, [39, 75]), (50, [26, 50, 13, 25]),
+                              (20, [13, 25] * 3)):
+            calls.clear()
+            monkeypatch.setattr(link, "_DECODE_ROWS", cap)
+            assert run_grid([spec], grid, modem, stop, self.SEED) == want
+            assert calls == expected
+            # only a lone point's chunk may exceed the cap
+            assert all(rows <= cap or rows == 25 for rows in calls)
 
 
 class TestRunSweep:

@@ -250,6 +250,9 @@ class TestCliBasics:
         ("energy-distance", "scan.alpha_list = ,"),
         ("ber-sweep", "sweep.ebno_start_db = nan"),
         ("ber-sweep", "sweep.ebno_stop_db = inf"),
+        # 10 ** (-400) is 0, and near -3200 dB the noise variance overflows
+        ("ber-sweep", "sweep.ebno_start_db = -4000\nsweep.ebno_stop_db = -4000"),
+        ("ber-sweep", "sweep.ebno_start_db = -3200"),
         ("route-sim", "route.field_m = inf"),
         ("energy-distance", "power.p_dac_mw = 15.40"),
         ("energy-distance", "modem.carrier_hz = 2.45e9"),

@@ -133,3 +133,30 @@ def test_short_segment_alone():
     np.testing.assert_array_equal(
         viterbi_decode_segments(received, 2 * (512 + CONSTRAINT_LENGTH - 1)),
         reference_viterbi_decode_blocks(received[None])[0])
+
+
+# at a channel error rate of 0.3 a path that leaves the zero state inside
+# a short segment's zero padding can win, so a missed restart shows
+@pytest.mark.parametrize("p", [0.0, 0.05, 0.3])
+@pytest.mark.parametrize("remainder", range(16))
+def test_equal_length_streams_decode_as_segments_alone(remainder, p):
+    # (P, L) streams of 16-bit segments, with and without full segments
+    # before the short last one, against viterbi_decode of each segment
+    spec = conv_spec(16)
+    rng = np.random.default_rng(remainder + int(p * 1000))
+    for info_len in (remainder, 3 * 16 + remainder):
+        if info_len == 0:
+            continue
+        info = rng.integers(0, 2, (9, info_len)).astype(np.uint8)
+        coded = np.stack([apply_code(row, spec) for row in info])
+        coded ^= (rng.random(coded.shape) < p).astype(np.uint8)
+        want = np.stack([
+            np.concatenate([viterbi_decode(row[i:i + spec.n])
+                            for i in range(0, row.size, spec.n)])
+            for row in coded])
+        if p == 0.0:
+            np.testing.assert_array_equal(want, info)
+        for streams in range(1, 10):
+            np.testing.assert_array_equal(
+                viterbi_decode_segments(coded[:streams], spec.n), want[:streams])
+        np.testing.assert_array_equal(viterbi_decode_segments(coded[0], spec.n), want[0])
