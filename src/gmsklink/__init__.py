@@ -7,8 +7,7 @@ transceiver energy model, Monte Carlo BER sweeps, and a multi-hop route
 energy experiment over random sensor deployments.
 """
 
-from .channel import (ChannelConfig, LinkBudget, NoiseStream, awgn, path_gain,
-                      substream)
+from .channel import ChannelConfig, LinkBudget, awgn, substream
 from .energy import (CodedVariant, EnergyBreakdown, PowerProfile,
                      TimingProfile, amplifier_beta, circuit_powers,
                      crossover_distance, rx_energy_per_bit,

@@ -1,4 +1,4 @@
-"""AWGN injection calibrated to Eb/N0 and the distance power-gain model.
+"""AWGN injection calibrated to Eb/N0, and the link budget's parameters.
 
 Noise variance is set from the energy per *information* bit: a coded stream
 spends its energy budget over more channel bits, so the per-channel-bit SNR
@@ -8,16 +8,11 @@ reproducible across runs and platforms; see :func:`substream`.
 
 Noise of ``n`` samples reads the first ``2 n`` standard normals of the
 seed's stream: ``z[:n]`` scaled onto I and ``z[n:2n]`` onto Q.  Signals of
-different lengths under one seed therefore read prefixes of one stream, and
-a :class:`NoiseStream` lets them share it: it keeps the first ``n_max``
-normals drawn once, and any consumer that needs more draws the rest from
-the generator state saved there, each consumer on its own, so normals past
-the memo are drawn once per consumer that reads them.  The memo is bounded
-by ``n_max``, every other noise buffer by one block, and the object holds
-nothing once it is dropped; a plain :func:`awgn` call keeps no memo at all.
-The BER engine shares one stream among all codecs of a chunk with ``n_max``
-the longest signal's sample count, half of the ``2 n`` normals that signal
-reads (see :mod:`gmsklink.link`).
+different lengths under one seed therefore read prefixes of one stream.
+The BER engine draws each distinct normal once, into a buffer that lives
+for one round's channel phase, and adds each codec's prefix one decision
+block at a time through :func:`add_noise`, the formula :func:`awgn`
+applies (see :mod:`gmsklink.link`).
 """
 
 from __future__ import annotations
@@ -110,87 +105,29 @@ def noise_variance(config: ChannelConfig) -> float:
     return config.samples_per_symbol / ebno_channel_bit
 
 
-class NoiseStream:
-    """The standard-normal stream of one seed, shared by several consumers.
-
-    The first ``n_max`` normals are drawn on first use and kept; the
-    generator state after them is saved, and a consumer that reads past
-    ``n_max`` draws from a copy of that state, one bounded block at a time,
-    so two consumers that both read past the memo draw those normals twice.
-    Every consumer reads exactly the stream ``substream(seed)`` would give
-    it alone.
-    """
-
-    _BLOCK = 1 << 15
-
-    def __init__(self, seed: int, n_max: int = 0):
-        self.seed = seed
-        self.n_max = n_max
-        self._memo = None
-        self._state = None
-
-    def _start(self):
-        if self._state is None:
-            rng = substream(self.seed)
-            self._memo = rng.standard_normal(self.n_max)
-            self._state = rng.bit_generator.state
-
-    def pieces(self, stop: int):
-        """Yield ``(start, z)`` pieces of at most ``_BLOCK`` normals that
-        cover ``z[0:stop]`` in order.
-
-        A piece past the memo is a reused buffer, valid until the next one.
-        """
-        self._start()
-        memo = self._memo
-        for start in range(0, min(stop, memo.size), self._BLOCK):
-            yield start, memo[start: min(start + self._BLOCK, stop)]
-        if stop > memo.size:
-            bit_generator = np.random.Philox()
-            bit_generator.state = self._state
-            rng = np.random.Generator(bit_generator)
-            block = np.empty(min(self._BLOCK, stop - memo.size))
-            for start in range(memo.size, stop, block.size):
-                z = block[: min(block.size, stop - start)]
-                rng.standard_normal(out=z)
-                yield start, z
+def noise_scale(config: ChannelConfig) -> float:
+    """Standard deviation of each of the I and Q noise components."""
+    return np.sqrt(noise_variance(config) / 2.0)
 
 
-def awgn(signal: BasebandSignal, config: ChannelConfig, *,
-         noise: NoiseStream | None = None,
-         overwrite_input: bool = False) -> BasebandSignal:
+def add_noise(samples: np.ndarray, z_i, z_q, scale: float) -> None:
+    """Add ``scale * z_i`` to the I and ``scale * z_q`` to the Q of complex
+    ``samples`` in place; ``s + scale * z`` is bitwise ``s + normal(0,
+    scale)``, the draw numpy's own ``normal()`` makes."""
+    for part, z in ((samples.real, z_i), (samples.imag, z_q)):
+        part += z * scale
+
+
+def awgn(signal: BasebandSignal, config: ChannelConfig) -> BasebandSignal:
     """Add complex white Gaussian noise at the configured per-bit SNR.
 
-    ``noise``, if given, is the shared stream of ``config.seed``; the result
-    is the same with or without it.  With ``overwrite_input``, writable
-    complex128 samples get the noise in place, and the result shares them.
+    The input is left untouched; with no noise (an infinite Eb/N0) it is
+    returned as it is.
     """
-    var = noise_variance(config)
-    if var == 0.0:
+    scale = noise_scale(config)
+    if scale == 0.0:
         return signal
-    if noise is None:
-        noise = NoiseStream(config.seed)
-    elif noise.seed != config.seed:
-        raise ValueError(f"noise stream seed {noise.seed} is not the "
-                         f"channel seed {config.seed}")
-    samples = np.asarray(signal.samples)
-    n = samples.size
-    scale = np.sqrt(var / 2.0)
-    in_place = overwrite_input and samples.dtype == complex and samples.flags.writeable
-    noisy = samples if in_place else np.empty(n, dtype=complex)
-    scaled = np.empty(NoiseStream._BLOCK)
-    # component c of sample i gets z[c * n + i]; s + scale * z is bitwise
-    # s + normal(0, scale), the draw numpy's own normal() makes
-    for start, z in noise.pieces(2 * n):
-        for out, s, lo in ((noisy.real, samples.real, 0), (noisy.imag, samples.imag, n)):
-            a, b = max(start, lo), min(start + z.size, lo + n)
-            if a < b:
-                part = scaled[: b - a]
-                np.multiply(z[a - start: b - start], scale, out=part)
-                np.add(s[a - lo: b - lo], part, out=out[a - lo: b - lo])
+    noisy = np.array(signal.samples, dtype=complex)
+    rng, n = substream(config.seed), noisy.size
+    add_noise(noisy, rng.standard_normal(n), rng.standard_normal(n), scale)
     return BasebandSignal(samples=noisy, sample_rate=signal.sample_rate)
-
-
-def path_gain(budget: LinkBudget) -> float:
-    """Power gain factor G_l * d**k * M_l between transmitter output and receiver."""
-    return budget.g_l * budget.distance_m**budget.k_exp * budget.m_l

@@ -15,21 +15,21 @@ differences less noisy than independent draws would.  :func:`run_grid`
 runs several codecs over one modem, stop rule, seed and Eb/N0 grid in chunk
 rounds: round ``i`` runs for every point with a codec short of the stop rule
 before round ``i + 1`` runs for any.  A point's round draws its data bits
-once and shares one :class:`~gmsklink.channel.NoiseStream`, dropped with the
-round, whose memo holds as many normals as the longest signal in that round
-has samples.  A signal of ``n`` samples reads ``2 n`` normals, so the
-normals past the memo (the Q component of the longer signals) are drawn
-again by every codec that reads them: a ``sweep-curve`` benchmark pass draws
-about 1.65 normals for each distinct one.
+once and its noise once: one buffer, allocated for the round's longest
+signal and dropped when the round's channel phase ends, is filled for each
+point in turn, and a codec's signal of ``m`` samples reads its first ``2 m``
+normals, the stream :func:`~gmsklink.channel.awgn` would draw for it alone.
+No full-length waveform is made: :func:`~gmsklink.modem.transceive`
+modulates, adds noise and filters one decision block at a time, with the
+row, noise and filter helpers of ``modulate``, ``awgn`` and ``demodulate``.
 
-Modulation, noise and demodulation run one point at a time, so their memory
-does not grow with the grid.  A codec with a batch decoder (the
-convolutional code) keeps only its hard decisions and data bits until the
-end of the round, when every point's stream of that round is decoded in one
-Viterbi call: the decoder's cost per call is mostly per trellis step, so a
-wide batch amortises it.  Points run in groups that keep that call within
-``_DECODE_ROWS`` segments.  Since every point keeps its own keys, the
-results are those of running each point alone.
+A codec with a batch decoder (the convolutional code) keeps only its hard
+decisions and data bits until the end of the round, when every point's
+stream of that round is decoded in one Viterbi call: the decoder's cost
+per call is mostly per trellis step, so a wide batch amortises it.  Points
+run in groups that keep that call within ``_DECODE_ROWS`` segments.  Since
+every point keeps its own keys, the results are those of running each
+point alone.
 """
 
 from __future__ import annotations
@@ -40,12 +40,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelConfig, NoiseStream, awgn, substream
+# modulate, awgn and demodulate stay bound here for the benchmark's tracer
+from .channel import ChannelConfig, add_noise, awgn, noise_scale, substream  # noqa: F401
 from .errors import ConfigError
 from .fec import (CODECS, CodeSpec, apply_code, block_layout, none_spec,
                   strip_code)
-from .modem import (ModemConfig, demodulate, modulate, signal_length,
-                    theoretical_ber)
+from .modem import (ModemConfig, demodulate, modulate,  # noqa: F401
+                    signal_length, theoretical_ber, transceive)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -150,14 +151,19 @@ def _rounds(max_bits: int):
 
 
 def _channel(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
-             noise: NoiseStream) -> np.ndarray:
-    """The hard decisions on ``bits`` coded, modulated and sent through AWGN."""
+             z: np.ndarray) -> np.ndarray:
+    """The hard decisions on ``bits`` coded, modulated and sent through AWGN
+    whose stream of normals starts with ``z``."""
     coded = apply_code(bits, codec)
     channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
-                            samples_per_symbol=modem.samples_per_symbol,
-                            seed=noise.seed)
-    noisy = awgn(modulate(coded, modem), channel, noise=noise, overwrite_input=True)
-    return demodulate(noisy, modem, coded.size)
+                            samples_per_symbol=modem.samples_per_symbol)
+    scale, n = noise_scale(channel), signal_length(coded.size, modem)
+
+    def impair(start, samples):
+        stop = start + samples.size
+        add_noise(samples, z[start:stop], z[n + start:n + stop], scale)
+
+    return transceive(coded, modem, impair if scale else None)
 
 
 class _Point:
@@ -206,24 +212,24 @@ def _run_rounds(points, codecs, held, modem, stop_rule, seed):
             break
         simulated += n_bits
         streams = {i: [] for i in held}  # (point, bits, hard decisions)
+        reads = [2 * signal_length(block_layout(n_bits, spec).coded_bits, modem)
+                 for spec in codecs]
+        z = np.empty(max(reads[i] for ids in running for i in ids))
         for point, ids in zip(points, running):
             if not ids:
                 continue
             bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
-            coded_bits = {i: block_layout(n_bits, codecs[i]).coded_bits for i in ids}
-            noise = NoiseStream(_noise_seed(seed, point.ebits, chunk_index),
-                                signal_length(max(coded_bits.values()), modem))
-            # longest signal first, so every later signal fits in the block
-            # it frees and the noise memo never splits two of them
-            for i in sorted(ids, key=coded_bits.get, reverse=True):
-                hard = _channel(bits, codecs[i], modem, point.ebno_db, noise)
+            substream(_noise_seed(seed, point.ebits, chunk_index)).standard_normal(
+                out=z[:max(reads[i] for i in ids)])
+            for i in ids:
+                hard = _channel(bits, codecs[i], modem, point.ebno_db, z)
                 if i in streams:
                     streams[i].append((point, bits, hard))
                 else:
                     decoded = strip_code(hard, codecs[i], n_bits)
                     point.errors[i] += int(np.count_nonzero(decoded != bits))
                 point.bits_simulated[i] = simulated
-            del noise  # free the memo before the next point's draws
+        del z  # free the noise before the batch decodes
         for i, round_streams in streams.items():
             if round_streams:
                 owners, data, hard = zip(*round_streams)

@@ -145,6 +145,8 @@ def _as_bits(bits) -> np.ndarray:
     arr = np.asarray(bits)
     if arr.ndim != 1:
         raise ValueError("bit sequence must be one-dimensional")
+    if arr.size == 0:
+        raise ValueError("cannot modulate an empty bit sequence")
     arr = arr.astype(np.uint8)
     if np.any(arr > 1):
         raise ValueError("bit sequence may only contain 0s and 1s")
@@ -190,6 +192,58 @@ def signal_length(num_bits: int, config: ModemConfig) -> int:
     return (num_bits + 2 * config.pulse_span_symbols) * config.samples_per_symbol
 
 
+def _waveform_rows(bits: np.ndarray, config: ModemConfig):
+    """The rows of :func:`modulate`'s waveform of ``bits``, any range at a time.
+
+    Row ``m`` is the ``sps`` samples of symbol period ``m``.  Returns
+    ``fill(r0, r1, out)``, which writes rows ``r0`` to ``r1 - 1`` into the
+    ``(r1 - r0, sps)`` complex array ``out``; a row's samples do not depend
+    on the range it is written in.
+    """
+    sps = config.samples_per_symbol
+    tx = _precode(bits) if config.differential_precoding else bits
+    n = tx.size
+    window = 2 * config.pulse_span_symbols + 1
+    rows = n + window - 1
+    cumtaps = np.cumsum(gaussian_frequency_pulse(config)).reshape(window, sps)
+    tables = _window_tables(cumtaps)
+    tx16 = tx.astype(np.uint16)
+    # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4, summed
+    # mod 2**16 (a symbol of -1 is 2**16 - 1), which keeps the sum mod 4
+    quarter_turns = np.zeros(rows, dtype=np.uint16)
+    np.cumsum(2 * tx16[:n - 1] - 1, dtype=np.uint16, out=quarter_turns[window:])
+    quarter_turns &= 3
+
+    # Edge rows, whose window reaches past the bit sequence: sum the window
+    # directly, with zero symbols past either end, all in one small product.
+    edge = np.r_[0:window - 1, max(n, window - 1):rows]
+    k = edge[:, None] - np.arange(window)
+    inside = (k >= 0) & (k < n)
+    symbols = np.where(inside, 2.0 * tx[np.clip(k, 0, n - 1)] - 1.0, 0.0)
+    local = symbols @ cumtaps
+    edge_rows = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * local)
+
+    def fill(r0, r1, out):
+        # Interior rows window-1 .. n-1: every pulse in flight is a real
+        # symbol.  Table indices are below 4 * 2**_TABLE_BITS (uint16).
+        a, b = max(r0, window - 1), min(r1, n)
+        if a < b:
+            interior = out[a - r0:b - r0]
+            for d0, d1, table in tables:
+                index = np.zeros(b - a, dtype=np.uint16)
+                for d in range(d0, d1):
+                    index |= tx16[a - d:b - d] << (d - d0)
+                if d0 == 0:
+                    index |= quarter_turns[a:b] << (d1 - d0)
+                    np.take(table, index, axis=0, out=interior, mode="clip")
+                else:
+                    interior *= table[index]
+        e0, e1 = np.searchsorted(edge, (r0, r1))
+        out[edge[e0:e1] - r0] = edge_rows[e0:e1]
+
+    return fill
+
+
 def modulate(bits, config: ModemConfig) -> BasebandSignal:
     """Modulate a bit sequence onto a unit-envelope GMSK baseband waveform.
 
@@ -205,44 +259,11 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
     sequence, are evaluated directly.
     """
     bits = _as_bits(bits)
-    if bits.size == 0:
-        raise ValueError("cannot modulate an empty bit sequence")
-    sps = config.samples_per_symbol
-    tx = _precode(bits) if config.differential_precoding else bits
-    n = tx.size
-    window = 2 * config.pulse_span_symbols + 1
-    rows = n + window - 1
-    cumtaps = np.cumsum(gaussian_frequency_pulse(config)).reshape(window, sps)
-    tx16 = tx.astype(np.uint16)
-    # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4, summed
-    # mod 2**16 (a symbol of -1 is 2**16 - 1), which keeps the sum mod 4
-    quarter_turns = np.zeros(rows, dtype=np.uint16)
-    np.cumsum(2 * tx16[:n - 1] - 1, dtype=np.uint16, out=quarter_turns[window:])
-    quarter_turns &= 3
-    out = np.empty((rows, sps), dtype=complex)
-
-    # Interior rows window-1 .. n-1: every pulse in flight is a real symbol.
-    # Table indices are below 4 * 2**_TABLE_BITS, so uint16 holds them.
-    if n >= window:
-        interior = out[window - 1:n]
-        for d0, d1, table in _window_tables(cumtaps):
-            index = np.zeros(n - window + 1, dtype=np.uint16)
-            for d in range(d0, d1):
-                index |= tx16[window - 1 - d:n - d] << (d - d0)
-            if d0 == 0:
-                index |= quarter_turns[window - 1:n] << (d1 - d0)
-                np.take(table, index, axis=0, out=interior, mode="clip")
-            else:
-                interior *= table[index]
-
-    # Edge rows: sum the window directly, with zero symbols past either end.
-    edge = np.r_[0:window - 1, max(n, window - 1):rows]
-    k = edge[:, None] - np.arange(window)
-    inside = (k >= 0) & (k < n)
-    symbols = np.where(inside, 2.0 * tx[np.clip(k, 0, n - 1)] - 1.0, 0.0)
-    local = symbols @ cumtaps
-    out[edge] = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * local)
-    return BasebandSignal(samples=out.ravel(), sample_rate=config.bit_rate * sps)
+    out = np.empty((bits.size + 2 * config.pulse_span_symbols,
+                    config.samples_per_symbol), dtype=complex)
+    _waveform_rows(bits, config)(0, out.shape[0], out)
+    return BasebandSignal(samples=out.ravel(),
+                          sample_rate=config.bit_rate * config.samples_per_symbol)
 
 
 def receiver_lowpass(config: ModemConfig) -> np.ndarray:
@@ -255,35 +276,18 @@ def receiver_lowpass(config: ModemConfig) -> np.ndarray:
     return h / h.sum()
 
 
-def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np.ndarray:
-    """Recover ``num_bits`` hard bit decisions from a GMSK baseband signal.
+def _decisions(fill, config: ModemConfig, num_bits: int) -> np.ndarray:
+    """The receiver's ``num_bits`` hard decisions, one decision block at a time.
 
-    Compensates the modulator and receiver-filter group delays internally;
-    raises :class:`FramingError` when the signal length or sample rate is
-    inconsistent with ``config`` and ``num_bits``.
-
-    The predetection lowpass is evaluated only at the ``num_bits`` decision
-    instants.  The samples are viewed as float frames of one symbol each
-    (``sps`` interleaved I/Q pairs), and decision ``k`` is the sum over the
-    few frames its filter window touches of ``frame[k + q + t] @ poly[t]``,
-    where ``poly[t]`` holds that frame's share of the taps for I and Q.
+    The signal is viewed as float frames of one symbol each (``sps``
+    interleaved I/Q pairs); ``fill(a, b, out)`` writes frames ``a`` to
+    ``b - 1`` into ``out``, a block's frames at a time.  Decision ``k`` is
+    the sum over the few frames its filter window touches of
+    ``frame[k + q + t] @ poly[t]``, where ``poly[t]`` holds that frame's
+    share of the taps for I and Q.
     """
-    if num_bits < 1:
-        raise ValueError("num_bits must be >= 1")
     sps = config.samples_per_symbol
     span = config.pulse_span_symbols
-    samples = np.asarray(signal.samples)
-    expected = (num_bits + 2 * span) * sps
-    if samples.size != expected:
-        raise FramingError(
-            f"signal has {samples.size} samples, expected {expected} "
-            f"for {num_bits} bits at {sps} samples/symbol"
-        )
-    nominal_rate = config.bit_rate * sps
-    if abs(signal.sample_rate - nominal_rate) > 1e-9 * nominal_rate:
-        raise FramingError(
-            f"sample rate {signal.sample_rate} does not match config ({nominal_rate})"
-        )
     h = receiver_lowpass(config)
     pulse_len = (2 * span + 1) * sps
     delay = pulse_len // 2 + sps // 2 - 1 + (h.size - 1) // 2
@@ -297,24 +301,25 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
     poly = np.zeros((frames_per_decision, 2 * sps, 2))
     poly[:, 0::2, 0] = taps.reshape(frames_per_decision, sps)
     poly[:, 1::2, 1] = poly[:, 0::2, 0]
-    frames = np.ascontiguousarray(samples, dtype=complex).view(np.float64)
-    frames = frames.reshape(-1, 2 * sps)
-    # Zero frames stand in for the convolution's zero padding where the
-    # filter window reaches past either end of the signal.
-    lead = max(0, -q)
-    trail = max(0, q + num_bits + frames_per_decision - 1 - frames.shape[0])
-    if lead or trail:
-        frames = np.pad(frames, ((lead, trail), (0, 0)))
-        q += lead
+    n_frames = num_bits + 2 * span
     step = max(1, _PRODUCT_SIZE // (4 * sps))
+    frames = np.empty((min(step, num_bits) + frames_per_decision - 1, 2 * sps))
     y = np.empty((min(step, num_bits), 2))
     decisions = np.empty(num_bits, dtype=np.uint8)
     for b0 in range(0, num_bits, step):
         b1 = min(b0 + step, num_bits)
+        f0, f1 = q + b0, q + b1 + frames_per_decision - 1
+        a, b = max(f0, 0), min(f1, n_frames)
+        src = frames[:f1 - f0]
+        # Zero frames stand in for the convolution's zero padding where the
+        # filter window reaches past either end of the signal.
+        src[:a - f0] = 0.0
+        src[b - f0:] = 0.0
+        fill(a, b, src[a - f0:b - f0])
         block = y[:b1 - b0]
-        np.matmul(frames[q + b0:q + b1], poly[0], out=block)
+        np.matmul(src[:b1 - b0], poly[0], out=block)
         for t in range(1, frames_per_decision):
-            block += frames[q + t + b0:q + t + b1] @ poly[t]
+            block += src[t:t + b1 - b0] @ poly[t]
         # Derotating decision k by j**(k+1) leaves as its real part -Q, -I,
         # +Q and +I of the filter output for k = 0, 1, 2 and 3 (mod 4).
         k = np.arange(b0, b1)
@@ -325,6 +330,58 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
     out = decisions.copy()
     out[1:] ^= decisions[:-1]
     return out
+
+
+def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np.ndarray:
+    """Recover ``num_bits`` hard bit decisions from a GMSK baseband signal.
+
+    Compensates the modulator and receiver-filter group delays internally;
+    raises :class:`FramingError` when the signal length or sample rate is
+    inconsistent with ``config`` and ``num_bits``.  The predetection lowpass
+    is evaluated only at the ``num_bits`` decision instants.
+    """
+    if num_bits < 1:
+        raise ValueError("num_bits must be >= 1")
+    sps = config.samples_per_symbol
+    samples = np.asarray(signal.samples)
+    expected = signal_length(num_bits, config)
+    if samples.size != expected:
+        raise FramingError(
+            f"signal has {samples.size} samples, expected {expected} "
+            f"for {num_bits} bits at {sps} samples/symbol"
+        )
+    nominal_rate = config.bit_rate * sps
+    if abs(signal.sample_rate - nominal_rate) > 1e-9 * nominal_rate:
+        raise FramingError(
+            f"sample rate {signal.sample_rate} does not match config ({nominal_rate})"
+        )
+
+    def fill(a, b, out):
+        np.copyto(out.view(complex), samples[a * sps:b * sps].reshape(b - a, sps))
+
+    return _decisions(fill, config, num_bits)
+
+
+def transceive(bits, config: ModemConfig, impair=None) -> np.ndarray:
+    """Hard decisions on ``bits`` modulated, impaired and demodulated.
+
+    ``impair(start, samples)``, if given, changes in place the run of
+    waveform samples from ``start`` on as it would within the whole
+    waveform.  The result is :func:`demodulate`'s, byte for byte, but each
+    decision block's frames are modulated, impaired and filtered in one
+    small buffer, and no full-length waveform is made.
+    """
+    bits = _as_bits(bits)
+    rows = _waveform_rows(bits, config)
+    sps = config.samples_per_symbol
+
+    def fill(a, b, out):
+        samples = out.view(complex)
+        rows(a, b, samples)
+        if impair is not None:
+            impair(a * sps, samples.reshape(-1))
+
+    return _decisions(fill, config, bits.size)
 
 
 def theoretical_ber(ebno_db, alpha: float):

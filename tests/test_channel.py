@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gmsklink.channel import (ChannelConfig, LinkBudget, awgn, noise_variance,
-                              path_gain, substream)
+                              substream)
+from gmsklink.energy import (PowerProfile, TimingProfile, rx_energy_per_bit,
+                             total_energy_uncoded)
 from gmsklink.errors import ConfigError
 from gmsklink.modem import BasebandSignal
 
@@ -91,25 +93,44 @@ class TestAwgn:
             ChannelConfig(ebno_db=5.0, samples_per_symbol=float("nan"))
 
 
+def _path_gain(budget):
+    """G_l * d**k * M_l, written out: the oracle for the energy model's path gain."""
+    return budget.g_l * budget.distance_m**budget.k_exp * budget.m_l
+
+
+def _model_gain(budget):
+    """The path gain the energy model charges: its radiated energy over the
+    energy per bit the receiver needs, per bit sent."""
+    timing = TimingProfile()
+    radiated = total_energy_uncoded(PowerProfile(), timing, budget, 1e-4,
+                                    0.68).e_tx_radiated
+    return radiated / rx_energy_per_bit(1e-4, 0.68, budget.sigma2, budget.n_f) / timing.l_bits
+
+
 class TestPathGain:
     def test_reference_distance(self):
-        assert path_gain(LinkBudget(distance_m=1.0)) == pytest.approx(1e7)
+        budget = LinkBudget(distance_m=1.0)
+        assert _model_gain(budget) == pytest.approx(1e7)
+        assert _model_gain(budget) == pytest.approx(_path_gain(budget), rel=1e-12)
 
     def test_hundred_meters_k3(self):
-        assert path_gain(LinkBudget(distance_m=100.0)) == pytest.approx(1e13)
+        budget = LinkBudget(distance_m=100.0)
+        assert _model_gain(budget) == pytest.approx(1e13)
+        assert _model_gain(budget) == pytest.approx(_path_gain(budget), rel=1e-12)
 
     def test_doubling_distance_cubes(self):
-        g1 = path_gain(LinkBudget(distance_m=50.0))
-        g2 = path_gain(LinkBudget(distance_m=100.0))
+        g1 = _model_gain(LinkBudget(distance_m=50.0))
+        g2 = _model_gain(LinkBudget(distance_m=100.0))
         assert g2 / g1 == pytest.approx(8.0)
 
     def test_strictly_increasing(self):
         base = dict(g_l=1e3, m_l=1e4, k_exp=3.0, distance_m=10.0)
-        ref = path_gain(LinkBudget(**base))
-        assert path_gain(LinkBudget(**{**base, "distance_m": 11.0})) > ref
-        assert path_gain(LinkBudget(**{**base, "k_exp": 3.1})) > ref
-        assert path_gain(LinkBudget(**{**base, "g_l": 1.1e3})) > ref
-        assert path_gain(LinkBudget(**{**base, "m_l": 1.1e4})) > ref
+        ref = _model_gain(LinkBudget(**base))
+        assert ref == pytest.approx(_path_gain(LinkBudget(**base)), rel=1e-12)
+        assert _model_gain(LinkBudget(**{**base, "distance_m": 11.0})) > ref
+        assert _model_gain(LinkBudget(**{**base, "k_exp": 3.1})) > ref
+        assert _model_gain(LinkBudget(**{**base, "g_l": 1.1e3})) > ref
+        assert _model_gain(LinkBudget(**{**base, "m_l": 1.1e4})) > ref
 
     def test_budget_validation(self):
         with pytest.raises(ConfigError):

@@ -1,12 +1,13 @@
 """Tests for the Monte Carlo BER engine and its oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gmsklink import link
-from gmsklink.channel import ChannelConfig, NoiseStream, awgn, substream
+from gmsklink.channel import ChannelConfig, awgn, substream
 from gmsklink.errors import ConfigError
 from gmsklink.fec import (CODECS, apply_code, block_layout, conv_spec, convolutional,
                           golay_spec, none_spec, rs_spec, strip_code)
@@ -14,7 +15,7 @@ from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
                            crossover_ber, run_grid, run_point, run_points,
                            run_sweep, semi_analytic_coded_ber, wilson_interval)
 from gmsklink.modem import (ModemConfig, alpha_for_bt, demodulate, modulate,
-                            signal_length, theoretical_ber)
+                            theoretical_ber)
 
 ALPHA = alpha_for_bt(0.3)
 
@@ -146,8 +147,9 @@ class TestRunPoints:
 
 
 def _reference_run_points(codecs, ebno_db, modem, stop_rule, seed):
-    """The per-point engine that the round engine replaced: every chunk of
-    one Eb/N0 point runs and is decoded before the next point starts."""
+    """The slow per-stage engine: every chunk of one Eb/N0 point runs and is
+    decoded before the next point starts, each codec through the whole
+    waveform chain ``demodulate(awgn(modulate(coded)))``."""
     ebits = link._ebno_entropy(ebno_db)
     data_rng = substream(seed, ebits, link._DATA_TAG)
     errors = [0] * len(codecs)
@@ -159,17 +161,13 @@ def _reference_run_points(codecs, ebno_db, modem, stop_rule, seed):
             break
         n_bits = min(size, stop_rule.max_bits - simulated)
         bits = data_rng.integers(0, 2, n_bits).astype(np.uint8)
-        n_max = max(signal_length(block_layout(n_bits, codecs[i]).coded_bits, modem)
-                    for i in running)
-        noise = NoiseStream(link._noise_seed(seed, ebits, chunk_index), n_max)
         simulated += n_bits
         for i in running:
             coded = apply_code(bits, codecs[i])
             channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
                                     samples_per_symbol=modem.samples_per_symbol,
-                                    seed=noise.seed)
-            noisy = awgn(modulate(coded, modem), channel, noise=noise,
-                         overwrite_input=True)
+                                    seed=link._noise_seed(seed, ebits, chunk_index))
+            noisy = awgn(modulate(coded, modem), channel)
             decoded = strip_code(demodulate(noisy, modem, coded.size), codecs[i],
                                  bits.size)
             errors[i] += int(np.count_nonzero(decoded != bits))
@@ -241,6 +239,23 @@ class TestRunGrid:
             assert calls == expected
             # only a lone point's chunk may exceed the cap
             assert all(rows <= cap or rows == 25 for rows in calls)
+
+
+@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 2.0, 3.0)])
+def test_one_round_peak_memory(grid):
+    # one round of 25 000 bits: the round's noise buffer (6.1 MiB for the
+    # longest, convolutional, signal) is its only large allocation, and it
+    # is gone before the batch Viterbi decode of every point's stream
+    args = ([none_spec(), golay_spec(), rs_spec(), conv_spec()], grid,
+            ModemConfig(), StopRule(1, 25_000))
+    run_grid(*args, seed=3)  # build the codecs' lazy tables untraced
+    tracemalloc.start()
+    try:
+        run_grid(*args, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8.5 * 2**20
 
 
 class TestRunSweep:

@@ -5,7 +5,9 @@ convolution with the frequency pulse, running phase sum and complex
 exponential at every sample; then the full predetection-filter convolution,
 sampled at the decision instants, derotated and sliced.  The modem must
 produce the same samples (up to the reference's phase-accumulation rounding)
-and exactly the same hard decisions, with and without noise.
+and exactly the same hard decisions, with and without noise.  The BER
+engine's block-wise path must in turn give exactly the hard decisions of
+the waveform chain ``demodulate(awgn(modulate(bits)))``.
 """
 
 import subprocess
@@ -14,11 +16,13 @@ import sys
 import numpy as np
 import pytest
 
-from gmsklink.channel import (ChannelConfig, NoiseStream, awgn, noise_variance,
-                              substream)
-from gmsklink.modem import (BasebandSignal, ModemConfig, demodulate,
-                            gaussian_frequency_pulse, modulate,
-                            receiver_lowpass)
+from gmsklink import link
+from gmsklink.channel import (ChannelConfig, add_noise, awgn, noise_scale,
+                              noise_variance, substream)
+from gmsklink.fec import none_spec
+from gmsklink.modem import (_PRODUCT_SIZE, BasebandSignal, ModemConfig,
+                            demodulate, gaussian_frequency_pulse, modulate,
+                            receiver_lowpass, signal_length)
 
 JPOW = np.array([1.0, 1.0j, -1.0, -1.0j])
 EBNO_DB = (0.0, 3.0, 6.0, np.inf)
@@ -127,51 +131,78 @@ def test_awgn_bit_identical_to_complex_sum(ebno):
 
 
 @pytest.mark.parametrize("ebno", [0.0, 9.0, np.inf])
-@pytest.mark.parametrize("n_max", [0, 1, 700, 4000, 5000])
-def test_awgn_with_a_shared_stream_is_bit_identical(ebno, n_max):
-    # signals of 1 to 4000 samples read prefixes of one stream whose memo
-    # holds n_max normals: shortest first, longest first, and interleaved
+@pytest.mark.parametrize("extra", [0, 1, 700, 4000, 5000])
+def test_awgn_with_a_shared_stream_is_bit_identical(ebno, extra):
+    # signals of 1 to 4000 samples under one seed read prefixes of one
+    # buffer of normals drawn for the longest of them, and maybe more
     rng = np.random.default_rng(5)
-    signals = [BasebandSignal(np.exp(1j * rng.random(n)), 1.0)
-               for n in (1, 333, 700, 1999, 4000)]
-    for order in (signals, signals[::-1], signals[1::2] + signals[::2]):
-        chan = ChannelConfig(ebno_db=ebno, code_rate=0.5, samples_per_symbol=8, seed=43)
-        stream = NoiseStream(chan.seed, n_max)
-        for sig in order:
-            np.testing.assert_array_equal(awgn(sig, chan, noise=stream).samples,
-                                          reference_awgn(sig.samples, chan))
+    chan = ChannelConfig(ebno_db=ebno, code_rate=0.5, samples_per_symbol=8, seed=43)
+    z = substream(chan.seed).standard_normal(2 * 4000 + extra)
+    for n in (1, 333, 700, 1999, 4000):
+        sig = BasebandSignal(np.exp(1j * rng.random(n)), 1.0)
+        want = reference_awgn(sig.samples, chan)
+        np.testing.assert_array_equal(awgn(sig, chan).samples, want)
+        if ebno != np.inf:
+            add_noise(sig.samples, z[:n], z[n:2 * n], noise_scale(chan))
+        np.testing.assert_array_equal(sig.samples, want)
 
 
 def test_awgn_stream_past_one_block():
-    n = 3 * NoiseStream._BLOCK + 17
+    n = 3 * 32768 + 17
     sig = BasebandSignal(np.ones(n, dtype=complex), 1.0)
     chan = ChannelConfig(ebno_db=2.0, samples_per_symbol=8, seed=44)
-    for stream in (None, NoiseStream(chan.seed, 1000), NoiseStream(chan.seed, n)):
-        np.testing.assert_array_equal(awgn(sig, chan, noise=stream).samples,
-                                      reference_awgn(sig.samples, chan))
+    np.testing.assert_array_equal(awgn(sig, chan).samples,
+                                  reference_awgn(sig.samples, chan))
 
 
-def test_awgn_in_place_is_bit_identical():
+def test_awgn_leaves_its_input_untouched():
     sig = modulate(np.random.default_rng(3).integers(0, 2, 3000), ModemConfig())
     chan = ChannelConfig(ebno_db=4.0, samples_per_symbol=8, seed=45)
-    want = reference_awgn(sig.samples, chan)
     before = sig.samples.copy()
-    np.testing.assert_array_equal(awgn(sig, chan).samples, want)
-    np.testing.assert_array_equal(sig.samples, before)  # input untouched by default
-    got = awgn(sig, chan, noise=NoiseStream(chan.seed, 5000), overwrite_input=True)
-    np.testing.assert_array_equal(got.samples, want)
-    assert np.shares_memory(got.samples, sig.samples)
-    # samples it cannot write in place are copied, not modified
+    np.testing.assert_array_equal(awgn(sig, chan).samples,
+                                  reference_awgn(sig.samples, chan))
+    np.testing.assert_array_equal(sig.samples, before)
     narrow = BasebandSignal(before.astype(np.complex64), sig.sample_rate)
-    np.testing.assert_array_equal(awgn(narrow, chan, overwrite_input=True).samples,
+    np.testing.assert_array_equal(awgn(narrow, chan).samples,
                                   reference_awgn(narrow.samples, chan))
     np.testing.assert_array_equal(narrow.samples, before.astype(np.complex64))
 
 
-def test_awgn_rejects_a_stream_of_another_seed():
-    sig = BasebandSignal(np.ones(8, dtype=complex), 1.0)
-    with pytest.raises(ValueError):
-        awgn(sig, ChannelConfig(ebno_db=2.0, seed=1), noise=NoiseStream(2, 8))
+def _engine_matches_chain(cfg, seed):
+    # lengths at the modulator's table edges and at the receiver's decision
+    # block boundaries; 4096 decisions a block at 8 samples per symbol
+    sps = cfg.samples_per_symbol
+    window = 2 * cfg.pulse_span_symbols + 1
+    step = _PRODUCT_SIZE // (4 * sps)
+    rng = np.random.default_rng(seed)
+    for n in sorted({1, window - 1, window, step - 1, step, step + 1, 3 * step + 5}):
+        bits = rng.integers(0, 2, n).astype(np.uint8)
+        # the engine's noise buffer may hold more normals than one signal reads
+        z = substream(seed).standard_normal(2 * signal_length(n, cfg) + 11)
+        for ebno in (0.0, 9.0, np.inf):
+            chan = ChannelConfig(ebno_db=ebno, samples_per_symbol=sps, seed=seed)
+            want = demodulate(awgn(modulate(bits, cfg), chan), cfg, n)
+            got = link._channel(bits, none_spec(), cfg, ebno, z)
+            np.testing.assert_array_equal(got, want, err_msg=f"{n} bits, {ebno} dB")
+
+
+@pytest.mark.parametrize("precoding", [True, False])
+@pytest.mark.parametrize("span,bt", _SHAPES)
+@pytest.mark.parametrize("sps", [4, 8, 16])
+def test_block_engine_equals_the_waveform_chain(sps, span, bt, precoding):
+    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps,
+                      pulse_span_symbols=span, differential_precoding=precoding)
+    _engine_matches_chain(cfg, seed=sps * 1000 + span * 100 + int(bt * 20) + precoding)
+
+
+@pytest.mark.parametrize("span,bt", [(1, 1.0), (3, 0.3)])
+@pytest.mark.parametrize("sps", [4, 8])
+def test_block_engine_with_a_narrow_receiver_filter(sps, span, bt):
+    # at rx_bt 0.1 the filter window of the first and the last decisions
+    # reaches past both ends of the signal, into zero frames
+    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps,
+                      pulse_span_symbols=span, rx_bt=0.1)
+    _engine_matches_chain(cfg, seed=sps + span)
 
 
 def test_demodulate_accepts_complex64_and_strided_samples():

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from gmsklink.channel import LinkBudget, path_gain, substream
+from gmsklink.channel import LinkBudget, substream
 from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              amplifier_beta, circuit_powers,
                              total_energy_uncoded, tx_energy_uncoded)
@@ -22,6 +22,11 @@ TIMING = TimingProfile()
 BUDGET = LinkBudget()
 CODEC_POWER = CodecPowerProfile()
 GOLAY = golay_spec()
+
+
+def _path_gain(budget):
+    """G_l * d**k * M_l, written out: the oracle for the energy model's path gain."""
+    return budget.g_l * budget.distance_m**budget.k_exp * budget.m_l
 
 
 class TestDeployRandom:
@@ -177,7 +182,7 @@ def _reference_route_energy(distances, power, timing, budget, pe, alpha,
     for d in distances:
         link = dataclasses.replace(budget, distance_m=d)
         rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
-                                path_gain(link), timing.l_bits)
+                                _path_gain(link), timing.l_bits)
         if coded:
             rad = rad / g_code
         pa = amplifier_beta(power) * rad
