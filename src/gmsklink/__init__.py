@@ -11,8 +11,7 @@ from .channel import ChannelConfig, LinkBudget, awgn, substream
 from .energy import (CodedVariant, EnergyBreakdown, PowerProfile,
                      TimingProfile, amplifier_beta, circuit_powers,
                      crossover_distance, rx_energy_per_bit,
-                     total_energy_coded, total_energy_uncoded,
-                     tx_energy_uncoded)
+                     total_energy_coded, total_energy_uncoded)
 from .errors import ConfigError, DecodeFailure, FramingError, RoutingError
 from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
                   apply_code, block_layout, conv_encode, conv_spec,
@@ -25,7 +24,7 @@ from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
                     gaussian_frequency_pulse, modulate, qfunc, theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,
                      build_route, compare_coded_uncoded, deploy_random,
-                     draw_trials, hop_powers, route_energy, uncoded_totals)
+                     draw_trials, route_energy)
 from .params import RunConfig, load_config
 
 __version__ = "0.1.0"

@@ -119,16 +119,6 @@ def rx_energy_per_bit(pe: float, alpha: float, sigma2: float, n_f: float) -> flo
     return (2.0 / alpha) * sigma2 * n_f * math.log(1.0 / pe)
 
 
-def tx_energy_uncoded(pe: float, alpha: float, n_f: float, sigma2: float,
-                      g_d: float, l_bits: int) -> float:
-    """Radiated energy for L bits: rx energy per bit scaled by the path gain."""
-    if l_bits < 0:
-        raise ValueError("l_bits must be >= 0")
-    if l_bits == 0:
-        return 0.0
-    return rx_energy_per_bit(pe, alpha, sigma2, n_f) * g_d * l_bits
-
-
 def integration_time(timing: TimingProfile, spec: CodeSpec,
                      variant: CodedVariant) -> float:
     """The time circuit and codec powers run for: T_on / R, or T_on."""
@@ -209,11 +199,12 @@ def link_constants(power: PowerProfile, timing: TimingProfile,
     )
 
 
-def total_energy_coded(power: PowerProfile, timing: TimingProfile,
-                       link: LinkBudget, pe: float, alpha: float,
-                       spec: CodeSpec, codec_power: CodecPowerProfile,
-                       variant: CodedVariant = CodedVariant.LITERAL) -> EnergyBreakdown:
-    """Energy of one coded L-bit transmission; see :func:`link_constants`."""
+def _link_energy(power: PowerProfile, timing: TimingProfile, link: LinkBudget,
+                 pe: float, alpha: float, spec: CodeSpec,
+                 codec_power: CodecPowerProfile,
+                 variant: CodedVariant) -> EnergyBreakdown:
+    """One link's energy; the coded and the uncoded energy each call this,
+    never each other, so that one public call prices one link."""
     c = link_constants(power, timing, link, pe, alpha, spec, codec_power, variant)
     e_rad, e_pa, e_link = c.hop(link.distance_m)
     e_total = e_link + c.e_codec
@@ -221,6 +212,14 @@ def total_energy_coded(power: PowerProfile, timing: TimingProfile,
                            e_circuit=c.e_circuit, e_transient=c.e_transient,
                            e_codec=c.e_codec, e_total=e_total,
                            e_per_info_bit=e_total / timing.l_bits)
+
+
+def total_energy_coded(power: PowerProfile, timing: TimingProfile,
+                       link: LinkBudget, pe: float, alpha: float,
+                       spec: CodeSpec, codec_power: CodecPowerProfile,
+                       variant: CodedVariant = CodedVariant.LITERAL) -> EnergyBreakdown:
+    """Energy of one coded L-bit transmission; see :func:`link_constants`."""
+    return _link_energy(power, timing, link, pe, alpha, spec, codec_power, variant)
 
 
 _IDENTITY_CODE = none_spec()
@@ -234,8 +233,8 @@ def total_energy_uncoded(power: PowerProfile, timing: TimingProfile,
     This is the coded energy of the identity code (rate 1, 0 dB gain) with
     free encoding and decoding, and equal to it bit for bit.
     """
-    return total_energy_coded(power, timing, link, pe, alpha,
-                              _IDENTITY_CODE, _NO_CODEC)
+    return _link_energy(power, timing, link, pe, alpha, _IDENTITY_CODE, _NO_CODEC,
+                        CodedVariant.LITERAL)
 
 
 def crossover_distance(power: PowerProfile, timing: TimingProfile,

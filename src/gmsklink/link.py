@@ -19,6 +19,8 @@ once and its noise once: one buffer, allocated for the round's longest
 signal and dropped when the round's channel phase ends, is filled for each
 point in turn, and a codec's signal of ``m`` samples reads its first ``2 m``
 normals, the stream :func:`~gmsklink.channel.awgn` would draw for it alone.
+A codec whose noise scale is 0 (at an infinite Eb/N0) reads none, and a
+point where no codec reads any draws none.
 No full-length waveform is made: :func:`~gmsklink.modem.transceive`
 modulates, adds noise and filters one decision block at a time, with the
 row, noise and filter helpers of ``modulate``, ``awgn`` and ``demodulate``.
@@ -150,14 +152,20 @@ def _rounds(max_bits: int):
         size = min(2 * size, 200_000)
 
 
+def _scale(ebno_db: float, n_bits: int, coded_bits: int, modem: ModemConfig) -> float:
+    """The noise scale of ``n_bits`` sent as ``coded_bits`` channel bits."""
+    return noise_scale(ChannelConfig(ebno_db=ebno_db, code_rate=n_bits / coded_bits,
+                                     samples_per_symbol=modem.samples_per_symbol))
+
+
 def _channel(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
              z: np.ndarray) -> np.ndarray:
     """The hard decisions on ``bits`` coded, modulated and sent through AWGN
-    whose stream of normals starts with ``z``."""
+    whose stream of normals starts with ``z``, which a noise scale of 0
+    leaves unread."""
     coded = apply_code(bits, codec)
-    channel = ChannelConfig(ebno_db=ebno_db, code_rate=bits.size / coded.size,
-                            samples_per_symbol=modem.samples_per_symbol)
-    scale, n = noise_scale(channel), signal_length(coded.size, modem)
+    scale = _scale(ebno_db, bits.size, coded.size, modem)
+    n = signal_length(coded.size, modem)
 
     def impair(start, samples):
         stop = start + samples.size
@@ -212,15 +220,21 @@ def _run_rounds(points, codecs, held, modem, stop_rule, seed):
             break
         simulated += n_bits
         streams = {i: [] for i in held}  # (point, bits, hard decisions)
-        reads = [2 * signal_length(block_layout(n_bits, spec).coded_bits, modem)
-                 for spec in codecs]
-        z = np.empty(max(reads[i] for ids in running for i in ids))
-        for point, ids in zip(points, running):
+        coded_bits = [block_layout(n_bits, spec).coded_bits for spec in codecs]
+        reads = [2 * signal_length(c, modem) for c in coded_bits]
+        # the normals each point's codecs read: none at an infinite Eb/N0
+        normals = [max((reads[i] for i in ids
+                        if _scale(point.ebno_db, n_bits, coded_bits[i], modem)),
+                       default=0)
+                   for point, ids in zip(points, running)]
+        z = np.empty(max(normals))
+        for point, ids, n_normals in zip(points, running, normals):
             if not ids:
                 continue
             bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
-            substream(_noise_seed(seed, point.ebits, chunk_index)).standard_normal(
-                out=z[:max(reads[i] for i in ids)])
+            if n_normals:
+                substream(_noise_seed(seed, point.ebits, chunk_index)).standard_normal(
+                    out=z[:n_normals])
             for i in ids:
                 hard = _channel(bits, codecs[i], modem, point.ebno_db, z)
                 if i in streams:

@@ -8,12 +8,12 @@ replication mode draws hop distances directly (uniform in a range) instead
 of routing over geometry, isolating the route-energy arithmetic from
 routing choices.
 
-``route-sim`` draws each ensemble once per command (:func:`draw_trials`),
-raises every hop distance to the path-loss exponent once (:func:`hop_powers`)
-and prices its uncoded routes once (:func:`uncoded_totals`); both coded
-variants are priced from those same draws.  Every route of an ensemble is
-priced in one array pass: the powers sit in a ``(routes, widest route)``
-table padded with zeros, every hop shares one
+``route-sim`` draws each ensemble once per command (:func:`draw_trials`):
+the draw is the table of its routes' hop distances raised to the path-loss
+exponent, and each variant's :func:`compare_coded_uncoded` prices the
+uncoded and the coded routes from that one table.  Every route of an
+ensemble is priced in one array pass: the powers sit in a ``(routes, widest
+route)`` table padded with zeros, every hop shares one
 :class:`~gmsklink.energy.LinkConstants`, and each route's sums are taken
 column by column in hop order, so a route of the ensemble prices to the
 bytes :func:`route_energy` gives it alone.  The powers are Python ``**`` on
@@ -150,7 +150,6 @@ class RouteEnergy:
     e_transient: float
     e_codec: float
     e_total: float
-    per_hop_total: tuple
     # radiated + PA + codec only, for the reading of the route sum that
     # excludes circuit and transient energy from the per-hop powers
     e_total_radiated_only: float
@@ -170,43 +169,32 @@ def _route_constants(power: PowerProfile, timing: TimingProfile,
                           variant)
 
 
-class HopPowers(NamedTuple):
-    """Every drawn route's hop distances raised to ``k_exp``, a route a row.
+def _hop_table(routes, k_exp: float) -> tuple:
+    """``(table, n_hops)``: each route's hop distances raised to ``k_exp``.
 
-    ``table`` is ``(routes, hops of the widest route)`` and holds zeros past
-    each route's last hop, which price to exact zeros.
-    """
-
-    k_exp: float
-    table: np.ndarray
-    n_hops: np.ndarray
-
-
-def hop_powers(draws, k_exp: float) -> HopPowers:
-    """``d ** k_exp`` of every hop of the ``(trial, hop distances)`` pairs.
-
+    ``table`` is ``(routes, hops of the widest route)``, a route a row, and
+    holds zeros past each route's last hop, which price to exact zeros.
     Each power is Python's ``**`` on a float, so a hop's bytes do not depend
     on which SIMD ``np.power`` would dispatch to.
     """
-    draws = tuple(draws)
-    n_hops = [len(distances) for _, distances in draws]
+    n_hops = [len(distances) for distances in routes]
     if 0 in n_hops:
         raise ConfigError("route must have at least one hop")
-    flat = np.array([d for _, distances in draws for d in distances], dtype=float)
+    flat = np.array([d for distances in routes for d in distances], dtype=float)
     if not (flat > 0).all():  # NaN fails too
         raise ConfigError("distance_m must be positive")
-    table = np.zeros((len(draws), max(n_hops, default=0)))
+    table = np.zeros((len(routes), max(n_hops, default=0)))
     n_hops = np.array(n_hops, dtype=np.intp)
     # a boolean mask fills row by row, so each route's hops land in order
     table[np.arange(table.shape[1]) < n_hops[:, None]] = [
         d**k_exp for d in flat.tolist()]
-    return HopPowers(k_exp, table, n_hops)
+    return table, n_hops
 
 
-def _route_sums(powers: HopPowers, link: LinkConstants) -> tuple:
-    """Every route's per-hop radiated and PA energies, and its radiated, PA,
-    circuit and transient sums, each sum taken hop by hop from the source."""
-    rad, pa = link.hop_terms(powers.table)
+def _route_sums(table: np.ndarray, n_hops: np.ndarray, link: LinkConstants) -> tuple:
+    """Every route's radiated, PA, circuit and transient energy, each sum
+    taken hop by hop from the source."""
+    rad, pa = link.hop_terms(table)
     e_rad = np.zeros(len(rad))
     e_pa = np.zeros(len(rad))
     circ = [0.0]
@@ -218,24 +206,7 @@ def _route_sums(powers: HopPowers, link: LinkConstants) -> tuple:
         e_pa += pa[:, hop]
         circ.append(circ[-1] + link.e_circuit)
         trans.append(trans[-1] + link.e_transient)
-    return (rad, pa, e_rad, e_pa, np.array(circ)[powers.n_hops],
-            np.array(trans)[powers.n_hops])
-
-
-def _route_totals(powers: HopPowers, link: LinkConstants) -> tuple:
-    """``(e_total, e_total_radiated_only)`` arrays, a route an entry."""
-    _, _, e_rad, e_pa, e_circ, e_trans = _route_sums(powers, link)
-    # encoding is paid once at the source and decoding once at the sink
-    return (e_rad + e_pa + e_circ + e_trans + link.e_codec,
-            e_rad + e_pa + link.e_codec)
-
-
-def _checked_powers(draws, budget: LinkBudget, powers: HopPowers | None) -> HopPowers:
-    if powers is None:
-        return hop_powers(draws, budget.k_exp)
-    if powers.k_exp != budget.k_exp or len(powers.n_hops) != len(draws):
-        raise ConfigError("hop powers must be the drawn trials' at the budget's k_exp")
-    return powers
+    return e_rad, e_pa, np.array(circ)[n_hops], np.array(trans)[n_hops]
 
 
 def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
@@ -256,7 +227,7 @@ def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
         distances = tuple(route_or_distances)
     link = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
                             variant)
-    rad, pa, *sums = _route_sums(hop_powers(((0, distances),), budget.k_exp), link)
+    sums = _route_sums(*_hop_table((distances,), budget.k_exp), link)
     e_rad, e_pa, e_circ, e_trans = (float(s[0]) for s in sums)
     e_codec = link.e_codec
     return RouteEnergy(
@@ -266,7 +237,6 @@ def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
         e_transient=e_trans,
         e_codec=e_codec,
         e_total=e_rad + e_pa + e_circ + e_trans + e_codec,
-        per_hop_total=tuple((rad[0] + pa[0] + link.e_circuit + link.e_transient).tolist()),
         e_total_radiated_only=e_rad + e_pa + e_codec,
     )
 
@@ -333,39 +303,47 @@ def _trial_distances(ens: EnsembleSpec, trial: int) -> tuple:
     return build_route(dep, src, sink, ens.max_hop_m).per_hop_distance
 
 
-def draw_trials(ens: EnsembleSpec, trials: int) -> tuple:
-    """The kept ``(trial, hop distances)`` pairs of the ensemble's first trials.
+class Draws(NamedTuple):
+    """An ensemble's kept trials as :func:`draw_trials` returns them.
+
+    Row ``r`` of ``table`` is trial ``trials[r]``'s route: its ``n_hops[r]``
+    hop distances raised to ``k_exp``, then zeros up to the widest route
+    (see :func:`_hop_table`).
+    """
+
+    trials: tuple
+    k_exp: float
+    table: np.ndarray
+    n_hops: np.ndarray
+
+
+def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
+    """The routes of the ensemble's first ``trials`` trials, their hop
+    distances raised to ``k_exp``.
 
     Geometry-mode trials whose route construction fails are left out, so
-    each pair keeps its trial's own index.
+    each row keeps its trial's own index.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    draws = []
+    kept, routes = [], []
     for trial in range(trials):
         try:
-            draws.append((trial, _trial_distances(ens, trial)))
+            routes.append(_trial_distances(ens, trial))
         except RoutingError:
             continue
-    if not draws:
+        kept.append(trial)
+    if not kept:
         raise RoutingError("every trial failed to build a route")
-    return tuple(draws)
+    return Draws(tuple(kept), k_exp, *_hop_table(routes, k_exp))
 
 
-def uncoded_totals(draws, power: PowerProfile, timing: TimingProfile,
-                   budget: LinkBudget, pe: float, alpha: float,
-                   powers: HopPowers | None = None) -> tuple:
-    """``(e_total, e_total_radiated_only)`` of each drawn trial's uncoded route.
-
-    ``draws`` holds ``(trial, hop distances)`` pairs, as :func:`draw_trials`
-    returns them; ``powers`` may give their :func:`hop_powers` at
-    ``budget.k_exp``, so that they are computed once.
-    """
-    link = _route_constants(power, timing, budget, pe, alpha, None, None,
-                            CodedVariant.LITERAL)
-    e_total, e_radiated_only = _route_totals(_checked_powers(draws, budget, powers),
-                                             link)
-    return tuple(zip(e_total.tolist(), e_radiated_only.tolist()))
+def _route_totals(draws: Draws, link: LinkConstants) -> tuple:
+    """``(e_total, e_total_radiated_only)`` arrays, a route an entry."""
+    e_rad, e_pa, e_circ, e_trans = _route_sums(draws.table, draws.n_hops, link)
+    # encoding is paid once at the source and decoding once at the sink
+    return (e_rad + e_pa + e_circ + e_trans + link.e_codec,
+            e_rad + e_pa + link.e_codec)
 
 
 def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
@@ -373,17 +351,13 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
                           pe: float, alpha: float, spec: CodeSpec,
                           codec_power: CodecPowerProfile,
                           variant: CodedVariant = CodedVariant.LITERAL,
-                          radiated_only: bool = False,
-                          uncoded: tuple | None = None,
-                          powers: HopPowers | None = None) -> SavingsStats:
+                          radiated_only: bool = False) -> SavingsStats:
     """Coded-vs-uncoded route energy over an ensemble of trials.
 
     ``ens`` is an :class:`EnsembleSpec`, whose first ``trials`` trials are
-    drawn, or the pairs :func:`draw_trials` returned for ``trials`` trials,
-    so that several comparisons can share one draw.  ``uncoded`` may give
-    the pairs' :func:`uncoded_totals` for the same power, timing, budget,
-    ``pe`` and ``alpha``, and ``powers`` their :func:`hop_powers` at
-    ``budget.k_exp``, so that each is computed once.
+    drawn, or the :class:`Draws` that :func:`draw_trials` returned for
+    ``trials`` trials at ``budget.k_exp``, so that several comparisons can
+    share one draw.
 
     Savings per trial is ``1 - E_coded / E_uncoded`` over the same hop
     distances.  Geometry-mode trials whose route construction fails are
@@ -393,20 +367,19 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    draws = draw_trials(ens, trials) if isinstance(ens, EnsembleSpec) else tuple(ens)
-    if not draws:
-        raise RoutingError("every trial failed to build a route")
-    if len(draws) > trials:
-        raise ConfigError(f"{len(draws)} drawn trials but only {trials} attempted")
-    powers = _checked_powers(draws, budget, powers)
-    if uncoded is None:
-        uncoded = uncoded_totals(draws, power, timing, budget, pe, alpha, powers)
-    elif len(uncoded) != len(draws):
-        raise ConfigError("uncoded totals must match the drawn trials one to one")
-    link = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
-                            variant)
-    e_u = np.array(uncoded, dtype=float)[:, int(radiated_only)]
-    e_c = _route_totals(powers, link)[int(radiated_only)]
+    draws = (draw_trials(ens, trials, budget.k_exp)
+             if isinstance(ens, EnsembleSpec) else ens)
+    if draws.k_exp != budget.k_exp:
+        raise ConfigError(f"trials drawn at k_exp {draws.k_exp!r}, "
+                          f"priced at {budget.k_exp!r}")
+    if draws.trials[-1] >= trials:
+        raise ConfigError(f"trial {draws.trials[-1]} drawn but only {trials} attempted")
+    uncoded = _route_constants(power, timing, budget, pe, alpha, None, None,
+                               variant)
+    coded = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
+                             variant)
+    e_u = _route_totals(draws, uncoded)[int(radiated_only)]
+    e_c = _route_totals(draws, coded)[int(radiated_only)]
     sv = 1.0 - e_c / e_u
     return SavingsStats(
         mean=float(sv.mean()),
@@ -414,6 +387,5 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
         min=float(sv.min()),
         max=float(sv.max()),
         n_trials=len(sv),
-        samples=tuple(zip([trial for trial, _ in draws], e_u.tolist(),
-                          e_c.tolist(), sv.tolist())),
+        samples=tuple(zip(draws.trials, e_u.tolist(), e_c.tolist(), sv.tolist())),
     )

@@ -269,10 +269,11 @@ def test_c07_route_savings_replication_mode():
     """3 relays, hops U(50, 100) m, 1e3 trials: coded beats uncoded in mean."""
     # the sensitivity selection of criterion 6 picks the circuit-unscaled
     # variant; the hard assertion applies under that variant
-    from gmsklink.cli import selected_variant
+    from gmsklink.cli import _sensitivity
     from gmsklink.params import load_config
 
-    variant = selected_variant(load_config())
+    rows, selected = _sensitivity(load_config())
+    variant = rows[selected][0]
     assert variant is CodedVariant.CIRCUIT_UNSCALED
 
     ens = EnsembleSpec(mode="replication", n_relays=3, hop_range=(50.0, 100.0),

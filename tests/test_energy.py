@@ -6,12 +6,12 @@ import math
 import numpy as np
 import pytest
 
+from gmsklink import energy
 from gmsklink.channel import LinkBudget
 from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              amplifier_beta, circuit_powers,
                              crossover_distance, rx_energy_per_bit,
-                             total_energy_coded, total_energy_uncoded,
-                             tx_energy_uncoded)
+                             total_energy_coded, total_energy_uncoded)
 from gmsklink.errors import ConfigError
 from gmsklink.fec import CodecPowerProfile, golay_spec
 
@@ -27,6 +27,14 @@ PE = 1e-4
 def _path_gain(budget):
     """G_l * d**k * M_l, written out: the oracle for the energy model's path gain."""
     return budget.g_l * budget.distance_m**budget.k_exp * budget.m_l
+
+
+def tx_energy_uncoded(pe, alpha, n_f, sigma2, g_d, l_bits):
+    """Radiated energy for L bits, the rx energy per bit scaled by the path
+    gain ``g_d``: the oracle for the energy model's radiated term."""
+    if l_bits == 0:
+        return 0.0
+    return rx_energy_per_bit(pe, alpha, sigma2, n_f) * g_d * l_bits
 
 
 class TestAmplifierBeta:
@@ -113,6 +121,10 @@ class TestTxEnergyUncoded:
         direct = tx_energy_uncoded(PE, ALPHA, 10.0, 3.981e-21, g_d, 1000)
         via_rx = rx_energy_per_bit(PE, ALPHA, 3.981e-21, 10.0) * g_d * 1000
         assert direct == via_rx
+        # and the oracle is the model's radiated term, byte for byte
+        model = total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA)
+        assert model.e_tx_radiated == tx_energy_uncoded(
+            PE, ALPHA, LINK_100M.n_f, LINK_100M.sigma2, g_d, TIMING.l_bits)
 
 
 class TestTotalEnergyUncoded:
@@ -142,6 +154,17 @@ class TestTotalEnergyUncoded:
         radiated = tx_energy_uncoded(PE, ALPHA, LINK_100M.n_f, LINK_100M.sigma2,
                                      _path_gain(LINK_100M), timing.l_bits)
         assert b.e_total == pytest.approx((1 + 1 / 3) * radiated, rel=1e-12)
+
+    def test_prices_without_the_coded_binding(self, monkeypatch):
+        # the uncoded energy does not call total_energy_coded, so a wrapper
+        # of both public functions counts one call per priced link
+        want = total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA)
+
+        def nested(*args, **kwargs):
+            raise AssertionError("total_energy_uncoded called total_energy_coded")
+
+        monkeypatch.setattr(energy, "total_energy_coded", nested)
+        assert energy.total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA) == want
 
     def test_scaling_in_l(self):
         short = total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA)

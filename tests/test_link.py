@@ -141,6 +141,21 @@ class TestRunPoints:
         with pytest.raises(ConfigError, match="noise variance that is not finite"):
             run_points([none_spec(), codec], ebno_db, self.MODEM, self.STOP, self.SEED)
 
+    @pytest.mark.parametrize("grid, keyed", [((math.inf,), 1), ((math.inf, 5.0), 4)])
+    def test_infinite_ebno_draws_no_noise(self, monkeypatch, grid, keyed):
+        # two rounds: each point keys its data stream once, and only the
+        # finite point keys a noise stream, once a round
+        codecs = [none_spec(), golay_spec()]
+        stop = StopRule(10**9, 50_000)
+        want = [_reference_run_points(codecs, e, self.MODEM, stop, self.SEED)
+                for e in grid]
+        keys = []
+        draw = link.substream
+        monkeypatch.setattr(link, "substream",
+                            lambda *entropy: keys.append(entropy) or draw(*entropy))
+        assert run_grid(codecs, grid, self.MODEM, stop, self.SEED) == want
+        assert len(keys) == keyed
+
     def test_run_point_rejects_minus_infinity(self):
         with pytest.raises(ConfigError, match="not finite"):
             run_point(SweepSpec(ebno_points=(0.0,)), -math.inf)

@@ -9,13 +9,12 @@ import pytest
 from gmsklink.channel import LinkBudget, substream
 from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              amplifier_beta, circuit_powers,
-                             total_energy_uncoded, tx_energy_uncoded)
+                             rx_energy_per_bit, total_energy_uncoded)
 from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
-from gmsklink.netsim import (Deployment, EnsembleSpec, build_route,
+from gmsklink.netsim import (Deployment, EnsembleSpec, _hop_table, build_route,
                              compare_coded_uncoded, deploy_random,
-                             draw_trials, hop_powers, route_energy,
-                             uncoded_totals)
+                             draw_trials, route_energy)
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -178,11 +177,10 @@ def _reference_route_energy(distances, power, timing, budget, pe, alpha,
     t_int = t_on / spec.rate if coded and variant is CodedVariant.LITERAL else t_on
     p_tx_c, p_rx_c = circuit_powers(power)
     e_rad = e_pa = e_circ = e_trans = 0.0
-    per_hop = []
     for d in distances:
         link = dataclasses.replace(budget, distance_m=d)
-        rad = tx_energy_uncoded(pe, alpha, link.n_f, link.sigma2,
-                                _path_gain(link), timing.l_bits)
+        rad = (rx_energy_per_bit(pe, alpha, link.sigma2, link.n_f)
+               * _path_gain(link) * timing.l_bits)
         if coded:
             rad = rad / g_code
         pa = amplifier_beta(power) * rad
@@ -192,11 +190,9 @@ def _reference_route_energy(distances, power, timing, budget, pe, alpha,
         e_pa += pa
         e_circ += circ
         e_trans += trans
-        per_hop.append(rad + pa + circ + trans + 0.0)
     e_codec = (codec_power.p_enc + codec_power.p_dec) * t_int if coded else 0.0
     return (e_rad, e_pa, e_circ, e_trans, e_codec,
-            e_rad + e_pa + e_circ + e_trans + e_codec, tuple(per_hop),
-            e_rad + e_pa + e_codec)
+            e_rad + e_pa + e_circ + e_trans + e_codec, e_rad + e_pa + e_codec)
 
 
 class TestRouteEnergy:
@@ -234,7 +230,6 @@ class TestRouteEnergy:
         parts = (r.e_radiated + r.e_pa_overhead + r.e_circuit + r.e_transient
                  + r.e_codec)
         assert parts == r.e_total
-        assert sum(r.per_hop_total) + r.e_codec == pytest.approx(r.e_total, rel=1e-12)
 
     def test_detour_never_cheaper(self):
         base = route_energy([60.0, 60.0], POWER, TIMING, BUDGET, 1e-4, 0.68)
@@ -358,8 +353,8 @@ def _reference_samples(ens, trials, spec, variant, radiated_only):
         unc = _reference_route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68)
         cod = _reference_route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68,
                                       spec, CODEC_POWER, variant)
-        e_u = unc[7] if radiated_only else unc[5]
-        e_c = cod[7] if radiated_only else cod[5]
+        e_u = unc[6] if radiated_only else unc[5]
+        e_c = cod[6] if radiated_only else cod[5]
         samples.append((trial, e_u, e_c, 1.0 - e_c / e_u))
     return samples
 
@@ -374,8 +369,7 @@ class TestDrawOnce:
     @pytest.mark.parametrize("ens", ENSEMBLES)
     def test_samples_match_reference_exactly(self, ens):
         trials = 150
-        draws = draw_trials(ens, trials)
-        uncoded = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        draws = draw_trials(ens, trials, BUDGET.k_exp)
         for variant in CodedVariant:
             for radiated_only in (False, True):
                 expected = _reference_samples(ens, trials, GOLAY, variant,
@@ -383,7 +377,7 @@ class TestDrawOnce:
                 args = (trials, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
                         CODEC_POWER, variant, radiated_only)
                 from_spec = compare_coded_uncoded(ens, *args)
-                shared = compare_coded_uncoded(draws, *args, uncoded=uncoded)
+                shared = compare_coded_uncoded(draws, *args)
                 assert repr(from_spec.samples) == repr(tuple(expected))
                 assert shared == from_spec
                 savings = np.array([s[3] for s in expected])
@@ -393,12 +387,28 @@ class TestDrawOnce:
     def test_short_reach_skips_about_a_third(self):
         # so the reference comparison above covers skipped trials
         ens = EnsembleSpec(mode="geometry", seed=3, max_hop_m=35.0)
-        assert 30 < 150 - len(draw_trials(ens, 150)) < 70
+        assert 30 < 150 - len(draw_trials(ens, 150, BUDGET.k_exp).trials) < 70
+
+    @pytest.mark.parametrize("ens", [EnsembleSpec(seed=8, n_relays=2),
+                                     EnsembleSpec(mode="geometry", seed=3,
+                                                  max_hop_m=35.0)])
+    def test_a_draw_is_a_prefix_of_a_longer_draw(self, ens):
+        # trial t's route does not depend on how many trials are drawn
+        longer = draw_trials(ens, 120, BUDGET.k_exp)
+        for m in (17, 60, 119):
+            draws = draw_trials(ens, m, BUDGET.k_exp)
+            rows = sum(trial < m for trial in longer.trials)
+            width = draws.table.shape[1]
+            assert draws.trials == longer.trials[:rows]
+            assert draws.k_exp == longer.k_exp
+            assert np.array_equal(draws.n_hops, longer.n_hops[:rows])
+            assert np.array_equal(draws.table, longer.table[:rows, :width])
+            assert not longer.table[:rows, width:].any()
 
     def test_trial_count_checked(self):
         with pytest.raises(ConfigError, match="trials must be >= 1"):
-            draw_trials(EnsembleSpec(), 0)
-        draws = draw_trials(EnsembleSpec(), 5)
+            draw_trials(EnsembleSpec(), 0, BUDGET.k_exp)
+        draws = draw_trials(EnsembleSpec(), 5, BUDGET.k_exp)
         args = (POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             compare_coded_uncoded(draws, 0, *args)
@@ -408,17 +418,20 @@ class TestDrawOnce:
     def test_every_trial_failing_raises(self):
         ens = EnsembleSpec(mode="geometry", seed=2, max_hop_m=0.5)
         with pytest.raises(RoutingError, match="every trial failed"):
-            draw_trials(ens, 20)
+            draw_trials(ens, 20, BUDGET.k_exp)
         with pytest.raises(RoutingError, match="every trial failed"):
             compare_coded_uncoded(ens, 20, POWER, TIMING, BUDGET, 1e-4, 0.68,
                                   GOLAY, CODEC_POWER)
 
-    def test_uncoded_energies_must_match_draws(self):
-        draws = draw_trials(EnsembleSpec(), 5)
-        uncoded = uncoded_totals(draws[:4], POWER, TIMING, BUDGET, 1e-4, 0.68)
-        with pytest.raises(ConfigError, match="one to one"):
-            compare_coded_uncoded(draws, 5, POWER, TIMING, BUDGET, 1e-4, 0.68,
-                                  GOLAY, CODEC_POWER, uncoded=uncoded)
+    def test_draws_at_another_k_exp_rejected(self):
+        steeper = dataclasses.replace(BUDGET, k_exp=BUDGET.k_exp + 0.5)
+        draws = draw_trials(EnsembleSpec(), 5, steeper.k_exp)
+        args = (POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        with pytest.raises(ConfigError, match="k_exp"):
+            compare_coded_uncoded(draws, 5, *args)
+        args = (POWER, TIMING, steeper, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        assert compare_coded_uncoded(draws, 5, *args) == compare_coded_uncoded(
+            EnsembleSpec(), 5, *args)
 
 
 class TestArrayPricing:
@@ -432,47 +445,33 @@ class TestArrayPricing:
     @pytest.mark.parametrize("ens", RAGGED)
     def test_ragged_ensemble_matches_reference_exactly(self, ens):
         trials = 200
-        draws = draw_trials(ens, trials)
-        widths = {len(distances) for _, distances in draws}
+        draws = draw_trials(ens, trials, BUDGET.k_exp)
+        widths = set(draws.n_hops.tolist())
         assert widths == set(range(1, max(widths) + 1)) and max(widths) >= 4
-        powers = hop_powers(draws, BUDGET.k_exp)
-        uncoded = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68, powers)
         for variant in CodedVariant:
             for radiated_only in (False, True):
                 expected = _reference_samples(ens, trials, GOLAY, variant,
                                               radiated_only)
                 got = compare_coded_uncoded(draws, trials, POWER, TIMING, BUDGET,
                                             1e-4, 0.68, GOLAY, CODEC_POWER,
-                                            variant, radiated_only,
-                                            uncoded=uncoded, powers=powers)
+                                            variant, radiated_only)
                 assert repr(got.samples) == repr(tuple(expected))
 
     @pytest.mark.parametrize("ens", [EnsembleSpec(seed=5, n_relays=4),
                                      RAGGED[0]])
     def test_uncoded_totals_equal_route_energy(self, ens):
-        draws = draw_trials(ens, 100)
-        totals = uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
-        for (_, distances), (e_total, e_radiated_only) in zip(draws, totals):
-            route = route_energy(distances, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        args = (ens, 100, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        full = compare_coded_uncoded(*args)
+        rad = compare_coded_uncoded(*args, radiated_only=True)
+        for (trial, e_total, _, _), (_, e_radiated_only, _, _) in zip(full.samples,
+                                                                   rad.samples):
+            route = route_energy(_reference_trial_distances(ens, trial), POWER,
+                                 TIMING, BUDGET, 1e-4, 0.68)
             assert (e_total, e_radiated_only) == (route.e_total,
                                                    route.e_total_radiated_only)
 
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_bad_hop_distance_rejected(self, bad):
-        draws = ((0, (60.0, 70.0)), (1, (80.0, bad, 90.0)))
+        # a bad hop inside the second of two ragged routes
         with pytest.raises(ConfigError, match="distance_m must be positive"):
-            uncoded_totals(draws, POWER, TIMING, BUDGET, 1e-4, 0.68)
-        with pytest.raises(ConfigError, match="distance_m must be positive"):
-            compare_coded_uncoded(draws, 2, POWER, TIMING, BUDGET, 1e-4, 0.68,
-                                  GOLAY, CODEC_POWER)
-
-    def test_hop_powers_must_match_draws_and_budget(self):
-        draws = draw_trials(EnsembleSpec(), 5)
-        args = (POWER, TIMING, BUDGET, 1e-4, 0.68)
-        for powers in (hop_powers(draws[:4], BUDGET.k_exp),
-                       hop_powers(draws, BUDGET.k_exp + 0.5)):
-            with pytest.raises(ConfigError, match="hop powers must be"):
-                uncoded_totals(draws, *args, powers)
-            with pytest.raises(ConfigError, match="hop powers must be"):
-                compare_coded_uncoded(draws, 5, *args, GOLAY, CODEC_POWER,
-                                      powers=powers)
+            _hop_table(((60.0, 70.0), (80.0, bad, 90.0)), BUDGET.k_exp)
