@@ -8,8 +8,8 @@ Run:  python demos/03_ber_curves.py        (about two seconds)
 
 import numpy as np
 
-from gmsklink import (StopRule, SweepSpec, alpha_for_bt, crossover_ber,
-                      golay_spec, run_sweep, semi_analytic_coded_ber,
+from gmsklink import (ModemConfig, StopRule, alpha_for_bt, crossover_ber,
+                      golay_spec, none_spec, run_grid, semi_analytic_coded_ber,
                       theoretical_ber)
 
 alpha = alpha_for_bt(0.3)
@@ -20,9 +20,9 @@ print(f"GMSK BT=0.3, documented alpha = {alpha:.4f}")
 print(f"{'Eb/N0':>6} | {'model':>9} | {'uncoded MC':>10} | {'golay MC':>10} "
       f"| {'golay semi':>10}")
 
-uncoded = run_sweep(SweepSpec(ebno_points=grid, stop_rule=stop, seed=101))
-golay = run_sweep(SweepSpec(ebno_points=grid, codec=golay_spec(),
-                            stop_rule=stop, seed=101))
+# both curves in one sweep: at each Eb/N0 they see the same bits and noise
+rows = run_grid([none_spec(), golay_spec()], grid, ModemConfig(), stop, seed=101)
+uncoded, golay = (list(curve) for curve in zip(*rows))
 for pu, pg in zip(uncoded, golay):
     model = float(theoretical_ber(pu.ebno_db, alpha))
     semi = semi_analytic_coded_ber(golay_spec(), pg.ebno_db, alpha)

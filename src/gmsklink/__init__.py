@@ -17,9 +17,8 @@ from .fec import (BlockLayout, CodecPowerProfile, CodeSpec,
                   apply_code, block_layout, conv_encode, conv_spec,
                   golay_decode, golay_encode, golay_spec, none_spec,
                   rs_decode, rs_encode, rs_spec, strip_code, viterbi_decode)
-from .link import (BerPoint, StopRule, SweepSpec, crossover_ber, run_grid,
-                   run_point, run_points, run_sweep, semi_analytic_coded_ber,
-                   wilson_interval)
+from .link import (BerPoint, StopRule, crossover_ber, run_grid, run_point,
+                   semi_analytic_coded_ber, wilson_interval)
 from .modem import (BasebandSignal, ModemConfig, alpha_for_bt, demodulate,
                     gaussian_frequency_pulse, modulate, qfunc, theoretical_ber)
 from .netsim import (Deployment, EnsembleSpec, Route, SavingsStats,

@@ -25,7 +25,7 @@ from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
                      crossover_distance)
 from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
-                  viterbi_decode_blocks)
+                  viterbi_decode_segments)
 from .link import StopRule, ber_csv_text, run_grid
 from .netsim import compare_coded_uncoded, draw_trials
 from .params import load_config, parse_codecs
@@ -290,7 +290,7 @@ def cmd_codec_test(inject_fault: bool) -> int:
     # Viterbi roundtrip of random blocks
     bits = np.random.default_rng(2024).integers(0, 2, (2000, 97)).astype(np.uint8)
     coded = np.stack([conv_encode(b) for b in bits])
-    decoded = viterbi_decode_blocks(coded)
+    decoded = viterbi_decode_segments(coded, coded.shape[1])
     report.append(("viterbi-roundtrip", np.array_equal(decoded, bits)))
 
     for name, passed in report:

@@ -15,10 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ConfigError, FramingError
+from ..errors import ConfigError, FramingError, as_bits
 from . import convolutional, golay, reed_solomon
-from .convolutional import (conv_encode, viterbi_decode, viterbi_decode_blocks,
-                            viterbi_decode_segments)
+from .convolutional import conv_encode, viterbi_decode, viterbi_decode_segments
 from .golay import golay_decode, golay_encode
 from .reed_solomon import rs_decode, rs_encode
 
@@ -120,15 +119,14 @@ def _padded_layout(info_len: int, spec: CodeSpec) -> BlockLayout:
 class Codec:
     """One codec: ``spec(g_code_db)`` builds its :class:`CodeSpec`.
 
-    ``decode(coded, spec, info_len)`` undoes ``encode(bits, spec)`` and
-    returns ``(bits, corrected, failed)``: the decoded bits, the channel
-    errors corrected (in the code's symbols) and the blocks flagged
-    uncorrectable.  ``layout`` frames a stream; a fixed code's specs all
-    have its ``shape``, that is ``(n, k, t, d_min, symbol_bits)``.
-    ``decode_rows(coded, spec)``, where given, decodes a ``(P, L)`` array
-    of ``P`` equal-length streams in one call, for a decoder whose cost per
-    stream falls as the batch widens; the BER engine holds such a codec's
-    streams and decodes a round of them at once.
+    ``decode(coded, spec, info_len)`` undoes ``encode(bits, spec)`` for one
+    coded stream, or for a ``(P, L)`` array of ``P`` streams of equal
+    length in one call, and returns ``(bits, corrected, failed)``: the
+    decoded ``info_len`` bits of each stream, in the input's leading shape,
+    and the channel errors corrected (in the code's symbols) and the blocks
+    flagged uncorrectable, summed over the streams.  ``layout`` frames a
+    stream; a fixed code's specs all have its ``shape``, that is
+    ``(n, k, t, d_min, symbol_bits)``.
     """
 
     name: str
@@ -137,7 +135,6 @@ class Codec:
     decode: Callable[[np.ndarray, CodeSpec, int], tuple[np.ndarray, int, int]]
     layout: Callable[[int, CodeSpec], BlockLayout] = _padded_layout
     shape: tuple | None = None
-    decode_rows: Callable[[np.ndarray, CodeSpec], np.ndarray] | None = None
 
 
 def _fixed_spec(codec: Codec, g_code_db: float) -> CodeSpec:
@@ -172,6 +169,11 @@ def _padded(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
     return np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
 
 
+def _streams(bits: np.ndarray, coded: np.ndarray, info_len: int) -> np.ndarray:
+    """Decoded ``bits`` of every block, split back into ``coded``'s streams."""
+    return bits.reshape(*coded.shape[:-1], -1)[..., :info_len]
+
+
 def _golay_encode(bits, spec):
     msgs = golay.pack_message_bits(_padded(bits, spec).reshape(-1, spec.k))
     return golay.unpack_codeword_bits(golay.encode_words(msgs)).reshape(-1)
@@ -180,7 +182,7 @@ def _golay_encode(bits, spec):
 def _golay_decode(coded, spec, info_len):
     words = golay.pack_codeword_bits(coded.reshape(-1, spec.n))
     msgs, corrected, failed = golay.decode_words(words)
-    bits = golay.unpack_message_bits(msgs).reshape(-1)[:info_len]
+    bits = _streams(golay.unpack_message_bits(msgs), coded, info_len)
     return bits, int(corrected.sum()), int(failed.sum())
 
 
@@ -192,7 +194,7 @@ def _rs_encode(bits, spec):
 def _rs_decode(coded, spec, info_len):
     received = reed_solomon.bits_to_symbols(coded).reshape(-1, spec.n)
     words, corrected, failed = reed_solomon.decode_words(received)
-    bits = reed_solomon.symbols_to_bits(words[:, : spec.k])[:info_len]
+    bits = _streams(reed_solomon.symbols_to_bits(words[:, : spec.k]), coded, info_len)
     return bits, int(corrected.sum()), int(failed.sum())
 
 
@@ -222,8 +224,7 @@ _RS = Codec("reed_solomon", rs_spec, _rs_encode, _rs_decode,
             shape=(reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS,
                    reed_solomon.T_CORRECT, reed_solomon.D_MIN, reed_solomon.SYMBOL_BITS))
 _CONV = Codec("convolutional", lambda g_code_db: conv_spec(g_code_db=g_code_db),
-              _conv_encode, _conv_decode, layout=_conv_layout,
-              decode_rows=lambda coded, spec: viterbi_decode_segments(coded, spec.n))
+              _conv_encode, _conv_decode, layout=_conv_layout)
 
 CODECS = {codec.name: codec for codec in (_NONE, _GOLAY, _RS, _CONV)}
 
@@ -235,26 +236,20 @@ def block_layout(info_len: int, spec: CodeSpec) -> BlockLayout:
     return CODECS[spec.name].layout(info_len, spec)
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits, dtype=np.uint8)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("expected a nonempty 1-d bit array")
-    return arr
-
-
 def apply_code(bits, spec: CodeSpec) -> np.ndarray:
     """Segment an information stream into blocks and encode each one."""
-    return CODECS[spec.name].encode(_as_bits(bits), spec)
+    return CODECS[spec.name].encode(as_bits(bits), spec)
 
 
 def strip_code(coded, spec: CodeSpec, info_len: int) -> np.ndarray:
     """Decode a stream produced by :func:`apply_code` back to ``info_len`` bits.
 
+    This is the one-stream call; a codec's ``decode`` also takes a batch.
     Uncorrectable Golay and Reed-Solomon blocks fall back to their raw
     systematic bits, so residual errors stay measurable instead of erasing
     whole blocks.
     """
-    coded = _as_bits(coded)
+    coded = as_bits(coded)
     layout = block_layout(info_len, spec)
     if coded.size != layout.coded_bits:
         raise FramingError(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import FramingError
+from ..errors import FramingError, as_bits
 
 CONSTRAINT_LENGTH = 7
 D_FREE = 10
@@ -53,10 +53,7 @@ _BM0, _BM1 = _branch_tables()
 
 def conv_encode(bits) -> np.ndarray:
     """Encode a bit stream; output length is 2 * (len(bits) + 6)."""
-    b = np.asarray(bits, dtype=np.uint8)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("input must be a nonempty 1-d bit sequence")
-    x = np.concatenate([b, np.zeros(CONSTRAINT_LENGTH - 1, dtype=np.uint8)])
+    x = np.concatenate([as_bits(bits), np.zeros(CONSTRAINT_LENGTH - 1, dtype=np.uint8)])
     v1 = np.convolve(x, G1_TAPS)[: x.size] & 1
     v2 = np.convolve(x, G2_TAPS)[: x.size] & 1
     out = np.empty(2 * x.size, dtype=np.uint8)
@@ -70,22 +67,7 @@ def viterbi_decode(coded) -> np.ndarray:
     c = np.asarray(coded, dtype=np.uint8)
     if c.ndim != 1:
         raise FramingError("coded stream must be one-dimensional")
-    if c.size % 2 != 0:
-        raise FramingError(f"coded stream length {c.size} is not a multiple of 2")
-    steps = c.size // 2
-    if steps < CONSTRAINT_LENGTH:
-        raise FramingError(
-            f"coded stream too short ({c.size} bits) for a tail-terminated block"
-        )
-    return viterbi_decode_blocks(c[None, :])[0]
-
-
-def viterbi_decode_blocks(coded: np.ndarray) -> np.ndarray:
-    """Viterbi-decode a (B, 2T) array of equal-length terminated blocks."""
-    c = np.asarray(coded, dtype=np.uint8)
-    if c.ndim != 2 or c.shape[1] % 2 != 0:
-        raise FramingError("expected a (B, 2T) coded array")
-    return _decode(c)
+    return viterbi_decode_segments(c, c.size)
 
 
 def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
@@ -97,9 +79,15 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     dimensions.  Each stream's short last segment rides in the batch with
     the full ones: it is padded with zeros at the front, and its trellis
     restarts in the zero state at its own first step, so it decodes as it
-    would alone.
+    would alone.  Raises :class:`FramingError` unless every segment, the
+    short one too, is a whole number of steps and holds at least one
+    information bit besides its tail.
     """
     c = np.asarray(coded, dtype=np.uint8)
+    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+        raise FramingError("expected a nonempty coded stream or a (P, L) batch of them")
+    _check_segment(n)
+    _check_segment(c.shape[-1] % n or n)
     streams = c.reshape(-1, c.shape[-1])
     count, length = streams.shape
     full = length - length % n
@@ -114,6 +102,12 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     out = np.concatenate([bits[:, :-1].reshape(count, -1), bits[:, -1, pad // 2:]],
                          axis=1)
     return out.reshape(*c.shape[:-1], -1)
+
+
+def _check_segment(width: int):
+    if width % 2 or width < 2 * CONSTRAINT_LENGTH:
+        raise FramingError(f"a terminated segment of {width} coded bits is odd "
+                           f"or shorter than {2 * CONSTRAINT_LENGTH}")
 
 
 def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:

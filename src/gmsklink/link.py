@@ -25,28 +25,31 @@ No full-length waveform is made: :func:`~gmsklink.modem.transceive`
 modulates, adds noise and filters one decision block at a time, with the
 row, noise and filter helpers of ``modulate``, ``awgn`` and ``demodulate``.
 
-A codec with a batch decoder (the convolutional code) keeps only its hard
-decisions and data bits until the end of the round, when every point's
-stream of that round is decoded in one Viterbi call: the decoder's cost
-per call is mostly per trellis step, so a wide batch amortises it.  Points
-run in groups that keep that call within ``_DECODE_ROWS`` segments.  Since
-every point keeps its own keys, the results are those of running each
-point alone.
+Every codec keeps only its hard decisions and data bits until the end of
+the round, when its streams of that round, one per point, are decoded in
+one call: the Viterbi decoder's cost per call is mostly per trellis step,
+so a wide batch amortises it, and the block decoders take all their blocks
+as one array.  Points run in groups whose round holds at most
+``_GROUP_BITS`` information bits.  Since every point keeps its own keys,
+the results are those of running each point alone.
+
+:func:`run_grid` is the one sweep entry; :func:`run_point` is its case of
+one codec at one Eb/N0.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-# modulate, awgn and demodulate stay bound here for the benchmark's tracer
+# modulate, awgn, demodulate and strip_code stay bound here for the
+# benchmark's tracer
 from .channel import ChannelConfig, add_noise, awgn, noise_scale, substream  # noqa: F401
 from .errors import ConfigError
-from .fec import (CODECS, CodeSpec, apply_code, block_layout, none_spec,
-                  strip_code)
+from .fec import CODECS, CodeSpec, apply_code, block_layout, strip_code  # noqa: F401
 from .modem import (ModemConfig, demodulate, modulate,  # noqa: F401
                     signal_length, theoretical_ber, transceive)
 
@@ -56,10 +59,11 @@ _WILSON_Z = 1.959963984540054  # two-sided 95%
 _DATA_TAG = 0x6D6B
 _NOISE_TAG = 0x6E7A
 
-# Most segments one batched decode call takes, unless one point's chunk
-# alone has more.  The Viterbi decoder's time per segment stops falling at
-# about this width, and its traceback state for 512-bit segments is 4 MB.
-_DECODE_ROWS = 512
+# Most information bits a group's round holds, unless one point's round
+# alone has more: 512 segments of 512 bits for the convolutional code,
+# whose Viterbi time per segment stops falling at about that batch width,
+# with a traceback state of 4 MB.
+_GROUP_BITS = 512 * 512
 
 
 @dataclass(frozen=True)
@@ -74,23 +78,6 @@ class StopRule:
             raise ConfigError("min_bit_errors must be >= 1")
         if not self.max_bits >= 1:
             raise ConfigError("max_bits must be >= 1")
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One BER-vs-Eb/N0 sweep: codec, modem, grid, stop rule and seed."""
-
-    ebno_points: tuple
-    codec: CodeSpec = field(default_factory=none_spec)
-    modem: ModemConfig = field(default_factory=ModemConfig)
-    stop_rule: StopRule = field(default_factory=StopRule)
-    seed: int = 0
-
-    def __post_init__(self):
-        if len(self.ebno_points) == 0:
-            raise ConfigError("ebno_points must be nonempty")
-        if any(math.isnan(e) for e in self.ebno_points):
-            raise ConfigError(f"ebno_points contains NaN: {self.ebno_points}")
 
 
 @dataclass(frozen=True)
@@ -190,28 +177,34 @@ def run_grid(codecs, ebno_points, modem: ModemConfig, stop_rule: StopRule,
     """Measure each codec's BER at each Eb/N0; one list of points per Eb/N0,
     in the order given, each equal to ``run_point`` per codec.
 
-    The points run in groups, chunk round by chunk round, and a codec with
-    a batch decoder (``decode_rows``) has each round's streams of a group
-    decoded in one call; groups are as large as keep that call within
-    ``_DECODE_ROWS`` segments (see the module docstring).
+    The points run in groups, chunk round by chunk round, and each codec's
+    streams of a group's round are decoded in one call; a group's round
+    holds at most ``_GROUP_BITS`` information bits, unless one point's
+    alone has more (see the module docstring).
     """
     codecs = list(codecs)
     for ebno_db in ebno_points:
         check_ebno(codecs, ebno_db, modem)
-    held = [i for i, spec in enumerate(codecs) if CODECS[spec.name].decode_rows]
     # rounds past the fourth are never longer than it
     longest = max(itertools.islice(_rounds(stop_rule.max_bits), 4))
-    rows = max((block_layout(longest, codecs[i]).n_blocks for i in held), default=1)
-    group = max(1, _DECODE_ROWS // rows)
+    group = max(1, _GROUP_BITS // longest)
     out = []
     for g0 in range(0, len(ebno_points), group):
         points = [_Point(e, len(codecs), seed) for e in ebno_points[g0:g0 + group]]
-        _run_rounds(points, codecs, held, modem, stop_rule, seed)
+        _run_rounds(points, codecs, modem, stop_rule, seed)
         out.extend(_ber_points(p, stop_rule) for p in points)
     return out
 
 
-def _run_rounds(points, codecs, held, modem, stop_rule, seed):
+def run_point(codec: CodeSpec, ebno_db: float, modem: ModemConfig,
+              stop_rule: StopRule, seed: int) -> BerPoint:
+    """Measure one codec's BER at one Eb/N0: :func:`run_grid` of one codec
+    and one point.  The package calls ``run_grid``; this stays because the
+    benchmark's tracer wraps ``gmsklink.link.run_point``."""
+    return run_grid([codec], [ebno_db], modem, stop_rule, seed)[0][0]
+
+
+def _run_rounds(points, codecs, modem, stop_rule, seed):
     simulated = 0
     for chunk_index, n_bits in enumerate(_rounds(stop_rule.max_bits)):
         running = [[i for i, e in enumerate(point.errors)
@@ -219,7 +212,7 @@ def _run_rounds(points, codecs, held, modem, stop_rule, seed):
         if not any(running):
             break
         simulated += n_bits
-        streams = {i: [] for i in held}  # (point, bits, hard decisions)
+        held = [[] for _ in codecs]  # each codec's (point, bits, hard decisions)
         coded_bits = [block_layout(n_bits, spec).coded_bits for spec in codecs]
         reads = [2 * signal_length(c, modem) for c in coded_bits]
         # the normals each point's codecs read: none at an infinite Eb/N0
@@ -237,25 +230,17 @@ def _run_rounds(points, codecs, held, modem, stop_rule, seed):
                     out=z[:n_normals])
             for i in ids:
                 hard = _channel(bits, codecs[i], modem, point.ebno_db, z)
-                if i in streams:
-                    streams[i].append((point, bits, hard))
-                else:
-                    decoded = strip_code(hard, codecs[i], n_bits)
-                    point.errors[i] += int(np.count_nonzero(decoded != bits))
+                held[i].append((point, bits, hard))
                 point.bits_simulated[i] = simulated
-        del z  # free the noise before the batch decodes
-        for i, round_streams in streams.items():
-            if round_streams:
-                owners, data, hard = zip(*round_streams)
-                wrong = _held_errors(np.stack(hard), np.stack(data), codecs[i])
-                for point, w in zip(owners, wrong):
+        del z  # free the noise before the decodes
+        for i, streams in enumerate(held):
+            if streams:
+                owners, data, hard = zip(*streams)
+                codec = codecs[i]
+                decoded, _, _ = CODECS[codec.name].decode(np.stack(hard), codec, n_bits)
+                wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
+                for point, w in zip(owners, wrong.tolist()):
                     point.errors[i] += w
-
-
-def _held_errors(hard, data, codec: CodeSpec) -> list[int]:
-    """Bit errors of each row of ``hard`` decoded as one batch."""
-    decoded = CODECS[codec.name].decode_rows(hard, codec)
-    return np.count_nonzero(decoded != data, axis=1).tolist()
 
 
 def _ber_points(point: _Point, stop_rule: StopRule) -> list[BerPoint]:
@@ -267,23 +252,6 @@ def _ber_points(point: _Point, stop_rule: StopRule) -> list[BerPoint]:
                                ci_high=ci_high,
                                low_confidence=e < stop_rule.min_bit_errors))
     return points
-
-
-def run_points(codecs, ebno_db: float, modem: ModemConfig, stop_rule: StopRule,
-               seed: int) -> list[BerPoint]:
-    """Measure each codec's BER at one Eb/N0: :func:`run_grid` of one point."""
-    return run_grid(codecs, [ebno_db], modem, stop_rule, seed)[0]
-
-
-def run_point(spec: SweepSpec, ebno_db: float) -> BerPoint:
-    """Measure the BER at one Eb/N0 value; deterministic given (seed, ebno_db)."""
-    return run_points([spec.codec], ebno_db, spec.modem, spec.stop_rule, spec.seed)[0]
-
-
-def run_sweep(spec: SweepSpec) -> list[BerPoint]:
-    """Run every grid point; output sorted by Eb/N0."""
-    return [p[0] for p in run_grid([spec.codec], sorted(spec.ebno_points),
-                                   spec.modem, spec.stop_rule, spec.seed)]
 
 
 def crossover_ber(coded_curve: list[BerPoint],

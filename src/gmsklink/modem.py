@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, FramingError
+from .errors import ConfigError, FramingError, as_bits
 
 MODULATION_INDEX = 0.5
 
@@ -141,18 +141,6 @@ def gaussian_frequency_pulse(config: ModemConfig) -> np.ndarray:
     return taps * (0.5 / total)
 
 
-def _as_bits(bits) -> np.ndarray:
-    arr = np.asarray(bits)
-    if arr.ndim != 1:
-        raise ValueError("bit sequence must be one-dimensional")
-    if arr.size == 0:
-        raise ValueError("cannot modulate an empty bit sequence")
-    arr = arr.astype(np.uint8)
-    if np.any(arr > 1):
-        raise ValueError("bit sequence may only contain 0s and 1s")
-    return arr
-
-
 def _precode(bits: np.ndarray) -> np.ndarray:
     # a[k] = d[k] XOR d[k-1], with d[-1] = 0
     out = bits.copy()
@@ -258,7 +246,7 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
     ``2 * span`` rows at each end, whose window reaches past the bit
     sequence, are evaluated directly.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     out = np.empty((bits.size + 2 * config.pulse_span_symbols,
                     config.samples_per_symbol), dtype=complex)
     _waveform_rows(bits, config)(0, out.shape[0], out)
@@ -371,7 +359,7 @@ def transceive(bits, config: ModemConfig, impair=None) -> np.ndarray:
     decision block's frames are modulated, impaired and filtered in one
     small buffer, and no full-length waveform is made.
     """
-    bits = _as_bits(bits)
+    bits = as_bits(bits)
     rows = _waveform_rows(bits, config)
     sps = config.samples_per_symbol
 

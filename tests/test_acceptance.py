@@ -22,11 +22,12 @@ from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
                              total_energy_uncoded)
 from gmsklink.fec import (CodecPowerProfile, conv_encode, conv_spec,
                           golay_spec, none_spec, reed_solomon, rs_spec)
-from gmsklink.fec.convolutional import viterbi_decode_blocks
+from gmsklink.fec.convolutional import viterbi_decode_segments
 from gmsklink.fec.golay import decode_words, encode_words
-from gmsklink.link import (StopRule, SweepSpec, crossover_ber, run_sweep,
+from gmsklink.link import (StopRule, crossover_ber, run_grid,
                            semi_analytic_coded_ber)
-from gmsklink.modem import BasebandSignal, alpha_for_bt, theoretical_ber
+from gmsklink.modem import (BasebandSignal, ModemConfig, alpha_for_bt,
+                            theoretical_ber)
 from gmsklink.netsim import EnsembleSpec, compare_coded_uncoded
 
 POWER = PowerProfile()
@@ -149,7 +150,7 @@ def test_c03_viterbi_roundtrips_and_double_errors():
     rng = np.random.default_rng(77)
     data = rng.integers(0, 2, (10_000, 100)).astype(np.uint8)
     coded = np.array([conv_encode(row) for row in data])
-    decoded = viterbi_decode_blocks(coded)
+    decoded = viterbi_decode_segments(coded, coded.shape[1])
     assert np.array_equal(decoded, data)
 
     blocks = rng.integers(0, 2, (2_000, 94)).astype(np.uint8)
@@ -157,18 +158,17 @@ def test_c03_viterbi_roundtrips_and_double_errors():
     assert coded.shape[1] == 200
     for row in coded:
         row[rng.choice(200, 2, replace=False)] ^= 1
-    decoded = viterbi_decode_blocks(coded)
+    decoded = viterbi_decode_segments(coded, coded.shape[1])
     assert np.array_equal(decoded, blocks)
     _report(3, "10000 roundtrips + 2000 double-error blocks, 100% exact")
 
 
 def test_c04_modem_tracks_q_function_model():
     """BT=0.3 measured BER within 4x of Q(sqrt(2 alpha Eb/N0)) at 4..10 dB."""
-    spec = SweepSpec(ebno_points=(4.0, 6.0, 8.0, 10.0),
-                     stop_rule=StopRule(min_bit_errors=200, max_bits=40_000_000),
-                     seed=42)
+    stop = StopRule(min_bit_errors=200, max_bits=40_000_000)
     ratios = []
-    for point in run_sweep(spec):
+    for [point] in run_grid([none_spec()], (4.0, 6.0, 8.0, 10.0), ModemConfig(),
+                            stop, 42):
         assert point.bit_errors >= 200
         predicted = float(theoretical_ber(point.ebno_db, ALPHA_MODEM))
         ratio = point.measured_ber / predicted
@@ -181,11 +181,9 @@ def test_c05_coded_crossovers_and_gain_ordering():
     """Coded-vs-uncoded BER crossings in [1e-4, 1e-1]; gains conv >= golay >= rs."""
     grid = tuple(np.arange(0.0, 9.1, 1.5))
     stop = StopRule(min_bit_errors=200, max_bits=2_000_000)
-    curves = {}
-    for name, codec in (("none", none_spec()), ("golay", golay_spec()),
-                        ("convolutional", conv_spec())):
-        curves[name] = run_sweep(SweepSpec(ebno_points=grid, codec=codec,
-                                           stop_rule=stop, seed=7))
+    rows = run_grid([none_spec(), golay_spec(), conv_spec()], grid, ModemConfig(),
+                    stop, 7)
+    curves = dict(zip(("none", "golay", "convolutional"), map(list, zip(*rows))))
     crossings = {}
     for name in ("golay", "convolutional"):
         level = crossover_ber(curves[name], curves["none"])
@@ -348,9 +346,9 @@ def test_c09_cli_determinism(tmp_path):
     # sweep points use independent substreams, so evaluation order (serial,
     # parallel or shuffled) cannot change results
     stop = StopRule(50, 50_000)
-    fwd = run_sweep(SweepSpec(ebno_points=(2.0, 5.0), stop_rule=stop, seed=6))
-    rev = run_sweep(SweepSpec(ebno_points=(5.0, 2.0), stop_rule=stop, seed=6))
-    assert fwd == rev
+    fwd = run_grid([none_spec()], (2.0, 5.0), ModemConfig(), stop, 6)
+    rev = run_grid([none_spec()], (5.0, 2.0), ModemConfig(), stop, 6)
+    assert fwd == rev[::-1]
     _report(9, "3 commands x 2 runs hash-identical; stdout stable; order-free")
 
 

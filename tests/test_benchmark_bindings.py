@@ -3,7 +3,8 @@
 ``benchmark/tracing.py`` replaces named functions at the module bindings
 their callers use.  A refactor that renames or unbinds one of them breaks
 the traced benchmark run; these tests make it break the test suite too,
-and so does an ensemble that stops calling the functions traced in it.
+and so does an ensemble or a sweep that stops calling the functions traced
+in it.
 """
 
 import importlib.util
@@ -40,3 +41,24 @@ def test_route_sim_calls_its_traced_functions(tmp_path):
     # --quick attempts 100 trials per ensemble; geometry draws each once
     assert calls["netsim.deploy"] == calls["netsim.build_route"] == 100
     assert tracer.counts[0]["netsim.trials_attempted"] == 100 * compares
+
+
+def test_traced_ber_sweep_writes_the_same_bytes(tmp_path):
+    # the sweep encodes through the traced apply_code binding, and its
+    # batch decodes never reach the traced strip_code, which takes one stream
+    from gmsklink import cli
+
+    tracing = _load_tracing()
+    outputs = {}
+    for traced in (False, True):
+        out = tmp_path / str(traced)
+        out.mkdir()
+        argv = ["ber-sweep", "--quick", "--seed", "7", "--out", str(out)]
+        if traced:
+            with tracing.Tracer() as tracer:
+                assert cli.main(argv) == 0
+        else:
+            assert cli.main(argv) == 0
+        outputs[traced] = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert outputs[True] == outputs[False]
+    assert tracer.counts[0]["link.chunks"] > 0

@@ -1,9 +1,9 @@
 """Every demo runs to completion.
 
-Demo 03 is the one user of ``run_sweep``; demo 04 of ``total_energy_coded``
-and ``crossover_distance``; demo 05 of the public ``route_energy`` and
-``compare_coded_uncoded`` API.  Demo 03 takes about two seconds, the others
-under one.
+Demo 03 runs both of its BER curves in one ``run_grid`` call; demo 04 uses
+``total_energy_coded`` and ``crossover_distance``, and demo 05 the public
+``route_energy`` and ``compare_coded_uncoded`` API.  Demo 03 takes about
+two seconds, the others under one.
 """
 
 import os

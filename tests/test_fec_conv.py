@@ -6,7 +6,7 @@ import pytest
 from gmsklink.errors import FramingError
 from gmsklink.fec import conv_encode, viterbi_decode
 from gmsklink.fec.convolutional import (D_FREE, G1_TAPS, G2_TAPS,
-                                        viterbi_decode_blocks)
+                                        viterbi_decode_segments)
 
 
 def test_all_zero_input_gives_all_zero_output():
@@ -78,7 +78,28 @@ def test_batch_decoder_matches_single():
     coded = np.array([conv_encode(row) for row in data])
     noisy = coded.copy()
     noisy[:, 7] ^= 1
-    batch = viterbi_decode_blocks(noisy)
+    batch = viterbi_decode_segments(noisy, noisy.shape[1])
     for i in range(20):
         np.testing.assert_array_equal(batch[i], viterbi_decode(noisy[i]))
         np.testing.assert_array_equal(batch[i], data[i])
+
+
+@pytest.mark.parametrize("shape, n", [
+    pytest.param((3, 4), 4, id="blocks-of-4"),
+    pytest.param((3, 12), 12, id="blocks-of-12"),
+    pytest.param(26, 3, id="n-3"),
+    pytest.param(26, 13, id="n-13"),
+    pytest.param(40, 16, id="short-last-8"),
+    pytest.param(31, 16, id="odd-last-15"),
+    pytest.param(0, 16, id="empty"),
+    pytest.param((2, 0), 16, id="empty-rows"),
+    pytest.param((2, 2, 16), 16, id="three-dims"),
+])
+def test_segments_must_be_whole_steps_and_hold_a_tail(shape, n):
+    with pytest.raises(FramingError):
+        viterbi_decode_segments(np.zeros(shape, np.uint8), n)
+
+
+def test_single_block_decode_takes_one_stream():
+    with pytest.raises(FramingError):
+        viterbi_decode(np.zeros((2, 14), np.uint8))

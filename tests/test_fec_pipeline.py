@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmsklink.errors import ConfigError, FramingError
-from gmsklink.fec import (CodecPowerProfile, CodeSpec, apply_code,
+from gmsklink.fec import (CODECS, CodecPowerProfile, CodeSpec, apply_code,
                           block_layout, conv_spec, golay_spec, none_spec,
                           rs_spec, strip_code)
 
@@ -93,6 +93,35 @@ class TestRoundtrip:
         coded = apply_code(bits, golay_spec())
         with pytest.raises(FramingError):
             strip_code(coded[:-1], golay_spec(), 24)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: s.name)
+    @pytest.mark.parametrize("value, dtype", [
+        (2, np.uint8), (3, np.uint8), (255, np.uint8), (-1, np.int64),
+        (256, np.int64), (0.5, float),
+    ])
+    def test_values_other_than_0_and_1_rejected(self, spec, value, dtype):
+        bits = np.zeros(40, dtype)
+        bits[7] = value
+        with pytest.raises(ValueError, match="0s and 1s"):
+            apply_code(bits, spec)
+        coded = apply_code(np.zeros(40, np.uint8), spec).astype(dtype)
+        coded[3] = value
+        with pytest.raises(ValueError, match="0s and 1s"):
+            strip_code(coded, spec, 40)
+
+    @pytest.mark.parametrize("spec", ALL_SPECS + [conv_spec(16)], ids=lambda s: s.name)
+    def test_batch_decode_equals_each_stream(self, spec):
+        # five noisy streams of one length decoded in one call, against
+        # strip_code of each; the counts are summed over the streams
+        rng = np.random.default_rng(12)
+        info = rng.integers(0, 2, (5, 301)).astype(np.uint8)
+        coded = np.stack([apply_code(row, spec) for row in info])
+        coded ^= (rng.random(coded.shape) < 0.03).astype(np.uint8)
+        decode = CODECS[spec.name].decode
+        bits, corrected, failed = decode(coded, spec, 301)
+        alone = [decode(row, spec, 301) for row in coded]
+        np.testing.assert_array_equal(bits, [strip_code(row, spec, 301) for row in coded])
+        assert (corrected, failed) == (sum(a[1] for a in alone), sum(a[2] for a in alone))
 
 
 class TestErrorCorrectionThroughPipeline:

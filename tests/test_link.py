@@ -10,14 +10,20 @@ from gmsklink import link
 from gmsklink.channel import ChannelConfig, awgn, substream
 from gmsklink.errors import ConfigError
 from gmsklink.fec import (CODECS, apply_code, block_layout, conv_spec, convolutional,
-                          golay_spec, none_spec, rs_spec, strip_code)
-from gmsklink.link import (BerPoint, StopRule, SweepSpec, ber_csv_text,
-                           crossover_ber, run_grid, run_point, run_points,
-                           run_sweep, semi_analytic_coded_ber, wilson_interval)
+                          golay, golay_spec, none_spec, rs_spec, strip_code)
+from gmsklink.link import (BerPoint, StopRule, ber_csv_text, crossover_ber,
+                           run_grid, run_point, semi_analytic_coded_ber,
+                           wilson_interval)
 from gmsklink.modem import (ModemConfig, alpha_for_bt, demodulate, modulate,
                             theoretical_ber)
 
 ALPHA = alpha_for_bt(0.3)
+MODEM = ModemConfig()
+
+
+def _curve(codec, grid, stop_rule, seed):
+    """One codec's points over ``grid``, in the order given."""
+    return [row[0] for row in run_grid([codec], grid, MODEM, stop_rule, seed)]
 
 
 class TestWilsonInterval:
@@ -51,48 +57,44 @@ class TestStopRule:
 
 class TestRunPoint:
     def test_deterministic_given_seed_and_ebno(self):
-        spec = SweepSpec(ebno_points=(4.0,), stop_rule=StopRule(50, 100_000),
-                         seed=21)
-        assert run_point(spec, 4.0) == run_point(spec, 4.0)
+        args = (none_spec(), 4.0, MODEM, StopRule(50, 100_000), 21)
+        assert run_point(*args) == run_point(*args)
 
     def test_negative_zero_ebno_keys_the_same_streams(self):
-        spec = SweepSpec(ebno_points=(0.0,), stop_rule=StopRule(10**9, 25_000),
-                         seed=3)
-        assert run_point(spec, -0.0).bit_errors == run_point(spec, 0.0).bit_errors
+        stop = StopRule(10**9, 25_000)
+        assert (run_point(none_spec(), -0.0, MODEM, stop, 3).bit_errors
+                == run_point(none_spec(), 0.0, MODEM, stop, 3).bit_errors)
 
     def test_nan_ebno_rejected(self):
         with pytest.raises(ConfigError):
-            SweepSpec(ebno_points=(0.0, math.nan))
+            run_grid([none_spec()], (0.0, math.nan), MODEM, StopRule(), 0)
 
     def test_noise_free_limit_flags_low_confidence(self):
-        spec = SweepSpec(ebno_points=(30.0,), stop_rule=StopRule(200, 100_000),
-                         seed=1)
-        point = run_point(spec, 30.0)
+        point = run_point(none_spec(), 30.0, MODEM, StopRule(200, 100_000), 1)
         assert point.bit_errors == 0
         assert point.low_confidence
         assert point.bits_simulated == 100_000
 
     def test_uncoded_tracks_q_function_at_8db(self):
-        spec = SweepSpec(ebno_points=(8.0,), stop_rule=StopRule(100, 2_000_000),
-                         seed=3)
-        point = run_point(spec, 8.0)
+        point = run_point(none_spec(), 8.0, MODEM, StopRule(100, 2_000_000), 3)
         predicted = float(theoretical_ber(8.0, ALPHA))
         assert point.bit_errors >= 100
         assert 0.25 * predicted <= point.measured_ber <= 4 * predicted
 
     def test_golay_worse_than_uncoded_at_0db(self):
-        stop = StopRule(200, 200_000)
-        unc = run_point(SweepSpec(ebno_points=(0.0,), stop_rule=stop, seed=5), 0.0)
-        gol = run_point(SweepSpec(ebno_points=(0.0,), codec=golay_spec(),
-                                  stop_rule=stop, seed=5), 0.0)
+        [[unc, gol]] = run_grid([none_spec(), golay_spec()], [0.0], MODEM,
+                                StopRule(200, 200_000), 5)
         assert gol.measured_ber > unc.measured_ber
 
     def test_one_point_sweep_is_run_point(self):
-        spec = SweepSpec(ebno_points=(2.0,), stop_rule=StopRule(50, 50_000), seed=9)
-        assert run_sweep(spec) == [run_point(spec, 2.0)]
+        stop = StopRule(50, 50_000)
+        assert (_curve(none_spec(), (0.0, 2.0), stop, 9)[1]
+                == run_point(none_spec(), 2.0, MODEM, stop, 9))
 
 
 class TestRunPoints:
+    """Several codecs at one Eb/N0."""
+
     # at 7 dB under this rule the codecs stop after 1, 2 and 3 chunks
     EBNO = 7.0
     STOP = StopRule(100, 150_000)
@@ -103,9 +105,7 @@ class TestRunPoints:
     def alone(self):
         codecs = {name: codec.spec(4.0) for name, codec in CODECS.items()}
         return codecs, {
-            name: run_point(SweepSpec(ebno_points=(self.EBNO,), codec=codec,
-                                      modem=self.MODEM, stop_rule=self.STOP,
-                                      seed=self.SEED), self.EBNO)
+            name: run_point(codec, self.EBNO, self.MODEM, self.STOP, self.SEED)
             for name, codec in codecs.items()}
 
     def test_codecs_stop_at_different_chunks(self, alone):
@@ -121,17 +121,17 @@ class TestRunPoints:
     ])
     def test_equals_run_point_per_spec(self, alone, order):
         codecs, points = alone
-        got = run_points([codecs[name] for name in order], self.EBNO,
-                         self.MODEM, self.STOP, self.SEED)
-        assert got == [points[name] for name in order]
+        got = run_grid([codecs[name] for name in order], [self.EBNO],
+                       self.MODEM, self.STOP, self.SEED)
+        assert got == [[points[name] for name in order]]
 
     def test_no_specs(self):
-        assert run_points([], 1.0, self.MODEM, self.STOP, self.SEED) == []
+        assert run_grid([], [1.0], self.MODEM, self.STOP, self.SEED) == [[]]
 
     def test_nan_ebno_rejected_before_drawing(self, monkeypatch):
         monkeypatch.setattr(link, "substream", lambda *entropy: pytest.fail("drew"))
         with pytest.raises(ConfigError, match="NaN"):
-            run_points([none_spec()], math.nan, self.MODEM, self.STOP, self.SEED)
+            run_grid([none_spec()], [math.nan], self.MODEM, self.STOP, self.SEED)
 
     @pytest.mark.parametrize("ebno_db, codec", [
         (-math.inf, none_spec()), (-4000.0, none_spec()), (-3200.0, rs_spec()),
@@ -139,7 +139,7 @@ class TestRunPoints:
     def test_infinite_noise_rejected_before_drawing(self, monkeypatch, ebno_db, codec):
         monkeypatch.setattr(link, "substream", lambda *entropy: pytest.fail("drew"))
         with pytest.raises(ConfigError, match="noise variance that is not finite"):
-            run_points([none_spec(), codec], ebno_db, self.MODEM, self.STOP, self.SEED)
+            run_grid([none_spec(), codec], [ebno_db], self.MODEM, self.STOP, self.SEED)
 
     @pytest.mark.parametrize("grid, keyed", [((math.inf,), 1), ((math.inf, 5.0), 4)])
     def test_infinite_ebno_draws_no_noise(self, monkeypatch, grid, keyed):
@@ -147,7 +147,7 @@ class TestRunPoints:
         # finite point keys a noise stream, once a round
         codecs = [none_spec(), golay_spec()]
         stop = StopRule(10**9, 50_000)
-        want = [_reference_run_points(codecs, e, self.MODEM, stop, self.SEED)
+        want = [_reference_point(codecs, e, self.MODEM, stop, self.SEED)
                 for e in grid]
         keys = []
         draw = link.substream
@@ -158,10 +158,10 @@ class TestRunPoints:
 
     def test_run_point_rejects_minus_infinity(self):
         with pytest.raises(ConfigError, match="not finite"):
-            run_point(SweepSpec(ebno_points=(0.0,)), -math.inf)
+            run_point(none_spec(), -math.inf, self.MODEM, self.STOP, self.SEED)
 
 
-def _reference_run_points(codecs, ebno_db, modem, stop_rule, seed):
+def _reference_point(codecs, ebno_db, modem, stop_rule, seed):
     """The slow per-stage engine: every chunk of one Eb/N0 point runs and is
     decoded before the next point starts, each codec through the whole
     waveform chain ``demodulate(awgn(modulate(coded)))``."""
@@ -209,7 +209,7 @@ class TestRunGrid:
     def reference(self):
         codecs = {name: codec.spec(4.0) for name, codec in CODECS.items()}
         specs = list(codecs.values())
-        return codecs, [dict(zip(codecs, _reference_run_points(
+        return codecs, [dict(zip(codecs, _reference_point(
             specs, e, self.MODEM, self.STOP, self.SEED))) for e in self.GRID]
 
     def test_points_stop_at_different_rounds(self, reference):
@@ -221,22 +221,23 @@ class TestRunGrid:
     @pytest.mark.parametrize("order, cap", [
         (("convolutional", "none", "golay", "reed_solomon"), None),
         (("none", "golay", "reed_solomon", "convolutional"), None),
-        (("none", "golay", "reed_solomon", "convolutional"), 300),  # 2-point groups
+        # the longest round is 75 000 bits, so this bound makes 2-point groups
+        (("none", "golay", "reed_solomon", "convolutional"), 150_000),
         (("convolutional",), None),
         (("golay", "none", "reed_solomon"), None),
     ])
     def test_equals_per_point_engine(self, reference, monkeypatch, order, cap):
         codecs, points = reference
         if cap is not None:
-            monkeypatch.setattr(link, "_DECODE_ROWS", cap)
+            monkeypatch.setattr(link, "_GROUP_BITS", cap)
         got = run_grid([codecs[name] for name in order], self.GRID, self.MODEM,
                        self.STOP, self.SEED)
         assert got == [[row[name] for name in order] for row in points]
 
     def test_decode_calls_stay_within_the_row_cap(self, monkeypatch):
-        # rounds of 25 000 and 50 000 bits: 13 and 25 segments of 2048 bits
-        # per point, so a cap of 50 takes two points a group and a cap of 20
-        # one, whose 25-segment round exceeds it
+        # rounds of 25 000 and 50 000 bits, 13 and 25 segments of 2048 bits
+        # per point: a group's round may hold 150 000 bits for three points,
+        # 100 000 for two, and a lone point's 50 000-bit round exceeds 40 000
         spec = conv_spec(2048)
         stop = StopRule(10**9, 75_000)
         grid = (0.0, 1.0, 2.0)
@@ -246,21 +247,33 @@ class TestRunGrid:
         decode = convolutional._decode
         monkeypatch.setattr(convolutional, "_decode",
                             lambda c, *a: calls.append(c.shape[0]) or decode(c, *a))
-        for cap, expected in ((1000, [39, 75]), (50, [26, 50, 13, 25]),
-                              (20, [13, 25] * 3)):
+        for cap, expected in ((150_000, [39, 75]), (149_999, [26, 50, 13, 25]),
+                              (40_000, [13, 25] * 3)):
             calls.clear()
-            monkeypatch.setattr(link, "_DECODE_ROWS", cap)
+            monkeypatch.setattr(link, "_GROUP_BITS", cap)
             assert run_grid([spec], grid, modem, stop, self.SEED) == want
             assert calls == expected
-            # only a lone point's chunk may exceed the cap
-            assert all(rows <= cap or rows == 25 for rows in calls)
+
+    def test_block_codes_decode_a_round_in_one_call(self, monkeypatch):
+        # three points of two rounds, 25 000 and 50 000 bits: one Golay
+        # decode per round, of every point's 12-bit blocks
+        stop = StopRule(10**9, 75_000)
+        grid = (0.0, 1.0, 2.0)
+        want = [[_reference_point([golay_spec()], e, self.MODEM, stop, self.SEED)[0]]
+                for e in grid]
+        calls = []
+        decode = golay.decode_words
+        monkeypatch.setattr(golay, "decode_words",
+                            lambda w: calls.append(w.size) or decode(w))
+        assert run_grid([golay_spec()], grid, self.MODEM, stop, self.SEED) == want
+        assert calls == [3 * math.ceil(25_000 / 12), 3 * math.ceil(50_000 / 12)]
 
 
 @pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 2.0, 3.0)])
 def test_one_round_peak_memory(grid):
     # one round of 25 000 bits: the round's noise buffer (6.1 MiB for the
     # longest, convolutional, signal) is its only large allocation, and it
-    # is gone before the batch Viterbi decode of every point's stream
+    # is gone before each codec decodes every point's stream in one batch
     args = ([none_spec(), golay_spec(), rs_spec(), conv_spec()], grid,
             ModemConfig(), StopRule(1, 25_000))
     run_grid(*args, seed=3)  # build the codecs' lazy tables untraced
@@ -274,24 +287,17 @@ def test_one_round_peak_memory(grid):
 
 
 class TestRunSweep:
-    def test_sorted_and_reproducible(self):
-        spec = SweepSpec(ebno_points=(6.0, 2.0, 4.0),
-                         stop_rule=StopRule(50, 50_000), seed=11)
-        points = run_sweep(spec)
-        assert [p.ebno_db for p in points] == [2.0, 4.0, 6.0]
-        assert points == run_sweep(spec)
+    """One codec over a grid of Eb/N0 points."""
 
     def test_order_independence_of_points(self):
         # each point derives its own substream, so grid order cannot matter
         stop = StopRule(50, 50_000)
-        fwd = SweepSpec(ebno_points=(2.0, 5.0), stop_rule=stop, seed=13)
-        rev = SweepSpec(ebno_points=(5.0, 2.0), stop_rule=stop, seed=13)
-        assert run_sweep(fwd) == run_sweep(rev)
+        fwd = _curve(none_spec(), (2.0, 5.0), stop, 13)
+        rev = _curve(none_spec(), (5.0, 2.0), stop, 13)
+        assert fwd == rev[::-1]
 
     def test_monotone_up_to_ci_overlap(self):
-        spec = SweepSpec(ebno_points=(0.0, 2.0, 4.0, 6.0),
-                         stop_rule=StopRule(200, 500_000), seed=17)
-        points = run_sweep(spec)
+        points = _curve(none_spec(), (0.0, 2.0, 4.0, 6.0), StopRule(200, 500_000), 17)
         for a, b in zip(points, points[1:]):
             assert b.measured_ber <= a.measured_ber or b.ci_low <= a.ci_high
 
@@ -359,10 +365,9 @@ class TestSemiAnalytic:
 
 class TestCsvOutput:
     def test_schema_and_reproducibility(self):
-        spec = SweepSpec(ebno_points=(2.0, 4.0), stop_rule=StopRule(50, 50_000),
-                         seed=31)
-        text = ber_csv_text([("none", p) for p in run_sweep(spec)])
+        args = (none_spec(), (2.0, 4.0), StopRule(50, 50_000), 31)
+        text = ber_csv_text([("none", p) for p in _curve(*args)])
         assert text.splitlines()[0] == (
             "ebno_db,codec,ber,errors,bits,ci_low,ci_high,low_confidence_flag")
-        assert text == ber_csv_text([("none", p) for p in run_sweep(spec)])
+        assert text == ber_csv_text([("none", p) for p in _curve(*args)])
         assert len(text.splitlines()) == 3

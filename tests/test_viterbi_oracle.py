@@ -1,6 +1,6 @@
 """The butterfly Viterbi decoder against the straightforward one it replaced.
 
-``reference_viterbi_decode_blocks`` is the earlier decoder: per step it
+``reference_viterbi_decode_batch`` is the earlier decoder: per step it
 gathers both predecessor metrics of every state and selects with
 ``np.where``, in int32 with a 2**20 start penalty.  The production decoder
 must return the same bits on every input, ties included.
@@ -12,7 +12,6 @@ import pytest
 from gmsklink.fec import CODECS, apply_code, conv_spec, strip_code
 from gmsklink.fec.convolutional import (CONSTRAINT_LENGTH, G1_TAPS, G2_TAPS,
                                         conv_encode, viterbi_decode,
-                                        viterbi_decode_blocks,
                                         viterbi_decode_segments)
 
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
@@ -48,7 +47,7 @@ def _transition_tables():
 _PRED0, _PRED1, _O1P0, _O1P1, _O2P0, _O2P1 = _transition_tables()
 
 
-def reference_viterbi_decode_blocks(coded: np.ndarray) -> np.ndarray:
+def reference_viterbi_decode_batch(coded: np.ndarray) -> np.ndarray:
     """Viterbi-decode a (B, 2T) array of equal-length terminated blocks."""
     c = np.asarray(coded, dtype=np.uint8)
     nb, width = c.shape
@@ -91,16 +90,17 @@ def test_random_blocks_match_reference(p):
     rng = np.random.default_rng(int(p * 1000) + 7)
     for info_bits in (1, 30, 512):
         received = _noisy_blocks(rng, 40, info_bits, p)
-        np.testing.assert_array_equal(viterbi_decode_blocks(received),
-                                      reference_viterbi_decode_blocks(received))
+        np.testing.assert_array_equal(
+            viterbi_decode_segments(received, received.shape[1]),
+            reference_viterbi_decode_batch(received))
 
 
 def test_every_received_word_of_a_seven_step_block():
     # 7 steps, 14 coded bits: every one of the 2**14 words, ties and all
     words = np.arange(1 << 14)
     received = ((words[:, None] >> np.arange(13, -1, -1)) & 1).astype(np.uint8)
-    np.testing.assert_array_equal(viterbi_decode_blocks(received),
-                                  reference_viterbi_decode_blocks(received))
+    np.testing.assert_array_equal(viterbi_decode_segments(received, 14),
+                                  reference_viterbi_decode_batch(received))
 
 
 def test_block_past_the_int16_metric_range():
@@ -108,7 +108,7 @@ def test_block_past_the_int16_metric_range():
     rng = np.random.default_rng(11)
     received = _noisy_blocks(rng, 1, 9000 - (CONSTRAINT_LENGTH - 1), 0.3)
     got = viterbi_decode(received[0])
-    np.testing.assert_array_equal(got, reference_viterbi_decode_blocks(received)[0])
+    np.testing.assert_array_equal(got, reference_viterbi_decode_batch(received)[0])
 
 
 @pytest.mark.parametrize("short", [*range(1, 65), *range(500, 513)])
@@ -120,8 +120,8 @@ def test_short_last_segment_in_the_batch(short):
     coded = apply_code(info, spec)
     received = coded ^ (rng.random(coded.size) < 0.06).astype(np.uint8)
     full = received[: 3 * spec.n].reshape(3, spec.n)
-    want = np.concatenate([reference_viterbi_decode_blocks(full).reshape(-1),
-                           reference_viterbi_decode_blocks(received[None, 3 * spec.n:])[0]])
+    want = np.concatenate([reference_viterbi_decode_batch(full).reshape(-1),
+                           reference_viterbi_decode_batch(received[None, 3 * spec.n:])[0]])
     np.testing.assert_array_equal(viterbi_decode_segments(received, spec.n), want)
     np.testing.assert_array_equal(strip_code(received, spec, info.size), want)
     assert CODECS["convolutional"].decode(received, spec, info.size)[0].size == info.size
@@ -132,7 +132,7 @@ def test_short_segment_alone():
     received = _noisy_blocks(rng, 1, 40, 0.1)[0]
     np.testing.assert_array_equal(
         viterbi_decode_segments(received, 2 * (512 + CONSTRAINT_LENGTH - 1)),
-        reference_viterbi_decode_blocks(received[None])[0])
+        reference_viterbi_decode_batch(received[None])[0])
 
 
 # at a channel error rate of 0.3 a path that leaves the zero state inside
