@@ -16,7 +16,7 @@ import itertools
 
 import numpy as np
 
-from ..errors import DecodeFailure
+from ..errors import DecodeFailure, as_bits
 
 N_BITS = 24
 K_BITS = 12
@@ -119,8 +119,9 @@ def unpack_codeword_bits(values: np.ndarray) -> np.ndarray:
 
 
 def golay_encode(message_bits) -> np.ndarray:
-    """Encode exactly 12 bits into a systematic 24-bit codeword."""
-    bits = np.asarray(message_bits, dtype=np.uint8)
+    """Encode exactly 12 bits into a systematic 24-bit codeword; ValueError
+    unless every bit is 0 or 1."""
+    bits = as_bits(message_bits)
     if bits.shape != (12,):
         raise ValueError(f"Golay message must be 12 bits, got shape {bits.shape}")
     word = encode_words(pack_message_bits(bits[None, :]))
@@ -130,9 +131,10 @@ def golay_encode(message_bits) -> np.ndarray:
 def golay_decode(received_bits):
     """Decode a 24-bit word; returns ``(message_bits, corrected_errors)``.
 
-    Raises :class:`DecodeFailure` on uncorrectable (weight >= 4) patterns.
+    Raises :class:`DecodeFailure` on uncorrectable (weight >= 4) patterns,
+    and ValueError unless every bit is 0 or 1.
     """
-    bits = np.asarray(received_bits, dtype=np.uint8)
+    bits = as_bits(received_bits)
     if bits.shape != (24,):
         raise ValueError(f"Golay word must be 24 bits, got shape {bits.shape}")
     msgs, corrected, failed = decode_words(pack_codeword_bits(bits[None, :]))

@@ -86,7 +86,10 @@ def _decoding_tables():
 
 
 def _as_symbols(symbols, width: int) -> np.ndarray:
-    s = np.asarray(symbols, dtype=np.int64)
+    s = np.asarray(symbols)
+    if s.dtype.kind not in "biu":  # a cast would truncate 3.5 to symbol 3
+        raise ValueError(f"symbols must be integers, got dtype {s.dtype}")
+    s = s.astype(np.int64, copy=False)
     if s.ndim != 2 or s.shape[1] != width:
         raise ValueError(f"expected a (B, {width}) symbol array, got shape {s.shape}")
     if s.size and (s.min() < 0 or s.max() > 15):

@@ -11,9 +11,19 @@ routing choices.
 ``route-sim`` draws each ensemble once per command (:func:`draw_trials`):
 the draw is the table of its routes' hop distances raised to the path-loss
 exponent, and each variant's :func:`compare_coded_uncoded` prices the
-uncoded and the coded routes from that one table.  Every route of an
-ensemble is priced in one array pass: the powers sit in a ``(routes, widest
-route)`` table padded with zeros, every hop shares one
+uncoded and the coded routes from that one table.
+
+Every trial has its own stream: replication trial ``t`` is keyed ``(seed,
+tag, t)``, and geometry trial ``t`` is the deployment :func:`deploy_random`
+makes with seed ``seed + t``, so nearby seeds share geometry trials
+(``--seed 2`` repeats 399 of ``--seed 1``'s first 400).  An ensemble's
+streams are computed together in one array pass
+(:func:`~gmsklink.channel.substream_random`), to the bytes of the per-trial
+draws, and each geometry trial is routed on its coordinate lists by the
+greedy function :func:`build_route` calls.
+
+Every route of an ensemble is priced in one array pass: the powers sit in a
+``(routes, widest route)`` table padded with zeros, every hop shares one
 :class:`~gmsklink.energy.LinkConstants`, and each route's sums are taken
 column by column in hop order, so a route of the ensemble prices to the
 bytes :func:`route_energy` gives it alone.  The powers are Python ``**`` on
@@ -28,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LinkBudget, substream
+from .channel import LinkBudget, substream, substream_random
 # total_energy_coded and total_energy_uncoded are not called here; they stay
 # bound in this module because the benchmark's tracer wraps them by name
 from .energy import (CodedVariant, LinkConstants, PowerProfile, TimingProfile,
@@ -39,6 +49,8 @@ from .fec import CodecPowerProfile, CodeSpec, none_spec
 
 _DEPLOY_TAG = 0x6465
 _TRIAL_TAG = 0x7472
+# trials whose streams are computed in one array pass, which bounds its memory
+_DRAW_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -96,6 +108,36 @@ def deploy_random(n_nodes: int, width: float, height: float, seed: int) -> Deplo
     return Deployment(nodes=nodes, field_width=width, field_height=height)
 
 
+def _greedy(xs, ys, here: int, sink: int, max_hop_m: float) -> tuple:
+    """``(path, distances)``: the node indices and hop lengths of greedy
+    geographic forwarding from node ``here`` toward node ``sink``, node ``i``
+    standing at ``(xs[i], ys[i])``.
+
+    Each hop moves to the in-range node closest to the sink among those
+    strictly closer to it than the current node.  The path ends at
+    ``sink``, or short of it at the first node with no such neighbour.
+    """
+    sx, sy = xs[sink], ys[sink]
+    to_sink = [math.hypot(x - sx, y - sy) for x, y in zip(xs, ys)]
+    path, dists = [here], []
+    while here != sink:
+        hx, hy = xs[here], ys[here]
+        best = -1
+        # the current node never passes the first test: its distance to the
+        # sink is where best_to_sink starts
+        best_to_sink = to_sink[here]
+        for i, d_sink in enumerate(to_sink):
+            if d_sink < best_to_sink and not math.hypot(hx - xs[i], hy - ys[i]) > max_hop_m:
+                best = i
+                best_to_sink = d_sink
+        if best < 0:
+            break
+        dists.append(math.hypot(hx - xs[best], hy - ys[best]))
+        here = best
+        path.append(here)
+    return path, dists
+
+
 def build_route(deployment: Deployment, source_id, sink_id,
                 max_hop_m: float = 100.0) -> Route:
     """Greedy geographic forwarding from source to sink.
@@ -110,34 +152,15 @@ def build_route(deployment: Deployment, source_id, sink_id,
     ids, xs, ys = zip(*deployment.nodes)
     if source_id not in ids or sink_id not in ids:
         raise ConfigError("source and sink must be deployed nodes")
-    here = ids.index(source_id)
     sink = ids.index(sink_id)
-    sx, sy = xs[sink], ys[sink]
-    to_sink = [math.hypot(x - sx, y - sy) for x, y in zip(xs, ys)]
-
-    hops = [source_id]
-    dists = []
-    current = source_id
-    while here != sink:
-        hx, hy = xs[here], ys[here]
-        best = -1
-        # the current node never passes the first test: its distance to the
-        # sink is where best_to_sink starts
-        best_to_sink = to_sink[here]
-        for i, d_sink in enumerate(to_sink):
-            if d_sink < best_to_sink and not math.hypot(hx - xs[i], hy - ys[i]) > max_hop_m:
-                best = i
-                best_to_sink = d_sink
-        if best < 0:
-            raise RoutingError(
-                f"no neighbour of node {current!r} within {max_hop_m} m "
-                f"is closer to the sink"
-            )
-        dists.append(math.hypot(hx - xs[best], hy - ys[best]))
-        here = best
-        current = ids[best]
-        hops.append(current)
-    return Route(hops=tuple(hops), per_hop_distance=tuple(dists))
+    path, dists = _greedy(xs, ys, ids.index(source_id), sink, max_hop_m)
+    hops = (source_id, *(ids[i] for i in path[1:]))
+    if path[-1] != sink:
+        raise RoutingError(
+            f"no neighbour of node {hops[-1]!r} within {max_hop_m} m "
+            f"is closer to the sink"
+        )
+    return Route(hops=hops, per_hop_distance=tuple(dists))
 
 
 @dataclass(frozen=True)
@@ -276,31 +299,16 @@ class EnsembleSpec:
             raise ConfigError(f"unknown ensemble mode {self.mode!r}")
         if self.n_relays < 0:
             raise ConfigError("n_relays must be >= 0")
-        if not 0 < self.hop_range[0] <= self.hop_range[1]:
-            raise ConfigError("hop_range must be increasing and positive")
+        # hop lengths and node positions are drawn scaled by these extents,
+        # so an infinite one would reach the routes
+        if not 0 < self.hop_range[0] <= self.hop_range[1] < math.inf:
+            raise ConfigError("hop_range must be increasing, positive and finite")
         if self.n_nodes < 2:
             raise ConfigError(f"n_nodes must be >= 2, got {self.n_nodes}")
-        if not (self.field_width > 0 and self.field_height > 0):
-            raise ConfigError("field must have positive area")
+        if not (0 < self.field_width < math.inf and 0 < self.field_height < math.inf):
+            raise ConfigError("field must have positive area and finite sides")
         if not self.max_hop_m > 0:
             raise ConfigError(f"max_hop_m must be positive, got {self.max_hop_m}")
-
-
-def _trial_distances(ens: EnsembleSpec, trial: int) -> tuple:
-    if ens.mode == "replication":
-        rng = substream(ens.seed, _TRIAL_TAG, trial)
-        lo, hi = ens.hop_range
-        return tuple(rng.uniform(lo, hi, ens.n_relays + 1).tolist())
-    dep = deploy_random(ens.n_nodes, ens.field_width, ens.field_height,
-                        seed=ens.seed + trial)
-    (src, sx, sy), *others = dep.nodes
-    # the sink is the first node farthest from the source
-    sink, farthest = None, -1.0
-    for nid, x, y in others:
-        d = math.hypot(x - sx, y - sy)
-        if d > farthest:
-            sink, farthest = nid, d
-    return build_route(dep, src, sink, ens.max_hop_m).per_hop_distance
 
 
 class Draws(NamedTuple):
@@ -317,22 +325,48 @@ class Draws(NamedTuple):
     n_hops: np.ndarray
 
 
+def _trial_route(xs, ys, max_hop_m: float):
+    """A geometry trial's hop distances: the greedy route from node 0 to
+    the first node farthest from it, or None when the route gets stuck."""
+    sx, sy = xs[0], ys[0]
+    sink = max(range(1, len(xs)), key=lambda i: math.hypot(xs[i] - sx, ys[i] - sy))
+    path, dists = _greedy(xs, ys, 0, sink, max_hop_m)
+    return dists if path[-1] == sink else None
+
+
 def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
     """The routes of the ensemble's first ``trials`` trials, their hop
     distances raised to ``k_exp``.
 
-    Geometry-mode trials whose route construction fails are left out, so
-    each row keeps its trial's own index.
+    Trial ``t`` reads the stream :func:`~gmsklink.channel.substream` keys as
+    ``(seed, tag, t)`` in replication mode, and the deployment
+    :func:`deploy_random` makes with seed ``seed + t`` in geometry mode.  The
+    streams of up to ``_DRAW_ROWS`` trials are computed in one array pass
+    (:func:`~gmsklink.channel.substream_random`).  Geometry-mode trials
+    whose route construction fails are left out, so each row keeps its
+    trial's own index.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
     kept, routes = [], []
-    for trial in range(trials):
-        try:
-            routes.append(_trial_distances(ens, trial))
-        except RoutingError:
+    for start in range(0, trials, _DRAW_ROWS):
+        rows = range(start, min(start + _DRAW_ROWS, trials))
+        if ens.mode == "replication":
+            lo, hi = ens.hop_range
+            u = substream_random([(ens.seed, _TRIAL_TAG, t) for t in rows],
+                                 ens.n_relays + 1)
+            kept.extend(rows)
+            # the bytes of Generator.uniform(lo, hi): lo + (hi - lo) * u
+            routes.extend((lo + (hi - lo) * u).tolist())
             continue
-        kept.append(trial)
+        n = ens.n_nodes
+        u = substream_random([(ens.seed + t, _DEPLOY_TAG) for t in rows], 2 * n)
+        for t, xs, ys in zip(rows, (ens.field_width * u[:, :n]).tolist(),
+                             (ens.field_height * u[:, n:]).tolist()):
+            distances = _trial_route(xs, ys, ens.max_hop_m)
+            if distances is not None:
+                kept.append(t)
+                routes.append(distances)
     if not kept:
         raise RoutingError("every trial failed to build a route")
     return Draws(tuple(kept), k_exp, *_hop_table(routes, k_exp))

@@ -38,8 +38,11 @@ def test_route_sim_calls_its_traced_functions(tmp_path):
     _, _, calls = tracer.totals(0)
     compares = calls["netsim.compare_coded_uncoded"]
     assert compares >= 2
-    # --quick attempts 100 trials per ensemble; geometry draws each once
-    assert calls["netsim.deploy"] == calls["netsim.build_route"] == 100
+    # each ensemble's trials are drawn in one array pass and routed on
+    # coordinate lists, so neither deploy_random nor build_route runs: their
+    # traced time reads 0 and the draw counts as the CLI's own time
+    assert calls.get("netsim.deploy", 0) == calls.get("netsim.build_route", 0) == 0
+    # --quick attempts 100 trials per ensemble
     assert tracer.counts[0]["netsim.trials_attempted"] == 100 * compares
 
 

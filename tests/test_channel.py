@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gmsklink.channel import (ChannelConfig, LinkBudget, awgn, noise_variance,
-                              substream)
+                              substream, substream_random)
 from gmsklink.energy import (PowerProfile, TimingProfile, rx_energy_per_bit,
                              total_energy_uncoded)
 from gmsklink.errors import ConfigError
@@ -152,3 +154,53 @@ def test_substream_reproducible_and_independent():
     c = substream(1, 2, 4).normal(size=8)
     np.testing.assert_array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def _assert_rows_are_substreams(entropy, count):
+    rows = substream_random(entropy, count)
+    assert rows.shape == (len(entropy), count) and rows.dtype == np.float64
+    for row, e in zip(rows, entropy):
+        assert row.tobytes() == substream(*e).random(count).tobytes()
+    return rows
+
+
+class TestSubstreamRandom:
+    """Every row equals the per-tuple numpy draw byte for byte."""
+
+    def test_zero_is_one_zero_word(self):
+        # a 0 takes a word, so it shifts the words after it
+        _assert_rows_are_substreams([(0, 0x7472, 0), (0, 0, 5), (5, 0, 0),
+                                     (0, 2**40, 0)], 9)
+
+    def test_values_crossing_two_to_the_32_in_one_call(self):
+        # one- and two-word values side by side give ragged word counts
+        seeds = range(2**32 - 3, 2**32 + 3)
+        _assert_rows_are_substreams([(s, 0x6465) for s in seeds], 40)
+        _assert_rows_are_substreams([(7, 0x7472, t) for t in seeds], 3)
+
+    def test_two_word_seeds_give_four_word_entropy(self):
+        _assert_rows_are_substreams([(2**40 + 9, 0x7472, t) for t in range(5)], 4)
+        # and past four words every extra word mixes into the pool
+        _assert_rows_are_substreams(
+            [(2**63 + t, 2**33, 2**64 - 1 - t) for t in range(4)], 6)
+
+    def test_seed_plus_trial_wraps_past_two_to_the_64(self):
+        entropy = [(2**64 - 3 + t, 0x6465) for t in range(6)]
+        rows = _assert_rows_are_substreams(entropy, 40)
+        assert np.array_equal(rows[3], substream_random([(0, 0x6465)], 40)[0])
+
+    @pytest.mark.parametrize("n_relays", [0, 2])
+    def test_counts_not_a_multiple_of_four(self, n_relays):
+        lo, hi = 50.0, 100.0
+        entropy = [(11, 0x7472, t) for t in range(7)]
+        rows = _assert_rows_are_substreams(entropy, n_relays + 1)
+        for row, e in zip(lo + (hi - lo) * rows, entropy):
+            uniform = substream(*e).uniform(lo, hi, n_relays + 1)
+            assert row.tobytes() == uniform.tobytes()
+
+    @given(st.integers(0, 3).flatmap(lambda k: st.lists(
+               st.tuples(*[st.integers(0, 2**66)] * k), min_size=1, max_size=6)),
+           st.integers(0, 13))
+    @settings(max_examples=60, deadline=None)
+    def test_random_tuples(self, entropy, count):
+        _assert_rows_are_substreams(entropy, count)

@@ -55,6 +55,24 @@ def test_wrong_length_rejected():
         golay_decode(np.zeros(23, np.uint8))
 
 
+def test_encode_rejects_a_trailing_two():
+    # a 2 used to carry into the next bit and encode the message ...1, 0
+    with pytest.raises(ValueError, match="only contain 0s and 1s"):
+        golay_encode([0] * 11 + [2])
+
+
+def test_encode_rejects_a_leading_two():
+    # a leading 2 used to index past the 4096-entry product table
+    with pytest.raises(ValueError, match="only contain 0s and 1s"):
+        golay_encode([2] + [0] * 11)
+
+
+def test_decode_rejects_a_trailing_two():
+    # the zero word with a trailing 2 used to decode with one corrected error
+    with pytest.raises(ValueError, match="only contain 0s and 1s"):
+        golay_decode([0] * 23 + [2])
+
+
 def test_zero_error_decoding_all_messages():
     msgs, corrected, failed = decode_words(ALL_WORDS)
     assert not failed.any()

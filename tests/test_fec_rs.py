@@ -55,6 +55,17 @@ def test_out_of_range_symbol_rejected():
         rs.decode_words(np.full((2, 15), -1))
 
 
+def test_encode_rejects_a_fractional_symbol():
+    # 3.5 used to be cast to symbol 3
+    with pytest.raises(ValueError, match="must be integers"):
+        rs_encode([3.5] + [0] * 10)
+
+
+def test_decode_rejects_a_fractional_symbol():
+    with pytest.raises(ValueError, match="must be integers"):
+        rs_decode([3.5] + [0] * 14)
+
+
 def test_wrong_shape_rejected():
     with pytest.raises(ValueError):
         rs_encode(np.zeros(12, int))

@@ -364,7 +364,12 @@ class TestDrawOnce:
                  EnsembleSpec(seed=7, n_relays=6, hop_range=(5.0, 300.0)),
                  EnsembleSpec(mode="geometry", seed=1),
                  EnsembleSpec(mode="geometry", seed=12345),
-                 EnsembleSpec(mode="geometry", seed=3, max_hop_m=35.0)]
+                 EnsembleSpec(mode="geometry", seed=3, max_hop_m=35.0),
+                 # trial keys that cross 2**32 and wrap past 2**64 - 1
+                 EnsembleSpec(seed=2**32 - 50),
+                 EnsembleSpec(mode="geometry", seed=2**32 - 50),
+                 EnsembleSpec(seed=2**64 - 50, n_relays=2),
+                 EnsembleSpec(mode="geometry", seed=2**64 - 50, max_hop_m=35.0)]
 
     @pytest.mark.parametrize("ens", ENSEMBLES)
     def test_samples_match_reference_exactly(self, ens):
@@ -422,6 +427,15 @@ class TestDrawOnce:
         with pytest.raises(RoutingError, match="every trial failed"):
             compare_coded_uncoded(ens, 20, POWER, TIMING, BUDGET, 1e-4, 0.68,
                                   GOLAY, CODEC_POWER)
+
+    @pytest.mark.parametrize("extent", [{"hop_range": (50.0, math.inf)},
+                                        {"field_width": math.inf},
+                                        {"field_height": math.inf}])
+    def test_infinite_extent_rejected(self, extent):
+        # positions and hop lengths are scaled from these, so inf or NaN
+        # would reach the routes
+        with pytest.raises(ConfigError, match="finite"):
+            EnsembleSpec(mode="geometry", **extent)
 
     def test_draws_at_another_k_exp_rejected(self):
         steeper = dataclasses.replace(BUDGET, k_exp=BUDGET.k_exp + 0.5)

@@ -1,6 +1,7 @@
 """Tests for the parameter-file layer and command-line front end."""
 
 import hashlib
+import math
 import os
 import stat
 import subprocess
@@ -12,7 +13,7 @@ import pytest
 from gmsklink import cli
 from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import reed_solomon
-from gmsklink.netsim import EnsembleSpec, _trial_distances
+from gmsklink.netsim import EnsembleSpec, build_route, deploy_random
 from gmsklink.params import load_config, parse_params_text
 
 _FLOAT_KEYS = [k for k, v in load_config().values if isinstance(v, float)]
@@ -401,10 +402,15 @@ class TestCliOutputs:
                            field_width=cfg["route.field_m"],
                            field_height=cfg["route.field_m"],
                            max_hop_m=35.0, seed=cfg["run.seed"])
+        # each trial deployed and routed on its own through the public API
         routable = []
         for trial in range(100):
+            dep = deploy_random(ens.n_nodes, ens.field_width, ens.field_height,
+                                seed=ens.seed + trial)
+            (src, sx, sy), *others = dep.nodes
+            sink = max(others, key=lambda n: math.hypot(n[1] - sx, n[2] - sy))[0]
             try:
-                _trial_distances(ens, trial)
+                build_route(dep, src, sink, ens.max_hop_m)
             except RoutingError:
                 continue
             routable.append(trial)
