@@ -10,17 +10,16 @@ Run:  python demos/05_route_energy.py
 
 import math
 
-from gmsklink import (CodecPowerProfile, CodedVariant, EnsembleSpec,
-                      LinkBudget, PowerProfile, TimingProfile, build_route,
-                      compare_coded_uncoded, deploy_random, golay_spec,
-                      route_energy)
+from gmsklink import (CodecPowerProfile, CodedVariant, EnergyModel,
+                      EnsembleSpec, LinkBudget, PowerProfile, TimingProfile,
+                      build_route, compare_coded_uncoded, deploy_random,
+                      golay_spec, route_energy)
 
-power = PowerProfile()
-timing = TimingProfile()
-budget = LinkBudget()
-codec_power = CodecPowerProfile()
+# published circuit powers, timing and link budget; target error
+# probability 1e-4 and the classic BER-model alpha 0.68
+model = EnergyModel(PowerProfile(), TimingProfile(), LinkBudget(), pe=1e-4,
+                    alpha=0.68, codec_power=CodecPowerProfile())
 spec = golay_spec()
-alpha, pe = 0.68, 1e-4
 
 field = deploy_random(20, 100.0, 100.0, seed=42)
 print("20 nodes in a 100 x 100 m field (id: x, y):")
@@ -35,9 +34,8 @@ route = build_route(field, source, sink, max_hop_m=100.0)
 print(f"\ngreedy route {source} -> {sink}: hops {route.hops}")
 print(f"hop distances: {[f'{d:.1f}' for d in route.per_hop_distance]} m")
 
-unc = route_energy(route, power, timing, budget, pe, alpha)
-cod = route_energy(route, power, timing, budget, pe, alpha, spec, codec_power,
-                   CodedVariant.CIRCUIT_UNSCALED)
+unc = route_energy(route, model)
+cod = route_energy(route, model, spec, CodedVariant.CIRCUIT_UNSCALED)
 print(f"uncoded route energy: {unc.e_total:.4e} J")
 print(f"coded route energy:   {cod.e_total:.4e} J "
       f"({100 * (1 - cod.e_total / unc.e_total):+.1f}%)")
@@ -46,8 +44,7 @@ print("\nreplication ensemble: 3 relays, hop distances U(50, 100) m, 1000 trials
 ens = EnsembleSpec(mode="replication", n_relays=3, hop_range=(50.0, 100.0), seed=7)
 for radiated_only, label in ((False, "with circuit+transient"),
                              (True, "radiated+codec only")):
-    stats = compare_coded_uncoded(ens, 1000, power, timing, budget, pe, alpha,
-                                  spec, codec_power,
+    stats = compare_coded_uncoded(ens, 1000, model, spec,
                                   CodedVariant.CIRCUIT_UNSCALED,
                                   radiated_only=radiated_only)
     print(f"  {label:24s}: mean saving {100 * stats.mean:+5.1f}%  "

@@ -8,7 +8,7 @@ energy experiment over random sensor deployments.
 """
 
 from .channel import ChannelConfig, LinkBudget, awgn, substream
-from .energy import (CodedVariant, EnergyBreakdown, PowerProfile,
+from .energy import (CodedVariant, EnergyBreakdown, EnergyModel, PowerProfile,
                      TimingProfile, amplifier_beta, circuit_powers,
                      crossover_distance, rx_energy_per_bit,
                      total_energy_coded, total_energy_uncoded)

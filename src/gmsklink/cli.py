@@ -21,8 +21,10 @@ import tempfile
 
 import numpy as np
 
-from .energy import (CodedVariant, total_energy_coded, total_energy_uncoded,
-                     crossover_distance)
+# total_energy_coded and total_energy_uncoded are not called here; they stay
+# bound in this module because the benchmark's tracer wraps them by name
+from .energy import (CodedVariant, crossover_distance,  # noqa: F401
+                     total_energy_coded, total_energy_uncoded)
 from .errors import ConfigError, RoutingError
 from .fec import (CODECS, conv_encode, golay, golay_spec, reed_solomon,
                   viterbi_decode_segments)
@@ -127,33 +129,26 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
 
 
 def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
-    power = cfg.power_profile()
-    timing = cfg.timing_profile()
-    budget = cfg.link_budget()
-    codec_power = cfg.codec_power()
+    model = cfg.energy_model()
     spec = golay_spec(cfg["codec.g_code_db"])
-    pe = cfg["link.target_pe"]
-    alpha = cfg.alpha()
     grid = cfg.distance_grid(5.0 if quick else 0.0)
 
-    crossovers = {}
-    for variant in CodedVariant:
-        crossovers[variant] = crossover_distance(
-            power, timing, budget, pe, alpha, spec, codec_power, variant)
+    crossovers = {variant: _crossover(model, spec, variant)
+                  for variant in CodedVariant}
 
     distances = sorted(set(grid) | {d for d in crossovers.values() if d is not None})
+    uncoded = model.link()
+    coded = [model.link(spec, variant) for variant in CodedVariant]
     lines = ["d_m,e_uncoded,e_coded_literal,e_coded_circuit_unscaled,"
              "savings_literal,savings_circuit_unscaled"]
     for d in distances:
-        link = dataclasses.replace(budget, distance_m=d)
-        unc = total_energy_uncoded(power, timing, link, pe, alpha).e_per_info_bit
+        unc = uncoded.breakdown(d).e_per_info_bit
         row = [repr(float(d)), repr(unc)]
         savings = []
-        for variant in CodedVariant:
-            coded = total_energy_coded(power, timing, link, pe, alpha, spec,
-                                       codec_power, variant).e_per_info_bit
-            row.append(repr(coded))
-            savings.append(repr(1.0 - coded / unc))
+        for link in coded:
+            e_coded = link.breakdown(d).e_per_info_bit
+            row.append(repr(e_coded))
+            savings.append(repr(1.0 - e_coded / unc))
         lines.append(",".join(row + savings))
     scan_text = "\n".join(lines) + "\n"
 
@@ -173,27 +168,27 @@ def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
     return _EXIT_OK
 
 
+def _crossover(model, spec, variant):
+    return crossover_distance(model.power, model.timing, model.budget, model.pe,
+                              model.alpha, spec, model.codec_power, variant)
+
+
 def _sensitivity(cfg):
     """Savings at 100 m and crossover distance per (variant, alpha) combination.
 
     Returns rows ``(variant, alpha, savings, crossover_m, |savings - 0.47|)``
     and the index of the first row closest to the published 47 % savings.
     """
-    power = cfg.power_profile()
-    timing = cfg.timing_profile()
-    budget = cfg.link_budget(100.0)
-    codec_power = cfg.codec_power()
+    model = cfg.energy_model()
     spec = golay_spec(cfg["codec.g_code_db"])
-    pe = cfg["link.target_pe"]
     rows = []
     for variant, a in itertools.product(CodedVariant, cfg["scan.alpha_list"]):
-        unc = total_energy_uncoded(power, timing, budget, pe, a).e_per_info_bit
-        coded = total_energy_coded(power, timing, budget, pe, a, spec,
-                                   codec_power, variant).e_per_info_bit
+        at_alpha = dataclasses.replace(model, alpha=a)
+        unc = at_alpha.link().breakdown(100.0).e_per_info_bit
+        coded = at_alpha.link(spec, variant).breakdown(100.0).e_per_info_bit
         saving = 1.0 - coded / unc
-        d_star = crossover_distance(power, timing, budget, pe, a, spec,
-                                    codec_power, variant)
-        rows.append((variant, a, saving, d_star, abs(saving - 0.47)))
+        rows.append((variant, a, saving, _crossover(at_alpha, spec, variant),
+                     abs(saving - 0.47)))
     return rows, min(range(len(rows)), key=lambda i: rows[i][4])
 
 
@@ -202,33 +197,29 @@ def _sensitivity(cfg):
 
 def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int:
     trials = 100 if quick else cfg["route.trials"]
+    model = cfg.energy_model()
+    spec = golay_spec(cfg["codec.g_code_db"])
     outputs = {}
     for mode, ens in cfg.ensembles().items():
-        outputs.update(_route_mode(cfg, mode, ens, trials, variant_selection))
+        outputs.update(_route_mode(model, spec, mode, ens, trials,
+                                   variant_selection))
     for fname, text in outputs.items():
         _write_atomic(os.path.join(out_dir, fname), text)
     return _EXIT_OK
 
 
-def _route_mode(cfg, mode: str, ens, trials: int, variant_selection: str) -> dict:
+def _route_mode(model, spec, mode: str, ens, trials: int,
+                variant_selection: str) -> dict:
     """The CSV text of one ensemble per variant, keyed by file name.
 
     The trials are drawn once, their hop distances raised to the path-loss
     exponent, and every variant is priced from that draw; it is dropped on
     return, so one ensemble's draw is held at a time.
     """
-    power = cfg.power_profile()
-    timing = cfg.timing_profile()
-    budget = cfg.link_budget()
-    codec_power = cfg.codec_power()
-    spec = golay_spec(cfg["codec.g_code_db"])
-    pe = cfg["link.target_pe"]
-    alpha = cfg.alpha()
-    draws = draw_trials(ens, trials, budget.k_exp)
+    draws = draw_trials(ens, trials, model.budget.k_exp)
     outputs = {}
     for variant in _variants(variant_selection):
-        stats = compare_coded_uncoded(draws, trials, power, timing, budget, pe,
-                                      alpha, spec, codec_power, variant)
+        stats = compare_coded_uncoded(draws, trials, model, spec, variant)
         lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
         for trial, e_u, e_c, s in stats.samples:
             lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")
@@ -352,7 +343,11 @@ def main(argv=None) -> int:
             overrides["run.variant"] = args.variant
         cfg = cfg.with_overrides(overrides)
         out_dir = cfg["run.out_dir"]
-        os.makedirs(out_dir, exist_ok=True)
+        try:
+            os.makedirs(out_dir, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make output directory {out_dir}: "
+                              f"{exc}") from exc
 
         if args.command == "ber-sweep":
             return cmd_ber_sweep(cfg, out_dir, args.quick)
@@ -361,7 +356,7 @@ def main(argv=None) -> int:
         if args.command == "route-sim":
             return cmd_route_sim(cfg, out_dir, args.quick, cfg["run.variant"])
         parser.error(f"unknown command {args.command!r}")
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"gmsklink: config error: {exc}", file=sys.stderr)
         return _EXIT_USAGE
     except (RoutingError, OSError, ValueError) as exc:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .channel import LinkBudget
 from .errors import ConfigError
-from .fec import CodecPowerProfile, CodeSpec, none_spec
+from .fec import CodecPowerProfile, CodeSpec
 
 
 class CodedVariant(enum.Enum):
@@ -119,14 +119,6 @@ def rx_energy_per_bit(pe: float, alpha: float, sigma2: float, n_f: float) -> flo
     return (2.0 / alpha) * sigma2 * n_f * math.log(1.0 / pe)
 
 
-def integration_time(timing: TimingProfile, spec: CodeSpec,
-                     variant: CodedVariant) -> float:
-    """The time circuit and codec powers run for: T_on / R, or T_on."""
-    if variant is CodedVariant.LITERAL:
-        return timing.t_on / spec.rate
-    return timing.t_on
-
-
 @dataclass(frozen=True)
 class LinkConstants:
     """The distance-free terms of one link's energy, computed once.
@@ -134,8 +126,8 @@ class LinkConstants:
     Every quantity that does not depend on the hop length is evaluated here,
     so pricing a link of length ``d`` is one power of ``d`` and a few
     products.  :meth:`hop_terms` is that arithmetic, written once:
-    :func:`total_energy_coded` calls it on one link through :meth:`hop`, and
-    the route energy in :mod:`gmsklink.netsim` on an array of links.
+    :meth:`breakdown` calls it on one link, and the route energy in
+    :mod:`gmsklink.netsim` on an array of links.
     """
 
     rx: float  # required received energy per bit (J)
@@ -162,68 +154,73 @@ class LinkConstants:
         e_rad = self.rx * (self.g_l * d_k * self.m_l) * self.l_bits / self.g_code
         return e_rad, self.beta * e_rad
 
-    def hop(self, d: float) -> tuple[float, float, float]:
-        """Radiated, PA overhead and total energy of one link ``d`` metres long.
-
-        The total leaves out the codec energy ``e_codec``, which a route
-        charges once, not per hop.
-        """
+    def breakdown(self, d: float) -> EnergyBreakdown:
+        """The energy of one L-bit transmission over a link ``d`` metres long."""
         if not d > 0:
             raise ConfigError("distance_m must be positive")
         e_rad, e_pa = self.hop_terms(d**self.k_exp)
-        return e_rad, e_pa, e_rad + e_pa + self.e_circuit + self.e_transient
+        e_total = e_rad + e_pa + self.e_circuit + self.e_transient + self.e_codec
+        return EnergyBreakdown(e_tx_radiated=e_rad, e_pa_overhead=e_pa,
+                               e_circuit=self.e_circuit, e_transient=self.e_transient,
+                               e_codec=self.e_codec, e_total=e_total,
+                               e_per_info_bit=e_total / self.l_bits)
 
 
-def link_constants(power: PowerProfile, timing: TimingProfile,
-                   link: LinkBudget, pe: float, alpha: float,
-                   spec: CodeSpec, codec_power: CodecPowerProfile,
-                   variant: CodedVariant = CodedVariant.LITERAL) -> LinkConstants:
-    """The distance-free terms of a coded link; ``link.distance_m`` is unused.
+@dataclass(frozen=True)
+class EnergyModel:
+    """Everything the energy of a link depends on except its length and code.
 
-    The radiated term is the uncoded one divided by the linear coding gain;
-    the on-time stretches to T_on / R.  ``variant`` selects whether circuit
-    and codec powers integrate over the stretched or the uncoded on-time.
-    The transient term is never stretched.  Raises ``ValueError`` for ``pe``
-    outside (0, 1) or ``alpha`` outside (0, 1].
+    ``budget.distance_m`` is unused: a link's length is given when it is
+    priced.  ``codec_power`` may be left out by a caller that prices only
+    uncoded links.
     """
-    t_integrate = integration_time(timing, spec, variant)
-    p_tx_c, p_rx_c = circuit_powers(power)
-    return LinkConstants(
-        rx=rx_energy_per_bit(pe, alpha, link.sigma2, link.n_f),
-        g_l=link.g_l, k_exp=link.k_exp, m_l=link.m_l, l_bits=timing.l_bits,
-        g_code=10.0 ** (spec.g_code_db / 10.0),
-        beta=amplifier_beta(power),
-        e_circuit=(p_tx_c + p_rx_c) * t_integrate,
-        e_transient=2.0 * power.p_syn * timing.t_start,
-        e_codec=(codec_power.p_enc + codec_power.p_dec) * t_integrate,
-    )
 
+    power: PowerProfile
+    timing: TimingProfile
+    budget: LinkBudget
+    pe: float
+    alpha: float
+    codec_power: CodecPowerProfile | None = None
 
-def _link_energy(power: PowerProfile, timing: TimingProfile, link: LinkBudget,
-                 pe: float, alpha: float, spec: CodeSpec,
-                 codec_power: CodecPowerProfile,
-                 variant: CodedVariant) -> EnergyBreakdown:
-    """One link's energy; the coded and the uncoded energy each call this,
-    never each other, so that one public call prices one link."""
-    c = link_constants(power, timing, link, pe, alpha, spec, codec_power, variant)
-    e_rad, e_pa, e_link = c.hop(link.distance_m)
-    e_total = e_link + c.e_codec
-    return EnergyBreakdown(e_tx_radiated=e_rad, e_pa_overhead=e_pa,
-                           e_circuit=c.e_circuit, e_transient=c.e_transient,
-                           e_codec=c.e_codec, e_total=e_total,
-                           e_per_info_bit=e_total / timing.l_bits)
+    def link(self, spec: CodeSpec | None = None,
+             variant: CodedVariant = CodedVariant.LITERAL) -> LinkConstants:
+        """The link constants of the uncoded link (``spec`` None) or of
+        ``spec`` priced as given, even a rate-1 code.
+
+        A code divides the radiated term by its linear coding gain and
+        stretches the on-time to T_on / R; ``variant`` selects whether
+        circuit and codec powers run for the stretched or the uncoded
+        on-time.  The transient is never stretched.  Raises ``ValueError``
+        for ``pe`` outside (0, 1) or ``alpha`` outside (0, 1].
+        """
+        t_integrate = self.timing.t_on
+        g_code, p_codec = 1.0, 0.0
+        if spec is not None:
+            if self.codec_power is None:
+                raise ConfigError("coded link energy needs a CodecPowerProfile")
+            g_code = 10.0 ** (spec.g_code_db / 10.0)
+            p_codec = self.codec_power.p_enc + self.codec_power.p_dec
+            if variant is CodedVariant.LITERAL:
+                t_integrate /= spec.rate
+        p_tx_c, p_rx_c = circuit_powers(self.power)
+        b = self.budget
+        return LinkConstants(
+            rx=rx_energy_per_bit(self.pe, self.alpha, b.sigma2, b.n_f),
+            g_l=b.g_l, k_exp=b.k_exp, m_l=b.m_l, l_bits=self.timing.l_bits,
+            g_code=g_code, beta=amplifier_beta(self.power),
+            e_circuit=(p_tx_c + p_rx_c) * t_integrate,
+            e_transient=2.0 * self.power.p_syn * self.timing.t_start,
+            e_codec=p_codec * t_integrate,
+        )
 
 
 def total_energy_coded(power: PowerProfile, timing: TimingProfile,
                        link: LinkBudget, pe: float, alpha: float,
                        spec: CodeSpec, codec_power: CodecPowerProfile,
                        variant: CodedVariant = CodedVariant.LITERAL) -> EnergyBreakdown:
-    """Energy of one coded L-bit transmission; see :func:`link_constants`."""
-    return _link_energy(power, timing, link, pe, alpha, spec, codec_power, variant)
-
-
-_IDENTITY_CODE = none_spec()
-_NO_CODEC = CodecPowerProfile(0.0, 0.0)
+    """Energy of one coded L-bit transmission; see :meth:`EnergyModel.link`."""
+    model = EnergyModel(power, timing, link, pe, alpha, codec_power)
+    return model.link(spec, variant).breakdown(link.distance_m)
 
 
 def total_energy_uncoded(power: PowerProfile, timing: TimingProfile,
@@ -233,8 +230,7 @@ def total_energy_uncoded(power: PowerProfile, timing: TimingProfile,
     This is the coded energy of the identity code (rate 1, 0 dB gain) with
     free encoding and decoding, and equal to it bit for bit.
     """
-    return _link_energy(power, timing, link, pe, alpha, _IDENTITY_CODE, _NO_CODEC,
-                        CodedVariant.LITERAL)
+    return EnergyModel(power, timing, link, pe, alpha).link().breakdown(link.distance_m)
 
 
 def crossover_distance(power: PowerProfile, timing: TimingProfile,

@@ -38,14 +38,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .channel import LinkBudget, substream, substream_random
+from .channel import substream, substream_random
 # total_energy_coded and total_energy_uncoded are not called here; they stay
 # bound in this module because the benchmark's tracer wraps them by name
-from .energy import (CodedVariant, LinkConstants, PowerProfile, TimingProfile,
-                     link_constants, total_energy_coded,
-                     total_energy_uncoded)
+from .energy import (CodedVariant, EnergyModel, LinkConstants,  # noqa: F401
+                     total_energy_coded, total_energy_uncoded)
 from .errors import ConfigError, RoutingError
-from .fec import CodecPowerProfile, CodeSpec, none_spec
+from .fec import CodeSpec
 
 _DEPLOY_TAG = 0x6465
 _TRIAL_TAG = 0x7472
@@ -178,18 +177,10 @@ class RouteEnergy:
     e_total_radiated_only: float
 
 
-def _route_constants(power: PowerProfile, timing: TimingProfile,
-                     budget: LinkBudget, pe: float, alpha: float,
-                     spec: CodeSpec | None, codec_power: CodecPowerProfile | None,
-                     variant: CodedVariant) -> LinkConstants:
-    """The link constants every hop of a route shares."""
-    if spec is None or spec.rate >= 1.0:  # rate 1 is the identity code
-        return link_constants(power, timing, budget, pe, alpha, none_spec(),
-                              CodecPowerProfile(0.0, 0.0))
-    if codec_power is None:
-        raise ConfigError("coded route energy needs a CodecPowerProfile")
-    return link_constants(power, timing, budget, pe, alpha, spec, codec_power,
-                          variant)
+def _route_code(spec: CodeSpec | None) -> CodeSpec | None:
+    """The code a route is priced with: a rate-1 code is the identity code,
+    which a route prices as no code at all."""
+    return spec if spec is not None and spec.rate < 1.0 else None
 
 
 def _hop_table(routes, k_exp: float) -> tuple:
@@ -232,25 +223,23 @@ def _route_sums(table: np.ndarray, n_hops: np.ndarray, link: LinkConstants) -> t
     return e_rad, e_pa, np.array(circ)[n_hops], np.array(trans)[n_hops]
 
 
-def route_energy(route_or_distances, power: PowerProfile, timing: TimingProfile,
-                 budget: LinkBudget, pe: float, alpha: float,
+def route_energy(route_or_distances, model: EnergyModel,
                  spec: CodeSpec | None = None,
-                 codec_power: CodecPowerProfile | None = None,
                  variant: CodedVariant = CodedVariant.LITERAL) -> RouteEnergy:
     """Total energy to move one L-bit payload along a route.
 
-    Accepts a :class:`Route` or a bare sequence of hop distances.  Each hop
-    is sized for its own distance at the target error probability; encode
-    energy is charged once, decode once, and one 2 P_syn T_start transient
-    per link.  This is the one-route case of the ensemble's array pass.
+    Accepts a :class:`Route` or a bare sequence of hop distances.  A rate-1
+    ``spec`` is priced as no code.  Each hop is sized for its own distance
+    at the model's target error probability; encode energy is charged once,
+    decode once, and one 2 P_syn T_start transient per link.  This is the
+    one-route case of the ensemble's array pass.
     """
     if isinstance(route_or_distances, Route):
         distances = route_or_distances.per_hop_distance
     else:
         distances = tuple(route_or_distances)
-    link = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
-                            variant)
-    sums = _route_sums(*_hop_table((distances,), budget.k_exp), link)
+    link = model.link(_route_code(spec), variant)
+    sums = _route_sums(*_hop_table((distances,), link.k_exp), link)
     e_rad, e_pa, e_circ, e_trans = (float(s[0]) for s in sums)
     e_codec = link.e_codec
     return RouteEnergy(
@@ -380,18 +369,15 @@ def _route_totals(draws: Draws, link: LinkConstants) -> tuple:
             e_rad + e_pa + link.e_codec)
 
 
-def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
-                          timing: TimingProfile, budget: LinkBudget,
-                          pe: float, alpha: float, spec: CodeSpec,
-                          codec_power: CodecPowerProfile,
+def compare_coded_uncoded(ens, trials: int, model: EnergyModel, spec: CodeSpec,
                           variant: CodedVariant = CodedVariant.LITERAL,
                           radiated_only: bool = False) -> SavingsStats:
     """Coded-vs-uncoded route energy over an ensemble of trials.
 
     ``ens`` is an :class:`EnsembleSpec`, whose first ``trials`` trials are
     drawn, or the :class:`Draws` that :func:`draw_trials` returned for
-    ``trials`` trials at ``budget.k_exp``, so that several comparisons can
-    share one draw.
+    ``trials`` trials at the model's ``budget.k_exp``, so that several
+    comparisons can share one draw.
 
     Savings per trial is ``1 - E_coded / E_uncoded`` over the same hop
     distances.  Geometry-mode trials whose route construction fails are
@@ -401,19 +387,16 @@ def compare_coded_uncoded(ens, trials: int, power: PowerProfile,
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    draws = (draw_trials(ens, trials, budget.k_exp)
-             if isinstance(ens, EnsembleSpec) else ens)
-    if draws.k_exp != budget.k_exp:
+    k_exp = model.budget.k_exp
+    draws = draw_trials(ens, trials, k_exp) if isinstance(ens, EnsembleSpec) else ens
+    if draws.k_exp != k_exp:
         raise ConfigError(f"trials drawn at k_exp {draws.k_exp!r}, "
-                          f"priced at {budget.k_exp!r}")
+                          f"priced at {k_exp!r}")
     if draws.trials[-1] >= trials:
         raise ConfigError(f"trial {draws.trials[-1]} drawn but only {trials} attempted")
-    uncoded = _route_constants(power, timing, budget, pe, alpha, None, None,
-                               variant)
-    coded = _route_constants(power, timing, budget, pe, alpha, spec, codec_power,
-                             variant)
-    e_u = _route_totals(draws, uncoded)[int(radiated_only)]
-    e_c = _route_totals(draws, coded)[int(radiated_only)]
+    column = int(radiated_only)
+    e_u = _route_totals(draws, model.link())[column]
+    e_c = _route_totals(draws, model.link(_route_code(spec), variant))[column]
     sv = 1.0 - e_c / e_u
     return SavingsStats(
         mean=float(sv.mean()),

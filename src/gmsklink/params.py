@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .channel import LinkBudget
-from .energy import PowerProfile, TimingProfile
+from .energy import EnergyModel, PowerProfile, TimingProfile
 from .errors import ConfigError
 from .fec import CODECS, CodecPowerProfile
 from .link import StopRule, check_ebno
@@ -179,8 +179,10 @@ _SCHEMA = {
 
 
 def parse_params_text(text: str, source: str = "<string>") -> dict:
-    """Parse parameter-file text into a {key: value} dict (strict keys)."""
+    """Parse parameter-file text into a {key: value} dict (strict keys,
+    each set at most once)."""
     values = {}
+    first_set = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -192,6 +194,10 @@ def parse_params_text(text: str, source: str = "<string>") -> dict:
         val = val.strip()
         if key not in _SCHEMA:
             raise ConfigError(f"{source}:{lineno}: unknown key {key!r}")
+        if key in first_set:
+            raise ConfigError(f"{source}:{lineno}: duplicate key {key!r} "
+                              f"(first set on line {first_set[key]})")
+        first_set[key] = lineno
         values[key] = _SCHEMA[key](val)
     return values
 
@@ -224,12 +230,8 @@ class RunConfig:
         for key, ceiling in _COUNT_CEILINGS.items():
             if self[key] > ceiling:
                 raise ConfigError(f"{key} must be <= {ceiling}, got {self[key]}")
-        self.power_profile()
-        self.timing_profile()
-        self.link_budget()
         self.modem_config()
-        self.codec_power()
-        self.alpha()
+        self.energy_model()
         self.stop_rule()
         self.ebno_grid()
         # the grid's first point gets the most noise
@@ -265,12 +267,11 @@ class RunConfig:
             bit_rate=self["modem.bandwidth_hz"],
         )
 
-    def link_budget(self, distance_m: float = 100.0) -> LinkBudget:
+    def link_budget(self) -> LinkBudget:
         return LinkBudget(
             g_l=self["link.g_l"],
             m_l=self["link.m_l"],
             k_exp=self["link.path_loss_exponent"],
-            distance_m=distance_m,
             n_f=10.0 ** (self["link.noise_figure_db"] / 10.0),
             sigma2=self["channel.sigma2_j"],
         )
@@ -295,6 +296,12 @@ class RunConfig:
         if configured == "auto":
             return alpha_for_bt(self["modem.bt_product"])
         return configured
+
+    def energy_model(self) -> EnergyModel:
+        """The energy model of every link the energy commands price."""
+        return EnergyModel(self.power_profile(), self.timing_profile(),
+                           self.link_budget(), self["link.target_pe"],
+                           self.alpha(), self.codec_power())
 
     def stop_rule(self) -> StopRule:
         return StopRule(min_bit_errors=self["sweep.min_bit_errors"],
@@ -335,9 +342,16 @@ class RunConfig:
 
 
 def load_config(path=None) -> RunConfig:
-    """Defaults from the shipped parameter file, overlaid with ``path``."""
+    """Defaults from the shipped parameter file, overlaid with ``path``.
+
+    A file that cannot be read as UTF-8 text raises :class:`ConfigError`.
+    """
     mapping = _default_values()
     if path is not None:
-        with open(path) as fh:
-            mapping.update(parse_params_text(fh.read(), source=str(path)))
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read {path}: {exc}") from exc
+        mapping.update(parse_params_text(text, source=str(path)))
     return RunConfig(values=tuple(sorted(mapping.items())))

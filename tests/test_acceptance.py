@@ -16,8 +16,8 @@ import numpy as np
 from scipy.optimize import brentq
 
 from gmsklink.channel import ChannelConfig, LinkBudget, awgn, noise_variance
-from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
-                             amplifier_beta, circuit_powers,
+from gmsklink.energy import (CodedVariant, EnergyModel, PowerProfile,
+                             TimingProfile, amplifier_beta, circuit_powers,
                              crossover_distance, total_energy_coded,
                              total_energy_uncoded)
 from gmsklink.fec import (CodecPowerProfile, conv_encode, conv_spec,
@@ -276,15 +276,13 @@ def test_c07_route_savings_replication_mode():
 
     ens = EnsembleSpec(mode="replication", n_relays=3, hop_range=(50.0, 100.0),
                        seed=2024)
-    stats = compare_coded_uncoded(ens, 1000, POWER, TIMING, BUDGET, PE,
-                                  ALPHA_ENERGY, golay_spec(), CODEC_POWER,
-                                  variant)
+    model = EnergyModel(POWER, TIMING, BUDGET, PE, ALPHA_ENERGY, CODEC_POWER)
+    stats = compare_coded_uncoded(ens, 1000, model, golay_spec(), variant)
     assert stats.n_trials == 1000
     assert stats.mean > 0.0  # hard assertion
     soft = "inside" if 0.14 <= stats.mean <= 0.44 else "outside"
-    radiated = compare_coded_uncoded(ens, 1000, POWER, TIMING, BUDGET, PE,
-                                     ALPHA_ENERGY, golay_spec(), CODEC_POWER,
-                                     variant, radiated_only=True)
+    radiated = compare_coded_uncoded(ens, 1000, model, golay_spec(), variant,
+                                     radiated_only=True)
     _report(7, f"mean savings {stats.mean:.3f} ({soft} the 29%+-15pp soft band; "
                f"radiated-only reading {radiated.mean:.3f})")
 

@@ -193,6 +193,21 @@ class TestTotalEnergyCoded:
                                            none_spec(), free, variant)
                 assert dataclasses.astuple(coded) == dataclasses.astuple(uncoded)
 
+    def test_identity_code_is_priced_as_given(self):
+        # an explicit rate-1 code still pays its codec power over T_on; only
+        # the uncoded link is free of it
+        from gmsklink.fec import none_spec
+
+        uncoded = total_energy_uncoded(POWER, TIMING, LINK_100M, PE, ALPHA)
+        assert uncoded.e_total == pytest.approx(0.0308794666748, rel=1e-12)
+        for variant in CodedVariant:
+            coded = total_energy_coded(POWER, TIMING, LINK_100M, PE, ALPHA,
+                                       none_spec(), CODEC_POWER, variant)
+            assert coded.e_codec == pytest.approx(63e-3 * 0.1, rel=1e-12)
+            assert coded.e_total == pytest.approx(0.0371794666748, rel=1e-12)
+            assert coded.e_total - coded.e_codec == pytest.approx(
+                uncoded.e_total, rel=1e-15)
+
     def test_golay_literal_terms(self):
         coded = total_energy_coded(POWER, TIMING, LINK_100M, PE, ALPHA,
                                    GOLAY, CODEC_POWER, CodedVariant.LITERAL)

@@ -7,11 +7,12 @@ import numpy as np
 import pytest
 
 from gmsklink.channel import LinkBudget, substream
-from gmsklink.energy import (CodedVariant, PowerProfile, TimingProfile,
-                             amplifier_beta, circuit_powers,
+from gmsklink.energy import (CodedVariant, EnergyModel, PowerProfile,
+                             TimingProfile, amplifier_beta, circuit_powers,
                              rx_energy_per_bit, total_energy_uncoded)
 from gmsklink.errors import ConfigError, RoutingError
-from gmsklink.fec import CodecPowerProfile, conv_spec, golay_spec, rs_spec
+from gmsklink.fec import (CodecPowerProfile, conv_spec, golay_spec, none_spec,
+                          rs_spec)
 from gmsklink.netsim import (Deployment, EnsembleSpec, _hop_table, build_route,
                              compare_coded_uncoded, deploy_random,
                              draw_trials, route_energy)
@@ -21,6 +22,7 @@ TIMING = TimingProfile()
 BUDGET = LinkBudget()
 CODEC_POWER = CodecPowerProfile()
 GOLAY = golay_spec()
+MODEL = EnergyModel(POWER, TIMING, BUDGET, 1e-4, 0.68, CODEC_POWER)
 
 
 def _path_gain(budget):
@@ -209,54 +211,60 @@ class TestRouteEnergy:
                     float(rng.uniform(1e-6, 0.1)), float(rng.uniform(0.3, 1.0)))
             for spec in specs:
                 codec_power = CodecPowerProfile(*rng.uniform(0.0, 0.05, 2))
+                model = EnergyModel(*args[1:], codec_power)
                 for variant in CodedVariant:
-                    got = route_energy(*args, spec, codec_power, variant)
+                    got = route_energy(distances, model, spec, variant)
                     assert dataclasses.astuple(got) == _reference_route_energy(
                         *args, spec, codec_power, variant)
 
     def test_single_hop_equals_link_total(self):
-        r = route_energy([73.25], POWER, TIMING, BUDGET, 1e-4, 0.68)
+        r = route_energy([73.25], MODEL)
         link = dataclasses.replace(BUDGET, distance_m=73.25)
         direct = total_energy_uncoded(POWER, TIMING, link, 1e-4, 0.68)
         assert r.e_total == pytest.approx(direct.e_total, rel=1e-15)
 
     def test_zero_length_route_rejected(self):
         with pytest.raises(ConfigError):
-            route_energy([], POWER, TIMING, BUDGET, 1e-4, 0.68)
+            route_energy([], MODEL)
 
     def test_additivity_exact(self):
-        r = route_energy([55.0, 70.0, 90.0], POWER, TIMING, BUDGET, 1e-4, 0.68,
-                         GOLAY, CODEC_POWER, CodedVariant.CIRCUIT_UNSCALED)
+        r = route_energy([55.0, 70.0, 90.0], MODEL, GOLAY,
+                         CodedVariant.CIRCUIT_UNSCALED)
         parts = (r.e_radiated + r.e_pa_overhead + r.e_circuit + r.e_transient
                  + r.e_codec)
         assert parts == r.e_total
 
     def test_detour_never_cheaper(self):
-        base = route_energy([60.0, 60.0], POWER, TIMING, BUDGET, 1e-4, 0.68)
-        detour = route_energy([60.0, 45.0, 45.0], POWER, TIMING, BUDGET, 1e-4, 0.68)
+        base = route_energy([60.0, 60.0], MODEL)
+        detour = route_energy([60.0, 45.0, 45.0], MODEL)
         assert detour.e_total > base.e_total
 
     def test_coded_beats_uncoded_on_long_hops(self):
         hops = [95.0, 80.0, 99.0, 85.0]
-        unc = route_energy(hops, POWER, TIMING, BUDGET, 1e-4, 0.68)
-        cod = route_energy(hops, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
-                           CODEC_POWER, CodedVariant.CIRCUIT_UNSCALED)
+        unc = route_energy(hops, MODEL)
+        cod = route_energy(hops, MODEL, GOLAY, CodedVariant.CIRCUIT_UNSCALED)
         assert cod.e_total < unc.e_total
 
     def test_codec_energy_charged_once_not_per_hop(self):
-        one = route_energy([80.0], POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
-                           CODEC_POWER, CodedVariant.LITERAL)
-        four = route_energy([80.0] * 4, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
-                            CODEC_POWER, CodedVariant.LITERAL)
+        one = route_energy([80.0], MODEL, GOLAY, CodedVariant.LITERAL)
+        four = route_energy([80.0] * 4, MODEL, GOLAY, CodedVariant.LITERAL)
         assert four.e_codec == one.e_codec
         assert four.e_transient == pytest.approx(4 * one.e_transient)
+
+    @pytest.mark.parametrize("variant", list(CodedVariant))
+    def test_rate_one_code_is_priced_as_uncoded(self, variant):
+        # a route prices the identity code as no code: no codec power
+        hops = [55.0, 70.0, 90.0]
+        unc = route_energy(hops, MODEL)
+        one = route_energy(hops, MODEL, none_spec(), variant)
+        assert one == unc
+        assert one.e_codec == 0.0
 
     @pytest.mark.parametrize("spec", [None, GOLAY])
     @pytest.mark.parametrize("bad", [0.0, -1.0, float("nan")])
     def test_bad_hop_distance_rejected(self, spec, bad):
         with pytest.raises(ConfigError, match="distance_m must be positive"):
-            route_energy([80.0, bad], POWER, TIMING, BUDGET, 1e-4, 0.68, spec,
-                         CODEC_POWER)
+            route_energy([80.0, bad], MODEL, spec)
 
     @pytest.mark.parametrize("spec", [None, GOLAY])
     @pytest.mark.parametrize("pe, alpha", [(0.0, 0.68), (1.0, 0.68), (-0.1, 0.68),
@@ -264,32 +272,43 @@ class TestRouteEnergy:
                                            (1e-4, 1.5), (1e-4, float("nan"))])
     def test_bad_pe_or_alpha_rejected(self, spec, pe, alpha):
         with pytest.raises(ValueError, match="pe must be|alpha must be"):
-            route_energy([80.0], POWER, TIMING, BUDGET, pe, alpha, spec, CODEC_POWER)
+            route_energy([80.0], EnergyModel(POWER, TIMING, BUDGET, pe, alpha,
+                                             CODEC_POWER), spec)
 
     def test_missing_codec_power_rejected(self):
         with pytest.raises(ConfigError):
-            route_energy([80.0], POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, None)
+            route_energy([80.0], EnergyModel(POWER, TIMING, BUDGET, 1e-4, 0.68),
+                         GOLAY)
 
 
 class TestCompareCodedUncoded:
     def test_no_gain_nonzero_codec_power_loses_every_trial(self):
         spec = golay_spec(g_code_db=0.0)
-        stats = compare_coded_uncoded(EnsembleSpec(seed=1), 200, POWER, TIMING,
-                                      BUDGET, 1e-4, 0.68, spec, CODEC_POWER,
+        stats = compare_coded_uncoded(EnsembleSpec(seed=1), 200, MODEL, spec,
                                       CodedVariant.LITERAL)
         assert stats.max < 0
 
+    @pytest.mark.parametrize("ens", [EnsembleSpec(seed=6),
+                                     EnsembleSpec(mode="geometry", seed=6)])
+    def test_rate_one_code_saves_nothing(self, ens):
+        # the identity code is priced as the uncoded route, trial by trial
+        for variant in CodedVariant:
+            for radiated_only in (False, True):
+                stats = compare_coded_uncoded(ens, 40, MODEL, none_spec(),
+                                              variant, radiated_only)
+                assert stats.n_trials >= 1
+                assert all(e_u == e_c and s == 0.0
+                           for _, e_u, e_c, s in stats.samples)
+
     def test_replication_mode_statistics(self):
-        stats = compare_coded_uncoded(EnsembleSpec(seed=2), 500, POWER, TIMING,
-                                      BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER,
+        stats = compare_coded_uncoded(EnsembleSpec(seed=2), 500, MODEL, GOLAY,
                                       CodedVariant.CIRCUIT_UNSCALED)
         assert stats.n_trials == 500
         assert stats.min <= stats.mean <= stats.max
         assert stats.mean > 0
 
     def test_deterministic(self):
-        args = (EnsembleSpec(seed=3), 50, POWER, TIMING, BUDGET, 1e-4, 0.68,
-                GOLAY, CODEC_POWER, CodedVariant.LITERAL)
+        args = (EnsembleSpec(seed=3), 50, MODEL, GOLAY, CodedVariant.LITERAL)
         assert compare_coded_uncoded(*args) == compare_coded_uncoded(*args)
 
     def test_savings_unchanged_by_node_relabelling(self):
@@ -304,24 +323,22 @@ class TestCompareCodedUncoded:
         r1 = build_route(dep, 1, sink, 100.0)
         r2 = build_route(relabelled, 101, sink + 100, 100.0)
         assert r2.per_hop_distance == r1.per_hop_distance
-        e1 = route_energy(r1, POWER, TIMING, BUDGET, 1e-4, 0.68)
-        e2 = route_energy(r2, POWER, TIMING, BUDGET, 1e-4, 0.68)
+        e1 = route_energy(r1, MODEL)
+        e2 = route_energy(r2, MODEL)
         assert e1.e_total == e2.e_total
 
     def test_radiated_only_reading_larger_savings(self):
-        full = compare_coded_uncoded(EnsembleSpec(seed=4), 200, POWER, TIMING,
-                                     BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER,
+        full = compare_coded_uncoded(EnsembleSpec(seed=4), 200, MODEL, GOLAY,
                                      CodedVariant.CIRCUIT_UNSCALED)
-        rad = compare_coded_uncoded(EnsembleSpec(seed=4), 200, POWER, TIMING,
-                                    BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER,
+        rad = compare_coded_uncoded(EnsembleSpec(seed=4), 200, MODEL, GOLAY,
                                     CodedVariant.CIRCUIT_UNSCALED,
                                     radiated_only=True)
         assert rad.mean > full.mean
 
     def test_geometry_mode_runs(self):
         stats = compare_coded_uncoded(
-            EnsembleSpec(mode="geometry", seed=5), 25, POWER, TIMING, BUDGET,
-            1e-4, 0.68, GOLAY, CODEC_POWER, CodedVariant.CIRCUIT_UNSCALED)
+            EnsembleSpec(mode="geometry", seed=5), 25, MODEL, GOLAY,
+            CodedVariant.CIRCUIT_UNSCALED)
         assert stats.n_trials >= 1
 
 
@@ -379,8 +396,7 @@ class TestDrawOnce:
             for radiated_only in (False, True):
                 expected = _reference_samples(ens, trials, GOLAY, variant,
                                               radiated_only)
-                args = (trials, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY,
-                        CODEC_POWER, variant, radiated_only)
+                args = (trials, MODEL, GOLAY, variant, radiated_only)
                 from_spec = compare_coded_uncoded(ens, *args)
                 shared = compare_coded_uncoded(draws, *args)
                 assert repr(from_spec.samples) == repr(tuple(expected))
@@ -414,7 +430,7 @@ class TestDrawOnce:
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             draw_trials(EnsembleSpec(), 0, BUDGET.k_exp)
         draws = draw_trials(EnsembleSpec(), 5, BUDGET.k_exp)
-        args = (POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        args = (MODEL, GOLAY)
         with pytest.raises(ConfigError, match="trials must be >= 1"):
             compare_coded_uncoded(draws, 0, *args)
         with pytest.raises(ConfigError, match="only 4 attempted"):
@@ -425,8 +441,7 @@ class TestDrawOnce:
         with pytest.raises(RoutingError, match="every trial failed"):
             draw_trials(ens, 20, BUDGET.k_exp)
         with pytest.raises(RoutingError, match="every trial failed"):
-            compare_coded_uncoded(ens, 20, POWER, TIMING, BUDGET, 1e-4, 0.68,
-                                  GOLAY, CODEC_POWER)
+            compare_coded_uncoded(ens, 20, MODEL, GOLAY)
 
     @pytest.mark.parametrize("extent", [{"hop_range": (50.0, math.inf)},
                                         {"field_width": math.inf},
@@ -440,10 +455,10 @@ class TestDrawOnce:
     def test_draws_at_another_k_exp_rejected(self):
         steeper = dataclasses.replace(BUDGET, k_exp=BUDGET.k_exp + 0.5)
         draws = draw_trials(EnsembleSpec(), 5, steeper.k_exp)
-        args = (POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        args = (MODEL, GOLAY)
         with pytest.raises(ConfigError, match="k_exp"):
             compare_coded_uncoded(draws, 5, *args)
-        args = (POWER, TIMING, steeper, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        args = (dataclasses.replace(MODEL, budget=steeper), GOLAY)
         assert compare_coded_uncoded(draws, 5, *args) == compare_coded_uncoded(
             EnsembleSpec(), 5, *args)
 
@@ -466,21 +481,19 @@ class TestArrayPricing:
             for radiated_only in (False, True):
                 expected = _reference_samples(ens, trials, GOLAY, variant,
                                               radiated_only)
-                got = compare_coded_uncoded(draws, trials, POWER, TIMING, BUDGET,
-                                            1e-4, 0.68, GOLAY, CODEC_POWER,
-                                            variant, radiated_only)
+                got = compare_coded_uncoded(draws, trials, MODEL, GOLAY, variant,
+                                            radiated_only)
                 assert repr(got.samples) == repr(tuple(expected))
 
     @pytest.mark.parametrize("ens", [EnsembleSpec(seed=5, n_relays=4),
                                      RAGGED[0]])
     def test_uncoded_totals_equal_route_energy(self, ens):
-        args = (ens, 100, POWER, TIMING, BUDGET, 1e-4, 0.68, GOLAY, CODEC_POWER)
+        args = (ens, 100, MODEL, GOLAY)
         full = compare_coded_uncoded(*args)
         rad = compare_coded_uncoded(*args, radiated_only=True)
         for (trial, e_total, _, _), (_, e_radiated_only, _, _) in zip(full.samples,
                                                                    rad.samples):
-            route = route_energy(_reference_trial_distances(ens, trial), POWER,
-                                 TIMING, BUDGET, 1e-4, 0.68)
+            route = route_energy(_reference_trial_distances(ens, trial), MODEL)
             assert (e_total, e_radiated_only) == (route.e_total,
                                                    route.e_total_radiated_only)
 

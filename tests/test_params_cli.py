@@ -279,6 +279,7 @@ class TestCliBasics:
         ("ber-sweep", "modem.samples_per_symbol = 257"),
         ("ber-sweep", "modem.pulse_span_symbols = 65"),
         ("ber-sweep --quick --codecs=", ""),
+        ("energy-distance", "run.seed = 1\nrun.seed = 2"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"
@@ -291,6 +292,41 @@ class TestCliBasics:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("gmsklink: config error: ")
         assert not out.exists()
+
+    def test_duplicate_key_names_both_lines(self):
+        with pytest.raises(ConfigError) as info:
+            parse_params_text("run.seed = 1\n# again\nrun.seed = 2\n",
+                              source="my.params")
+        assert str(info.value) == ("my.params:3: duplicate key 'run.seed' "
+                                   "(first set on line 1)")
+
+    @pytest.mark.parametrize("case", ["config is a directory", "config not utf-8",
+                                      "out is a file", "out under a file"])
+    def test_load_time_io_error_fails_at_load(self, tmp_path, capsys, case):
+        not_utf8 = tmp_path / "bad.params"
+        not_utf8.write_bytes(b"\xff\n")
+        a_file = tmp_path / "a_file"
+        a_file.write_text("kept\n")
+        out = tmp_path / "out"
+        args = {"config is a directory": ["--config", str(tmp_path), "--out", str(out)],
+                "config not utf-8": ["--config", str(not_utf8), "--out", str(out)],
+                "out is a file": ["--out", str(a_file)],
+                "out under a file": ["--out", str(a_file / "sub")]}[case]
+        assert cli.main(["energy-distance", "--quick", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("gmsklink: config error: ")
+        assert not out.exists()
+        assert a_file.read_text() == "kept\n"
+
+    def test_write_error_is_runtime_failure(self, tmp_path, capsys, monkeypatch):
+        def full_disk(path, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "_write_atomic", full_disk)
+        assert cli.main(["energy-distance", "--quick", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("gmsklink: runtime failure: ")
 
     @pytest.mark.parametrize("command", ["ber-sweep", "route-sim"])
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
