@@ -214,16 +214,20 @@ def _route_mode(model, spec, mode: str, ens, trials: int,
 
     The trials are drawn once, their hop distances raised to the path-loss
     exponent, and every variant is priced from that draw; it is dropped on
-    return, so one ensemble's draw is held at a time.
+    return, so one ensemble's draw is held at a time.  The uncoded energies
+    do not depend on the variant, so their text is made once.
     """
     draws = draw_trials(ens, trials, model.budget.k_exp)
     outputs = {}
+    uncoded = None
     for variant in _variants(variant_selection):
         stats = compare_coded_uncoded(draws, trials, model, spec, variant)
+        if uncoded is None:
+            uncoded = [f"{trial},{e_u!r}," for trial, e_u, _, _ in stats.samples]
+            mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
         lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
-        for trial, e_u, e_c, s in stats.samples:
-            lines.append(f"{trial},{e_u!r},{e_c!r},{s!r}")
-        mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
+        lines += [f"{prefix}{e_c!r},{s!r}"
+                  for prefix, (_, _, e_c, s) in zip(uncoded, stats.samples)]
         mean_c = sum(s[2] for s in stats.samples) / stats.n_trials
         lines.append(f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}")
         name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
@@ -231,6 +235,8 @@ def _route_mode(model, spec, mode: str, ens, trials: int,
         print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
               f"over {stats.n_trials} trials, {trials - stats.n_trials} "
               f"skipped", file=sys.stderr)
+        # so one variant's samples and lines are held at a time
+        del stats, lines
     return outputs
 
 

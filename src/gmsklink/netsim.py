@@ -19,8 +19,15 @@ makes with seed ``seed + t``, so nearby seeds share geometry trials
 (``--seed 2`` repeats 399 of ``--seed 1``'s first 400).  An ensemble's
 streams are computed together in one array pass
 (:func:`~gmsklink.channel.substream_random`), to the bytes of the per-trial
-draws, and each geometry trial is routed on its coordinate lists by the
-greedy function :func:`build_route` calls.
+draws.
+
+The geometry trials of a slice are routed together on its ``(trials,
+nodes)`` coordinate arrays (:func:`_route_slice`): each array step moves
+every unfinished trial one greedy hop.  ``np.hypot`` may differ from
+``math.hypot`` by an ulp, so a trial that compares two distances within a
+relative 1e-12 of each other is routed again, exactly, by the greedy
+function :func:`build_route` calls; every hop distance is ``math.hypot``'s,
+so the routes are those of the per-trial router, byte for byte.
 
 Every route of an ensemble is priced in one array pass: the powers sit in a
 ``(routes, widest route)`` table padded with zeros, every hop shares one
@@ -50,6 +57,10 @@ _DEPLOY_TAG = 0x6465
 _TRIAL_TAG = 0x7472
 # trials whose streams are computed in one array pass, which bounds its memory
 _DRAW_ROWS = 1024
+# relative gap within which two distances a geometry route compares could
+# order one way under np.hypot and the other under math.hypot (they differ by
+# at most 1 ulp, 2.2e-16 relative), so the route is made by _trial_route
+_TIE_GUARD = 1e-12
 
 
 @dataclass(frozen=True)
@@ -323,6 +334,71 @@ def _trial_route(xs, ys, max_hop_m: float):
     return dists if path[-1] == sink else None
 
 
+def _route_slice(xs: np.ndarray, ys: np.ndarray, max_hop_m: float) -> list:
+    """:func:`_trial_route` of every row of the ``(rows, nodes)`` coordinate
+    arrays, routing all rows together.
+
+    Each step advances every unfinished row: the candidates are the in-range
+    nodes strictly closer to the sink, and the next node is the first of
+    them closest to it.  ``np.hypot`` and ``math.hypot`` differ by up to
+    1 ulp, so a row that compares two distances within a relative
+    ``_TIE_GUARD`` of each other (the two farthest nodes, two distances to
+    the sink, or a hop and ``max_hop_m``) is routed by :func:`_trial_route`
+    instead.  Every other row takes the path ``_greedy`` would, and its hop
+    distances are ``math.hypot``'s along that path.
+    """
+    rows = len(xs)
+    tie = _TIE_GUARD
+    every = np.arange(rows)
+    from0 = np.hypot(xs[:, 1:] - xs[:, :1], ys[:, 1:] - ys[:, :1])
+    sink = np.argmax(from0, axis=1) + 1
+    far = from0.max(axis=1, keepdims=True)
+    exact = np.count_nonzero(from0 >= far * (1.0 - tie), axis=1) > 1
+    del from0, far
+    to_sink = np.hypot(xs - xs[every, sink, None], ys - ys[every, sink, None])
+    routes = [[] for _ in range(rows)]
+    here = np.zeros(rows, dtype=np.intp)
+    stuck = np.zeros(rows, dtype=bool)
+    done = exact.copy()
+    # every step works on the whole slice and ignores the finished rows:
+    # arrays of one size are reused by the allocator, where arrays shrinking
+    # with the unfinished rows fragment the heap and raise the peak RSS
+    while not done.all():
+        t = to_sink.copy()
+        t_here = t[every, here][:, None]
+        gap = t - t_here
+        # more than one: the current node's own gap is 0
+        unsure = np.count_nonzero(np.abs(gap, out=gap) <= tie * t_here, axis=1) > 1
+        # t becomes the distances to the sink of the candidates, inf elsewhere
+        t[t >= t_here] = np.inf
+        if max_hop_m < math.inf:
+            # the gaps are spent, so their array takes the y offsets
+            dx = np.subtract(xs[every, here, None], xs)
+            hop = np.hypot(dx, np.subtract(ys[every, here, None], ys, out=gap), out=dx)
+            t[hop > max_hop_m] = np.inf
+            gap = np.abs(np.subtract(hop, max_hop_m, out=hop), out=hop)
+            unsure |= (gap <= tie * max_hop_m).any(axis=1)
+        step = np.argmin(t, axis=1)
+        moved = t[every, step] < np.inf
+        unsure &= ~done
+        exact |= unsure
+        sure = ~(done | unsure)
+        stuck |= sure & ~moved
+        r = np.flatnonzero(sure & moved)
+        a, b = here[r], step[r]
+        hops = map(math.hypot, (xs[r, a] - xs[r, b]).tolist(),
+                   (ys[r, a] - ys[r, b]).tolist())
+        for row, d in zip(r.tolist(), hops):
+            routes[row].append(d)
+        here[r] = b
+        done |= exact | stuck | (here == sink)
+    for row in np.flatnonzero(stuck).tolist():
+        routes[row] = None
+    for row in np.flatnonzero(exact).tolist():
+        routes[row] = _trial_route(xs[row].tolist(), ys[row].tolist(), max_hop_m)
+    return routes
+
+
 def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
     """The routes of the ensemble's first ``trials`` trials, their hop
     distances raised to ``k_exp``.
@@ -331,7 +407,8 @@ def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
     ``(seed, tag, t)`` in replication mode, and the deployment
     :func:`deploy_random` makes with seed ``seed + t`` in geometry mode.  The
     streams of up to ``_DRAW_ROWS`` trials are computed in one array pass
-    (:func:`~gmsklink.channel.substream_random`).  Geometry-mode trials
+    (:func:`~gmsklink.channel.substream_random`), and their geometry trials
+    are routed together (:func:`_route_slice`).  Geometry-mode trials
     whose route construction fails are left out, so each row keeps its
     trial's own index.
     """
@@ -350,9 +427,12 @@ def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
             continue
         n = ens.n_nodes
         u = substream_random([(ens.seed + t, _DEPLOY_TAG) for t in rows], 2 * n)
-        for t, xs, ys in zip(rows, (ens.field_width * u[:, :n]).tolist(),
-                             (ens.field_height * u[:, n:]).tolist()):
-            distances = _trial_route(xs, ys, ens.max_hop_m)
+        # the coordinates, scaled in place to the bytes of
+        # Generator.uniform(0.0, extent)
+        u[:, :n] *= ens.field_width
+        u[:, n:] *= ens.field_height
+        for t, distances in zip(rows, _route_slice(u[:, :n], u[:, n:],
+                                                   ens.max_hop_m)):
             if distances is not None:
                 kept.append(t)
                 routes.append(distances)

@@ -239,6 +239,10 @@ class RunConfig:
                     for name in self["run.codecs"]],
                    self["sweep.ebno_start_db"], self.modem_config())
         self.distance_grid()
+        # every scan distance is priced, and the first is the shortest
+        start = self["scan.d_start_m"]
+        if not start > 0:
+            raise ConfigError(f"scan.d_start_m must be positive, got {start}")
         self.ensembles()
 
     def __getitem__(self, key):

@@ -13,9 +13,10 @@ from gmsklink.energy import (CodedVariant, EnergyModel, PowerProfile,
 from gmsklink.errors import ConfigError, RoutingError
 from gmsklink.fec import (CodecPowerProfile, conv_spec, golay_spec, none_spec,
                           rs_spec)
-from gmsklink.netsim import (Deployment, EnsembleSpec, _hop_table, build_route,
-                             compare_coded_uncoded, deploy_random,
-                             draw_trials, route_energy)
+from gmsklink import netsim
+from gmsklink.netsim import (Deployment, EnsembleSpec, _hop_table, _route_slice,
+                             _trial_route, build_route, compare_coded_uncoded,
+                             deploy_random, draw_trials, route_energy)
 
 POWER = PowerProfile()
 TIMING = TimingProfile()
@@ -461,6 +462,92 @@ class TestDrawOnce:
         args = (dataclasses.replace(MODEL, budget=steeper), GOLAY)
         assert compare_coded_uncoded(draws, 5, *args) == compare_coded_uncoded(
             EnsembleSpec(), 5, *args)
+
+
+def _count_greedy(monkeypatch) -> list:
+    """Count the calls of the exact greedy router from now on."""
+    calls = []
+    greedy = netsim._greedy
+
+    def counted(*args):
+        calls.append(args)
+        return greedy(*args)
+
+    monkeypatch.setattr(netsim, "_greedy", counted)
+    return calls
+
+
+class TestRouteSlice:
+    """The slice router against the per-trial one, its oracle."""
+
+    @pytest.mark.parametrize("n_nodes", [2, 3, 20, 50])
+    def test_matches_trial_route_on_random_deployments(self, monkeypatch, n_nodes):
+        rng = np.random.default_rng(n_nodes)
+        calls = _count_greedy(monkeypatch)
+        stuck = routed = 0
+        for max_hop_m in (0.5, 20.0, 35.0, 60.0, 100.0, 141.5, math.inf):
+            xs, ys = 100.0 * rng.random((2, 720, n_nodes))
+            got = _route_slice(xs, ys, max_hop_m)
+            # these deployments hold no near tie, and an infinite reach is
+            # never near a hop, so no row takes the exact path
+            assert not calls
+            for row, route in enumerate(got):
+                expected = _trial_route(xs[row].tolist(), ys[row].tolist(), max_hop_m)
+                assert repr(route) == repr(expected)
+                stuck += expected is None
+                routed += expected is not None
+            calls.clear()
+        # 7 reaches x 720 rows, and both outcomes occur
+        assert stuck + routed == 5040 and stuck > 100 and routed > 1000
+
+    @pytest.mark.parametrize("case, xs, ys, max_hop_m, exact_calls", [
+        # two relays mirrored about the line to the sink
+        ("mirror pair", [10.0, 90.0, 50.0, 50.0], [50.0, 50.0, 30.0, 70.0], 60.0, 1),
+        # a node as far from the sink as the source (3-4-5 triangles)
+        ("sink tie", [10.0, 90.0, 30.0], [30.0, 90.0, 10.0], 120.0, 1),
+        # the relay is exactly max_hop_m (3-4-5) from the source and the sink
+        ("hop at range", [10.0, 70.0, 40.0], [10.0, 90.0, 50.0], 50.0, 1),
+        # two nodes equally far from the source
+        ("farthest tie", [10.0, 90.0, 90.0], [50.0, 20.0, 80.0], 100.0, 1),
+        # the mirror pair moved apart by 1 m: no tie, no exact call
+        ("no tie", [10.0, 90.0, 50.0, 50.0], [50.0, 50.0, 30.0, 71.0], 60.0, 0),
+    ])
+    def test_near_ties_take_the_exact_path(self, monkeypatch, case, xs, ys,
+                                           max_hop_m, exact_calls):
+        expected = _trial_route(xs, ys, max_hop_m)
+        assert expected is not None
+        calls = _count_greedy(monkeypatch)
+        got = _route_slice(np.array([xs]), np.array([ys]), max_hop_m)
+        assert repr(got) == repr([expected])
+        assert len(calls) == exact_calls
+
+    def test_guard_catches_a_hop_that_straddles_the_range(self, monkeypatch):
+        # a source, a relay about 35 m off and a sink 65 m off; the reach is
+        # set to math.hypot's source-relay hop or one ulp below it, so that
+        # wherever np.hypot differs by an ulp, the two routers disagree on
+        # whether the relay is in range
+        rng = np.random.default_rng(2024)
+        monkeypatch.setattr(netsim, "_TIE_GUARD", 0.0)
+        found = None
+        for _ in range(20_000):
+            xs = [10.0 + 5.0 * rng.random(), 75.0, 45.0 + 5.0 * rng.random()]
+            ys = [50.0 + 5.0 * rng.random(), 50.0, 50.0 + 5.0 * rng.random()]
+            hop = math.hypot(xs[0] - xs[2], ys[0] - ys[2])
+            for max_hop_m in (hop, math.nextafter(hop, 0.0)):
+                unguarded = _route_slice(np.array([xs]), np.array([ys]), max_hop_m)
+                if repr(unguarded) != repr([_trial_route(xs, ys, max_hop_m)]):
+                    found = xs, ys, max_hop_m
+                    break
+            if found:
+                break
+        assert found, "no hop found where np.hypot and math.hypot straddle the reach"
+        xs, ys, max_hop_m = found
+        monkeypatch.undo()
+        expected = _trial_route(xs, ys, max_hop_m)
+        calls = _count_greedy(monkeypatch)
+        assert repr(_route_slice(np.array([xs]), np.array([ys]), max_hop_m)) == repr(
+            [expected])
+        assert len(calls) == 1
 
 
 class TestArrayPricing:

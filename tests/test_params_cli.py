@@ -261,6 +261,7 @@ class TestCliBasics:
         ("energy-distance", "power.eta = 2"),
         ("energy-distance", "scan.d_step_m = 0"),
         ("energy-distance", "scan.d_step_m = 1e-310"),
+        ("energy-distance", "scan.d_start_m = 0"),
         ("energy-distance", "modem.bt_product = 0"),
         ("route-sim", "route.hop_min_m = -5"),
         ("route-sim", "route.n_nodes = 1"),
