@@ -11,10 +11,10 @@ in one array pass, to the bytes each stream's generator would give.
 Noise of ``n`` samples reads the first ``2 n`` standard normals of the
 seed's stream: ``z[:n]`` scaled onto I and ``z[n:2n]`` onto Q.  Signals of
 different lengths under one seed therefore read prefixes of one stream.
-The BER engine draws each distinct normal once, into a buffer that lives
-for one round's channel phase, and adds each codec's prefix one decision
-block at a time through :func:`add_noise`, the formula :func:`awgn`
-applies (see :mod:`gmsklink.link`).
+The BER engine reads each point's stream once, in chunks of whole frames,
+and adds no noise to any waveform: it filters each codec's prefix of the
+normals straight into one noise value per decision, which it scales by
+:func:`noise_scale` (see :mod:`gmsklink.link`).
 """
 
 from __future__ import annotations

@@ -204,11 +204,6 @@ def _conv_layout(info_len, spec):
     return BlockLayout(blocks, 2 * info_len + blocks * (spec.n - 2 * spec.k), 0)
 
 
-def _conv_encode(bits, spec):
-    return np.concatenate([conv_encode(bits[i: i + spec.k])
-                           for i in range(0, bits.size, spec.k)])
-
-
 def _conv_decode(coded, spec, info_len):
     # Viterbi flags no block and counts no corrections
     return viterbi_decode_segments(coded, spec.n), 0, 0
@@ -224,7 +219,8 @@ _RS = Codec("reed_solomon", rs_spec, _rs_encode, _rs_decode,
             shape=(reed_solomon.N_SYMBOLS, reed_solomon.K_SYMBOLS,
                    reed_solomon.T_CORRECT, reed_solomon.D_MIN, reed_solomon.SYMBOL_BITS))
 _CONV = Codec("convolutional", lambda g_code_db: conv_spec(g_code_db=g_code_db),
-              _conv_encode, _conv_decode, layout=_conv_layout)
+              lambda bits, spec: convolutional.conv_encode_segments(bits, spec.k),
+              _conv_decode, layout=_conv_layout)
 
 CODECS = {codec.name: codec for codec in (_NONE, _GOLAY, _RS, _CONV)}
 

@@ -51,15 +51,38 @@ def _branch_tables():
 _BM0, _BM1 = _branch_tables()
 
 
+def _encode_rows(x: np.ndarray) -> np.ndarray:
+    """Encode every row of the ``(S, L)`` bit array ``x``, each ending in
+    its zero tail; returns ``(S, 2 L)``, the two generators' outputs
+    interleaved.  Each generator is a shift-XOR over the whole array."""
+    out = np.empty((x.shape[0], 2 * x.shape[1]), dtype=np.uint8)
+    for column, taps in ((0, G1_TAPS), (1, G2_TAPS)):
+        v = x.copy()  # tap 0 of both generators is set
+        for j in np.flatnonzero(taps[1:]) + 1:
+            v[:, j:] ^= x[:, :-j]
+        out[:, column::2] = v
+    return out
+
+
 def conv_encode(bits) -> np.ndarray:
     """Encode a bit stream; output length is 2 * (len(bits) + 6)."""
     x = np.concatenate([as_bits(bits), np.zeros(CONSTRAINT_LENGTH - 1, dtype=np.uint8)])
-    v1 = np.convolve(x, G1_TAPS)[: x.size] & 1
-    v2 = np.convolve(x, G2_TAPS)[: x.size] & 1
-    out = np.empty(2 * x.size, dtype=np.uint8)
-    out[0::2] = v1
-    out[1::2] = v2
-    return out
+    return _encode_rows(x[None])[0]
+
+
+def conv_encode_segments(bits: np.ndarray, k: int) -> np.ndarray:
+    """Encode ``bits`` in segments of ``k`` bits, the last of which may be
+    shorter, each with its own tail: the concatenation of
+    :func:`conv_encode` of every segment, in one array pass.  A short last
+    segment's row runs on in zeros past its tail, which leave the encoder in
+    the zero state and emit zeros; they are cut off."""
+    segments = -(-bits.size // k)
+    padded = np.zeros(segments * k, dtype=np.uint8)
+    padded[:bits.size] = bits
+    rows = np.zeros((segments, k + CONSTRAINT_LENGTH - 1), dtype=np.uint8)
+    rows[:, :k] = padded.reshape(segments, k)
+    coded = _encode_rows(rows).reshape(-1)
+    return coded[:2 * (bits.size + segments * (CONSTRAINT_LENGTH - 1))]
 
 
 def viterbi_decode(coded) -> np.ndarray:

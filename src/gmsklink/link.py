@@ -1,8 +1,8 @@
 """Monte Carlo BER engine: codecs + modem + AWGN channel, with oracles.
 
-Each sweep point runs the full pipeline (random info bits -> encode ->
-GMSK modulate -> AWGN at rate-adjusted Eb/N0 -> demodulate -> decode ->
-compare) in growing chunks until the stop rule is met.  Points derive
+Each sweep point runs the pipeline (random info bits -> encode -> GMSK
+over AWGN at rate-adjusted Eb/N0 -> hard decisions -> decode -> compare) in
+growing chunks until the stop rule is met.  Points derive
 independent Philox substreams from (seed, Eb/N0), so results are identical
 whether points run serially, in parallel, or in any order.  Eb/N0 is per
 information bit by default: coded pipelines pay the rate penalty on the
@@ -15,15 +15,22 @@ differences less noisy than independent draws would.  :func:`run_grid`
 runs several codecs over one modem, stop rule, seed and Eb/N0 grid in chunk
 rounds: round ``i`` runs for every point with a codec short of the stop rule
 before round ``i + 1`` runs for any.  A point's round draws its data bits
-once and its noise once: one buffer, allocated for the round's longest
-signal and dropped when the round's channel phase ends, is filled for each
-point in turn, and a codec's signal of ``m`` samples reads its first ``2 m``
-normals, the stream :func:`~gmsklink.channel.awgn` would draw for it alone.
-A codec whose noise scale is 0 (at an infinite Eb/N0) reads none, and a
-point where no codec reads any draws none.
-No full-length waveform is made: :func:`~gmsklink.modem.transceive`
-modulates, adds noise and filters one decision block at a time, with the
-row, noise and filter helpers of ``modulate``, ``awgn`` and ``demodulate``.
+once and streams its normals once, in chunks of whole frames: a codec's
+signal of ``m`` samples reads the first ``2 m`` normals, ``z[:m]`` onto I
+and ``z[m:2m]`` onto Q, the stream :func:`~gmsklink.channel.awgn` would draw
+for it alone.  A codec whose noise scale is 0 (at an infinite Eb/N0) reads
+none, and a point where no codec reads any keys no noise stream.
+
+No waveform and no buffer of a point's normals is made.  The receiver keeps
+one number per bit, and that number is linear in the signal and the noise,
+so codec decision ``k`` is ``table[key] + scale * d_k * N_k < 0``: the
+noiseless part from the modem's statistic table
+(:func:`~gmsklink.modem.decision_statistic`), and ``N_k`` the receiver
+filter's output on the normals of the component decision ``k`` reads,
+summed chunk by chunk (:func:`~gmsklink.modem.filter_noise`).  The hard
+decisions are those of ``demodulate(awgn(modulate(bits)))`` up to a
+statistic within about 1e-15 of 0, where the two float evaluation orders
+may disagree.
 
 Every codec keeps only its hard decisions and data bits until the end of
 the round, when its streams of that round, one per point, are decoded in
@@ -47,11 +54,11 @@ import numpy as np
 
 # modulate, awgn, demodulate and strip_code stay bound here for the
 # benchmark's tracer
-from .channel import ChannelConfig, add_noise, awgn, noise_scale, substream  # noqa: F401
+from .channel import ChannelConfig, awgn, noise_scale, substream  # noqa: F401
 from .errors import ConfigError
 from .fec import CODECS, CodeSpec, apply_code, block_layout, strip_code  # noqa: F401
-from .modem import (ModemConfig, demodulate, modulate,  # noqa: F401
-                    signal_length, theoretical_ber, transceive)
+from .modem import (ModemConfig, decide, decision_statistic, demodulate,  # noqa: F401
+                    filter_noise, modulate, signal_length, theoretical_ber)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -64,6 +71,9 @@ _NOISE_TAG = 0x6E7A
 # whose Viterbi time per segment stops falling at about that batch width,
 # with a traceback state of 4 MB.
 _GROUP_BITS = 512 * 512
+
+# Normals a point draws at a time, rounded down to whole frames.
+_CHUNK_NORMALS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -145,20 +155,39 @@ def _scale(ebno_db: float, n_bits: int, coded_bits: int, modem: ModemConfig) -> 
                                      samples_per_symbol=modem.samples_per_symbol))
 
 
-def _channel(bits, codec: CodeSpec, modem: ModemConfig, ebno_db: float,
-             z: np.ndarray) -> np.ndarray:
-    """The hard decisions on ``bits`` coded, modulated and sent through AWGN
-    whose stream of normals starts with ``z``, which a noise scale of 0
-    leaves unread."""
-    coded = apply_code(bits, codec)
-    scale = _scale(ebno_db, bits.size, coded.size, modem)
-    n = signal_length(coded.size, modem)
+def _decide(coded, scales, modem: ModemConfig, rng) -> list:
+    """The hard decisions on each coded stream sent through AWGN of its
+    noise scale, whose normals are the stream of ``rng``.
 
-    def impair(start, samples):
-        stop = start + samples.size
-        add_noise(samples, z[start:stop], z[n + start:n + stop], scale)
-
-    return transceive(coded, modem, impair if scale else None)
+    Stream ``i``'s signal of ``n`` samples reads the first ``2 n`` normals,
+    ``z[:n]`` onto I and ``z[n:2n]`` onto Q, as :func:`awgn` draws them; a
+    scale of 0 reads none.  The normals come in chunks of whole frames, and
+    each stream keeps one filtered noise value per decision, so no waveform
+    and no buffer of the stream is made.
+    """
+    sps = modem.samples_per_symbol
+    samples = [signal_length(c.size, modem) for c in coded]
+    noise = [np.zeros(c.size) if scale else None for c, scale in zip(coded, scales)]
+    total = max((2 * n for n, acc in zip(samples, noise) if acc is not None), default=0)
+    chunk = max(1, _CHUNK_NORMALS // sps) * sps
+    z = np.empty(min(chunk, total))
+    for p0 in range(0, total, chunk):
+        p1 = min(p0 + chunk, total)
+        rng.standard_normal(out=z[:p1 - p0])
+        for acc, n in zip(noise, samples):
+            if acc is None:
+                continue
+            for component in (0, 1):
+                a, b = max(p0, component * n), min(p1, (component + 1) * n)
+                if a < b:
+                    filter_noise(acc, z[a - p0:b - p0], (a - component * n) // sps,
+                                 component, modem)
+    del z
+    hard = []
+    for i, (c, scale) in enumerate(zip(coded, scales)):
+        acc, noise[i] = noise[i], None
+        hard.append(decide(decision_statistic(c, modem, acc, scale), modem))
+    return hard
 
 
 class _Point:
@@ -213,26 +242,19 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
             break
         simulated += n_bits
         held = [[] for _ in codecs]  # each codec's (point, bits, hard decisions)
-        coded_bits = [block_layout(n_bits, spec).coded_bits for spec in codecs]
-        reads = [2 * signal_length(c, modem) for c in coded_bits]
-        # the normals each point's codecs read: none at an infinite Eb/N0
-        normals = [max((reads[i] for i in ids
-                        if _scale(point.ebno_db, n_bits, coded_bits[i], modem)),
-                       default=0)
-                   for point, ids in zip(points, running)]
-        z = np.empty(max(normals))
-        for point, ids, n_normals in zip(points, running, normals):
+        for point, ids in zip(points, running):
             if not ids:
                 continue
             bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
-            if n_normals:
-                substream(_noise_seed(seed, point.ebits, chunk_index)).standard_normal(
-                    out=z[:n_normals])
-            for i in ids:
-                hard = _channel(bits, codecs[i], modem, point.ebno_db, z)
+            coded = [apply_code(bits, codecs[i]) for i in ids]
+            scales = [_scale(point.ebno_db, n_bits, c.size, modem) for c in coded]
+            # a point whose codecs read no noise keys no stream
+            rng = (substream(_noise_seed(seed, point.ebits, chunk_index))
+                   if any(scales) else None)
+            for i, hard in zip(ids, _decide(coded, scales, modem, rng)):
                 held[i].append((point, bits, hard))
                 point.bits_simulated[i] = simulated
-        del z  # free the noise before the decodes
+            del coded  # free the point's coded streams before the decodes
         for i, streams in enumerate(held):
             if streams:
                 owners, data, hard = zip(*streams)

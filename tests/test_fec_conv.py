@@ -5,8 +5,19 @@ import pytest
 
 from gmsklink.errors import FramingError
 from gmsklink.fec import conv_encode, viterbi_decode
+from gmsklink.fec import apply_code, conv_spec
 from gmsklink.fec.convolutional import (D_FREE, G1_TAPS, G2_TAPS,
+                                        conv_encode_segments,
                                         viterbi_decode_segments)
+
+
+def _reference_encode(bits):
+    # the generators as mod-2 convolutions of the stream and its zero tail
+    x = np.concatenate([bits, np.zeros(6, np.uint8)])
+    out = np.empty(2 * x.size, np.uint8)
+    out[0::2] = np.convolve(x, G1_TAPS)[:x.size] & 1
+    out[1::2] = np.convolve(x, G2_TAPS)[:x.size] & 1
+    return out
 
 
 def test_all_zero_input_gives_all_zero_output():
@@ -25,6 +36,23 @@ def test_single_one_gives_generator_impulse_response():
 def test_output_length_includes_tail(length):
     bits = np.ones(length, np.uint8)
     assert conv_encode(bits).size == 2 * (length + 6)
+
+
+@pytest.mark.parametrize("length", [1, 2, 6, 7, 13, 200, 1000])
+def test_matches_the_convolution_reference(length):
+    bits = np.random.default_rng(length).integers(0, 2, length).astype(np.uint8)
+    np.testing.assert_array_equal(conv_encode(bits), _reference_encode(bits))
+
+
+@pytest.mark.parametrize("k", [1, 7, 64, 512])
+@pytest.mark.parametrize("length", [1, 6, 7, 63, 64, 65, 511, 512, 513, 1500, 25_000])
+def test_segments_in_one_pass_match_each_segment_alone(k, length):
+    # every segment goes through one array pass, a short last one padded
+    # with zeros past its tail
+    bits = np.random.default_rng(k * length).integers(0, 2, length).astype(np.uint8)
+    want = np.concatenate([_reference_encode(bits[i:i + k]) for i in range(0, length, k)])
+    np.testing.assert_array_equal(conv_encode_segments(bits, k), want)
+    np.testing.assert_array_equal(apply_code(bits, conv_spec(k)), want)
 
 
 def test_empty_input_rejected():

@@ -6,7 +6,7 @@ exponential at every sample; then the full predetection-filter convolution,
 sampled at the decision instants, derotated and sliced.  The modem must
 produce the same samples (up to the reference's phase-accumulation rounding)
 and exactly the same hard decisions, with and without noise.  The BER
-engine's block-wise path must in turn give exactly the hard decisions of
+engine's per-decision path must in turn give exactly the hard decisions of
 the waveform chain ``demodulate(awgn(modulate(bits)))``.
 """
 
@@ -19,10 +19,9 @@ import pytest
 from gmsklink import link
 from gmsklink.channel import (ChannelConfig, add_noise, awgn, noise_scale,
                               noise_variance, substream)
-from gmsklink.fec import none_spec
 from gmsklink.modem import (_PRODUCT_SIZE, BasebandSignal, ModemConfig,
                             demodulate, gaussian_frequency_pulse, modulate,
-                            receiver_lowpass, signal_length)
+                            receiver_lowpass)
 
 JPOW = np.array([1.0, 1.0j, -1.0, -1.0j])
 EBNO_DB = (0.0, 3.0, 6.0, np.inf)
@@ -169,20 +168,22 @@ def test_awgn_leaves_its_input_untouched():
 
 
 def _engine_matches_chain(cfg, seed):
-    # lengths at the modulator's table edges and at the receiver's decision
-    # block boundaries; 4096 decisions a block at 8 samples per symbol
+    # lengths at the modulator's table edges, at the receiver's decision
+    # block boundaries (4096 decisions a block at 8 samples per symbol) and
+    # at the engine's chunks of normals (8192 frames at 8 samples per symbol)
     sps = cfg.samples_per_symbol
     window = 2 * cfg.pulse_span_symbols + 1
     step = _PRODUCT_SIZE // (4 * sps)
+    chunk = link._CHUNK_NORMALS // sps - (window - 1)
     rng = np.random.default_rng(seed)
-    for n in sorted({1, window - 1, window, step - 1, step, step + 1, 3 * step + 5}):
+    for n in sorted({1, window - 1, window, step - 1, step, step + 1, 3 * step + 5,
+                     chunk // 2, chunk - 1, chunk, chunk + 1}):
         bits = rng.integers(0, 2, n).astype(np.uint8)
-        # the engine's noise buffer may hold more normals than one signal reads
-        z = substream(seed).standard_normal(2 * signal_length(n, cfg) + 11)
         for ebno in (0.0, 9.0, np.inf):
             chan = ChannelConfig(ebno_db=ebno, samples_per_symbol=sps, seed=seed)
             want = demodulate(awgn(modulate(bits, cfg), chan), cfg, n)
-            got = link._channel(bits, none_spec(), cfg, ebno, z)
+            scale = noise_scale(chan)
+            got, = link._decide([bits], [scale], cfg, substream(seed))
             np.testing.assert_array_equal(got, want, err_msg=f"{n} bits, {ebno} dB")
 
 
