@@ -87,7 +87,7 @@ def conv_encode_segments(bits: np.ndarray, k: int) -> np.ndarray:
 
 def viterbi_decode(coded) -> np.ndarray:
     """Maximum-likelihood hard-decision decode of one tail-terminated block."""
-    c = np.asarray(coded, dtype=np.uint8)
+    c = np.asarray(coded)
     if c.ndim != 1:
         raise FramingError("coded stream must be one-dimensional")
     return viterbi_decode_segments(c, c.size)
@@ -104,11 +104,13 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     restarts in the zero state at its own first step, so it decodes as it
     would alone.  Raises :class:`FramingError` unless every segment, the
     short one too, is a whole number of steps and holds at least one
-    information bit besides its tail.
+    information bit besides its tail, and raises ValueError unless every
+    coded bit is 0 or 1 (see :func:`~gmsklink.errors.as_bits`).
     """
-    c = np.asarray(coded, dtype=np.uint8)
-    if c.ndim not in (1, 2) or c.shape[-1] == 0:
+    raw = np.asarray(coded)
+    if raw.ndim not in (1, 2) or raw.shape[-1] == 0:
         raise FramingError("expected a nonempty coded stream or a (P, L) batch of them")
+    c = as_bits(raw.reshape(-1)).reshape(raw.shape)
     _check_segment(n)
     _check_segment(c.shape[-1] % n or n)
     streams = c.reshape(-1, c.shape[-1])
@@ -169,8 +171,9 @@ def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
         rows = restarts.get(t)
         if rows is not None:
             pm[rows] = start
-        np.take(bm0, received[t], axis=0, out=b0)
-        np.take(bm1, received[t], axis=0, out=b1)
+        # pairs are 0-3: "clip" spares the copy of out that "raise" makes
+        np.take(bm0, received[t], axis=0, out=b0, mode="clip")
+        np.take(bm1, received[t], axis=0, out=b1, mode="clip")
         np.add(pm[:, None, :_HALF], b0, out=c0)
         np.add(pm[:, None, _HALF:], b1, out=c1)
         np.less(c1, c0, out=stage[t % _STAGE].reshape(nb, 2, _HALF))

@@ -21,10 +21,11 @@ and ``z[m:2m]`` onto Q, the stream :func:`~gmsklink.channel.awgn` would draw
 for it alone.  A codec whose noise scale is 0 (at an infinite Eb/N0) reads
 none, and a point where no codec reads any keys no noise stream.
 
-No waveform and no buffer of a point's normals is made.  The receiver keeps
-one number per bit, and that number is linear in the signal and the noise,
-so codec decision ``k`` is ``table[key] + scale * d_k * N_k < 0``: the
-noiseless part from the modem's statistic table
+No waveform of a whole stream and no buffer of a point's normals is made.
+The receiver keeps one number per bit, and that number is linear in the
+signal and the noise, so codec decision ``k`` is
+``table[key] + scale * d_k * N_k < 0``: the noiseless part from the modem's
+statistic table or the waveform of the decision's few symbols
 (:func:`~gmsklink.modem.decision_statistic`), and ``N_k`` the receiver
 filter's output on the normals of the component decision ``k`` reads,
 summed chunk by chunk (:func:`~gmsklink.modem.filter_noise`).  The hard

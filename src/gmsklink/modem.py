@@ -13,13 +13,13 @@ the transmitter (on by default) makes those decisions map directly to
 information bits.
 
 The value a decision takes the sign of is linear in the signal and the
-noise.  :func:`decision_statistic` computes it with no waveform: the
-noiseless part from a table keyed by the few symbols the decision's
-frames read, and the noise part from the receiver filter applied to the
-noise alone (:func:`filter_noise`).  The BER engine decides every bit that
-way; ``modulate``, ``awgn`` and ``demodulate`` stay as the library path
-and as its oracle.  Everything these derive from a :class:`ModemConfig`
-is built once, on first use (:func:`constants`).
+noise.  :func:`decision_statistic` computes it from the waveform of only
+the few symbols the decision's frames read, or from a table of such values,
+and the noise part from the receiver filter applied to the noise alone
+(:func:`filter_noise`).  The BER engine decides every bit that way;
+``modulate``, ``awgn`` and ``demodulate`` stay as the library path and as
+its oracle.  Everything these derive from a :class:`ModemConfig` is built
+once, on first use (:func:`constants`).
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ConfigError, FramingError, as_bits
 
@@ -55,16 +54,18 @@ _TABLE_BITS = 8
 # Multiply-adds per receiver matrix product (decisions * 2 sps * 2), half
 # the size at which OpenBLAS starts worker threads: their CPU time would be
 # spent on top of the pass instead of saved from it.  It also bounds the
-# samples of the decisions evaluated directly at a time.
+# taps times the decisions read from one waveform slice (_noiseless).
 _PRODUCT_SIZE = 1 << 17
 
-# Widest window of a statistic table, which then holds 2 * 2**_KEY_BITS
-# doubles (256 KiB), built from as many windows in about 40 ms: a
-# decision's symbols (2 * span + 1 plus its frames less one; 10 at the
-# default modem, 12 at a span of 4) and a parity bit, in a uint16 key.
-# Wider configs (spans of 6 and up, very narrow receiver filters) evaluate
-# every decision from its window, at about 3 us a decision.
+# Widest window of a statistic table, which bounds its memory at
+# 2 * 2**_KEY_BITS doubles (256 KiB): a decision's symbols (2 * span + 1
+# plus its frames less one; 10 at the default modem, 12 at a span of 4)
+# and a parity bit, in a uint16 key.  Wider configs (spans of 6 and up,
+# very narrow receiver filters) have no table.
 _KEY_BITS = 14
+
+# Narrowest receiver lowpass: 64 symbol periods each side, as for the pulse.
+_RX_BT_MIN = math.sqrt(math.log(2.0)) / (32.0 * math.pi)
 
 
 def qfunc(x):
@@ -99,7 +100,8 @@ class ModemConfig:
     samples_per_symbol: oversampling factor, even and >= 4.
     pulse_span_symbols: frequency-pulse truncation, in bit periods each side.
     bit_rate: bits per second.
-    rx_bt: receiver predetection lowpass 3-dB bandwidth times the bit period.
+    rx_bt: receiver predetection lowpass 3-dB bandwidth times the bit period,
+        at least sqrt(ln 2) / (32 pi), about 0.0083.
     differential_precoding: precode bits at the transmitter so receiver
         threshold decisions map directly to information bits.
     """
@@ -126,8 +128,9 @@ class ModemConfig:
             )
         if not self.bit_rate > 0:
             raise ConfigError("bit_rate must be positive")
-        if not self.rx_bt > 0:
-            raise ConfigError("rx_bt must be positive")
+        if not self.rx_bt >= _RX_BT_MIN:
+            raise ConfigError(f"rx_bt must be >= {_RX_BT_MIN:.6g} (a lowpass of at most "
+                              f"64 symbol periods each side), got {self.rx_bt}")
 
 
 @dataclass(frozen=True)
@@ -220,7 +223,8 @@ class ModemConstants:
         the signal.
     q: the first frame decision 0 reads; negative for wide receiver filters.
     table: the statistic table (see :func:`decision_statistic`), or None
-        where its key would be wider than ``_KEY_BITS`` bits.
+        where its key would be wider than ``_KEY_BITS`` bits; a cache of
+        the waveform chain's statistic (see :func:`constants`).
     """
 
     cumtaps: np.ndarray
@@ -252,26 +256,36 @@ def constants(config: ModemConfig) -> ModemConstants:
     taps = np.zeros(frames * sps)
     taps[r:r + h.size] = h[::-1]
     taps = np.ascontiguousarray(taps.reshape(frames, sps).T)
-    table = None
-    key_bits = window + frames - 1
-    if key_bits <= _KEY_BITS:
-        # every window of +-1 symbols at rotation j**(window - q): the value
-        # of an inner decision after an even number of ones (see
-        # decision_statistic); after an odd number it is negated
-        value = np.empty(1 << key_bits)
-        block = max(1, _PRODUCT_SIZE // taps.size)
-        for i in range(0, value.size, block):
-            index = np.arange(i, min(i + block, value.size))
-            sym = (2 * ((index[:, None] >> np.arange(key_bits)) & 1) - 1).astype(np.int8)
-            value[i:i + index.size] = _evaluate(
-                cumtaps, taps, sym, np.ones((index.size, frames), dtype=bool),
-                np.full(index.size, window - q))
-        table = np.concatenate([value, -value])
     tables = tuple(_window_tables(cumtaps))
-    for array in (cumtaps, taps, table, *(t for _, _, t in tables)):
-        if array is not None:
-            array.flags.writeable = False
+    for array in (cumtaps, taps, *(t for _, _, t in tables)):
+        array.flags.writeable = False
+    c = ModemConstants(cumtaps, tables, taps, q, None)
+    if c.key_bits > _KEY_BITS:
+        return c
+    # the table caches the waveform chain: the inner decisions of a de
+    # Bruijn sequence read every key once, at the parity of the ones before
+    # it; the other parity's value is the negation
+    tx = _de_bruijn(c.key_bits)
+    parity = _parity(tx)
+    lo, hi, key = _inner_keys(c, tx, parity)
+    table = np.empty(2 << c.key_bits)
+    table[key] = value = _noiseless(c, tx, parity, lo, hi)
+    table[key ^ (1 << c.key_bits)] = -value
+    table.flags.writeable = False
     return ModemConstants(cumtaps, tables, taps, q, table)
+
+
+def _de_bruijn(order: int) -> np.ndarray:
+    """``2**order + order - 1`` bits holding every window of ``order`` bits
+    once: ``order`` zeros, then a one wherever its window is new (Martin)."""
+    mask, last, out, seen = (1 << order) - 1, 0, [0] * order, {0}
+    for _ in range(mask):
+        last = (last << 1 | 1) & mask
+        if last in seen:
+            last ^= 1
+        seen.add(last)
+        out.append(last & 1)
+    return np.array(out, dtype=np.uint8)
 
 
 def signal_length(num_bits: int, config: ModemConfig) -> int:
@@ -284,21 +298,26 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
 
     Bit 1 maps to +1 frequency deviation, bit 0 to -1.  Output length is
     ``(len(bits) + 2 * pulse_span_symbols) * samples_per_symbol`` samples.
+    """
+    bits = as_bits(bits)
+    tx = _precode(bits) if config.differential_precoding else bits
+    return BasebandSignal(samples=_modulate_tx(tx, constants(config)),
+                          sample_rate=config.bit_rate * config.samples_per_symbol)
+
+
+def _modulate_tx(tx: np.ndarray, c: ModemConstants) -> np.ndarray:
+    """The samples of the (precoded) nonempty uint8 channel symbols ``tx``.
 
     Sample ``m * sps + p`` has phase ``(pi/2) * (sum of the symbols whose
     pulse has ended) + pi * sum_d sym[m - d] * cumtaps[d * sps + p]`` over
     the ``2 * span + 1`` pulses still in flight.  The first term is an exact
     rotation by a power of j; the second depends only on the local symbol
     window and ``p``, so it is looked up in :func:`_window_tables`.  The
-    ``2 * span`` rows at each end, whose window reaches past the bit
+    ``2 * span`` rows at each end, whose window reaches past the symbol
     sequence, are evaluated directly.
     """
-    bits = as_bits(bits)
-    c = constants(config)
-    sps = config.samples_per_symbol
-    tx = _precode(bits) if config.differential_precoding else bits
+    window, sps = c.cumtaps.shape
     n = tx.size
-    window = c.cumtaps.shape[0]
     rows = n + window - 1
     out = np.empty((rows, sps), dtype=complex)
     tx16 = tx.astype(np.uint16)
@@ -323,17 +342,17 @@ def modulate(bits, config: ModemConfig) -> BasebandSignal:
             else:
                 interior *= table[index]
 
-    # Edge rows, whose window reaches past the bit sequence: sum the window
+    # Edge rows, whose window reaches past the symbols: sum the window
     # directly, with zero symbols past either end, all in one small product.
     edge = np.r_[0:window - 1, max(n, window - 1):rows]
     k = edge[:, None] - np.arange(window)
     inside = (k >= 0) & (k < n)
     symbols = np.where(inside, 2.0 * tx[np.clip(k, 0, n - 1)] - 1.0, 0.0)
     out[edge] = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * (symbols @ c.cumtaps))
-    return BasebandSignal(samples=out.ravel(), sample_rate=config.bit_rate * sps)
+    return out.ravel()
 
 
-def _statistic(samples: np.ndarray, config: ModemConfig, num_bits: int) -> np.ndarray:
+def _statistic(samples: np.ndarray, c: ModemConstants, num_bits: int) -> np.ndarray:
     """Each of the receiver's ``num_bits`` decisions before its sign, read
     from the waveform ``samples`` one decision block at a time.
 
@@ -344,13 +363,12 @@ def _statistic(samples: np.ndarray, config: ModemConfig, num_bits: int) -> np.nd
     by ``j**(k + 1)``: its real part is -Q, -I, +Q and +I of the filter
     output for ``k`` = 0, 1, 2 and 3 (mod 4).
     """
-    c = constants(config)
-    sps = config.samples_per_symbol
+    window, sps = c.cumtaps.shape
     frames_per_decision = c.taps.shape[1]
     poly = np.zeros((frames_per_decision, 2 * sps, 2))
     poly[:, 0::2, 0] = c.taps.T
     poly[:, 1::2, 1] = c.taps.T
-    n_frames = num_bits + 2 * config.pulse_span_symbols
+    n_frames = num_bits + window - 1
     step = max(1, _PRODUCT_SIZE // (4 * sps))
     frames = np.empty((min(step, num_bits) + frames_per_decision - 1, 2 * sps))
     y = np.empty((min(step, num_bits), 2))
@@ -413,54 +431,57 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
         raise FramingError(
             f"sample rate {signal.sample_rate} does not match config ({nominal_rate})"
         )
-    return decide(_statistic(samples, config, num_bits), config)
+    return decide(_statistic(samples, constants(config), num_bits), config)
 
 
-def _evaluate(cumtaps: np.ndarray, taps: np.ndarray, sym: np.ndarray,
-              valid: np.ndarray, rot: np.ndarray) -> np.ndarray:
-    """The noiseless statistic of decisions given their symbol windows.
+def _parity(tx: np.ndarray) -> np.ndarray:
+    """``parity[i]``, the parity of the ones in ``tx[:i]``, for i <= tx.size."""
+    parity = np.zeros(tx.size + 1, dtype=np.uint8)
+    np.logical_xor.accumulate(tx.view(bool), out=parity[1:].view(bool))
+    return parity
 
-    Row ``i`` of the int8 array ``sym`` is a decision's ``key_bits`` symbols
-    (+-1, or 0 past either end of the bit sequence), oldest first: frame
-    ``t`` of the decision carries the pulses of symbols ``t`` to
-    ``t + window - 1``, turned by the quarter turns of symbols 0 to
-    ``t - 1``.  ``valid[i, t]`` is False where the frame lies outside the
-    signal, and the filtered sum is derotated by ``j**rot[i]``: ``k + 1``
-    plus the quarter turns of the symbols before the window.
+
+def _inner_keys(c: ModemConstants, tx: np.ndarray, parity: np.ndarray):
+    """The inner decisions ``[lo, hi)`` on the channel symbols ``tx`` and
+    their statistic-table keys (see :func:`decision_statistic`)."""
+    n, window, key_bits = tx.size, c.cumtaps.shape[0], c.key_bits
+    lo = min(max(0, window - 1 - c.q), n)
+    hi = max(lo, n - c.taps.shape[1] + 1 - c.q)
+    start, m = lo + c.q - window + 1, hi - lo
+    key = parity[start:start + m].astype(np.uint16) << key_bits
+    tx16 = tx[start:start + m + key_bits - 1].astype(np.uint16)
+    for d in range(key_bits):
+        key |= tx16[d:d + m] << d
+    return lo, hi, key
+
+
+def _noiseless(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
+               k0: int, k1: int) -> np.ndarray:
+    """The noiseless statistic of decisions ``[k0, k1)`` on the channel
+    symbols ``tx``, in blocks of ``_PRODUCT_SIZE // taps.size`` decisions.
+
+    Block ``[b0, b1)`` reads symbols ``[s, e)``, from ``b0``'s window to
+    ``b1 - 1``'s last frame (``s <= b0 <= b1 <= e``, as ``q <= span`` and
+    ``q + frames >= 1``), whose waveform gives it up to a sign: the symbols
+    before ``s`` turn that waveform by ``2 * ones - s`` quarter turns, and
+    its receiver derotates by ``s`` fewer, which leaves ``(-1)**parity[s]``.
     """
-    window = cumtaps.shape[0]
-    frames = taps.shape[1]
-    local = sliding_window_view(sym, window, axis=1) @ cumtaps[::-1]
-    filtered = (np.exp(1j * np.pi * local) * taps.T).sum(axis=2)
-    turns = np.zeros(filtered.shape, dtype=np.int64)
-    np.cumsum(sym[:, :frames - 1], axis=1, out=turns[:, 1:])
-    y = (filtered * _JPOW[turns & 3] * valid).sum(axis=1)
-    return (y * _JPOW[rot & 3]).real
-
-
-def _direct(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
-            ks: np.ndarray) -> np.ndarray:
-    """The noiseless statistic of decisions ``ks`` on the precoded bits
-    ``tx``, evaluated from their windows; ``parity[i]`` is the parity of the
-    ones in ``tx[:i]``."""
-    n = tx.size
-    window = c.cumtaps.shape[0]
-    first = ks + c.q - window + 1  # each window's first symbol
-    pos = first[:, None] + np.arange(c.key_bits)
-    sym = np.where((pos >= 0) & (pos < n),
-                   2 * tx[np.clip(pos, 0, n - 1)].astype(np.int8) - 1, 0).astype(np.int8)
-    frame = (ks + c.q)[:, None] + np.arange(c.taps.shape[1])
-    valid = (frame >= 0) & (frame < n + window - 1)
-    ended = np.clip(first, 0, n)
-    # the symbols before the window turn it by 2 * ones - ended quarter turns
-    rot = ks + 1 + 2 * parity[ended].astype(np.int64) - ended
-    return _evaluate(c.cumtaps, c.taps, sym, valid, rot)
+    n, window, frames = tx.size, c.cumtaps.shape[0], c.taps.shape[1]
+    block = max(1, _PRODUCT_SIZE // c.taps.size)
+    out = np.empty(k1 - k0)
+    for b0 in range(k0, k1, block):
+        b1 = min(b0 + block, k1)
+        s = max(b0 + c.q - window + 1, 0)
+        e = min(b1 + c.q + frames - 1, n)
+        stat = _statistic(_modulate_tx(tx[s:e], c), c, e - s)[b0 - s:b1 - s]
+        out[b0 - k0:b1 - k0] = -stat if parity[s] else stat
+    return out
 
 
 def decision_statistic(bits, config: ModemConfig, noise: np.ndarray | None = None,
                        scale: float = 0.0) -> np.ndarray:
     """Each decision's value before its sign for ``bits`` sent through AWGN
-    of scale ``scale``, with no waveform: :func:`decide` of it is
+    of scale ``scale``, with no waveform of ``bits``: :func:`decide` of it is
     ``demodulate(awgn(modulate(bits)))`` up to decisions within about 1e-15
     of 0.
 
@@ -476,31 +497,20 @@ def decision_statistic(bits, config: ModemConfig, noise: np.ndarray | None = Non
     the total is ``window - q + 2 * ones`` (mod 4).  Those values are read
     from the statistic table at ``parity << key_bits | window bits``.  The
     first and last few decisions, and every decision of a config without a
-    table, are evaluated from their windows directly.
+    table, are read from the waveform of their symbols (:func:`_noiseless`).
     """
     bits = as_bits(bits)
     c = constants(config)
     tx = _precode(bits) if config.differential_precoding else bits
-    n = tx.size
-    parity = np.zeros(n + 1, dtype=np.uint8)
-    np.logical_xor.accumulate(tx.view(bool), out=parity[1:].view(bool))
-    stat = np.empty(n)
-    lo = hi = 0
-    if c.table is not None:
-        window, frames, key_bits = c.cumtaps.shape[0], c.taps.shape[1], c.key_bits
-        lo = min(max(0, window - 1 - c.q), n)
-        hi = max(lo, n - frames + 1 - c.q)
-        start, m = lo + c.q - window + 1, hi - lo
-        key = parity[start:start + m].astype(np.uint16) << key_bits
-        tx16 = tx[start:start + m + key_bits - 1].astype(np.uint16)
-        for d in range(key_bits):
-            key |= tx16[d:d + m] << d
+    parity = _parity(tx)
+    if c.table is None:
+        stat = _noiseless(c, tx, parity, 0, tx.size)
+    else:
+        lo, hi, key = _inner_keys(c, tx, parity)
+        stat = np.empty(tx.size)
         np.take(c.table, key, out=stat[lo:hi], mode="clip")
-    rest = np.r_[0:lo, hi:n]
-    block = max(1, _PRODUCT_SIZE // c.taps.size)
-    for i in range(0, rest.size, block):
-        ks = rest[i:i + block]
-        stat[ks] = _direct(c, tx, parity, ks)
+        stat[:lo] = _noiseless(c, tx, parity, 0, lo)
+        stat[hi:] = _noiseless(c, tx, parity, hi, tx.size)
     if noise is None:
         return stat
     for r in range(4):

@@ -10,7 +10,7 @@ from scipy.special import erfc, erfcinv
 from gmsklink.errors import ConfigError, FramingError
 from gmsklink.modem import (BasebandSignal, ModemConfig, alpha_for_bt,
                             demodulate, gaussian_frequency_pulse, modulate,
-                            qfunc, theoretical_ber)
+                            qfunc, receiver_lowpass, theoretical_ber)
 
 
 class TestModemConfig:
@@ -37,6 +37,12 @@ class TestModemConfig:
     def test_rejects_nan_span(self):
         with pytest.raises(ConfigError, match="pulse_span_symbols must be >= 1"):
             ModemConfig(bt_product=2.0, pulse_span_symbols=float("nan"))
+
+    def test_rx_bt_floor_is_inclusive(self):
+        floor = np.sqrt(np.log(2.0)) / (32.0 * np.pi)  # 64 symbol periods each side
+        assert receiver_lowpass(ModemConfig(rx_bt=floor)).size == 2 * 64 * 8 + 1
+        with pytest.raises(ConfigError, match="rx_bt must be >= 0.00828"):
+            ModemConfig(rx_bt=np.nextafter(floor, 0.0))
 
 
 class TestFrequencyPulse:

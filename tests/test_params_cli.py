@@ -279,6 +279,8 @@ class TestCliBasics:
         ("energy-distance", "timing.l_bits = 1e10"),
         ("ber-sweep", "modem.samples_per_symbol = 257"),
         ("ber-sweep", "modem.pulse_span_symbols = 65"),
+        ("ber-sweep", "modem.rx_bt = 0.008"),
+        ("ber-sweep", "modem.rx_bt = 1e-9"),
         ("ber-sweep --quick --codecs=", ""),
         ("energy-distance", "run.seed = 1\nrun.seed = 2"),
     ])

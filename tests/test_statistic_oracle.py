@@ -1,14 +1,15 @@
 """The BER engine's per-decision channel against the waveform chain.
 
-The engine never builds a waveform: each decision is the noiseless value
-read from the modem's statistic table (or evaluated from the decision's
-window of symbols), plus the receiver filter's output on the noise alone.
-Its oracle is the waveform chain, whose receiver gives the same value before
-the sign (``modem._statistic``):
+The engine never builds a waveform of the whole sequence: each decision is
+the noiseless value read from the modem's statistic table (or from the
+waveform of the few symbols the decision reads), plus the receiver filter's
+output on the noise alone.  Its oracle is the waveform chain, whose receiver
+gives the same value before the sign (``modem._statistic``):
 
 - every table entry equals the noiseless waveform statistic of a decision
-  with that key, checked exhaustively with a de Bruijn sequence, and so does
-  every decision the engine evaluates from its window;
+  with that key, at every decision phase and parity, checked exhaustively
+  with the modem's de Bruijn sequence, and so does every decision of every
+  length, the first and last few and the untabled configs' included;
 - the noisy minus the noiseless waveform statistic equals the engine's
   noise term ``scale * d_k * N_k``;
 - the engine's hard decisions equal ``demodulate(awgn(modulate(bits)))`` at
@@ -24,7 +25,7 @@ import pytest
 
 from gmsklink import link
 from gmsklink.channel import ChannelConfig, awgn, noise_scale, substream
-from gmsklink.modem import (ModemConfig, _statistic, constants,
+from gmsklink.modem import (ModemConfig, _de_bruijn, _statistic, constants,
                             decision_statistic, demodulate, filter_noise,
                             modulate, signal_length)
 
@@ -49,31 +50,11 @@ def _name(cfg):
             f"-rx{cfg.rx_bt}-{'pre' if cfg.differential_precoding else 'raw'}")
 
 
-def _de_bruijn(order):
-    """The binary de Bruijn sequence of ``order``: every window of ``order``
-    bits appears once, cyclically (Fredricksen-Maiorana)."""
-    out, a = [], [0] * (order + 1)
-
-    def extend(t, p):
-        if t > order:
-            if order % p == 0:
-                out.extend(a[1:p + 1])
-            return
-        a[t] = a[t - p]
-        extend(t + 1, p)
-        if a[t - p] == 0:
-            a[t] = 1
-            extend(t + 1, t)
-
-    extend(1, 1)
-    return np.array(out, dtype=np.uint8)
-
-
 def _waveform_statistic(bits, cfg, chan=None):
     sig = modulate(bits, cfg)
     if chan is not None:
         sig = awgn(sig, chan)
-    return _statistic(sig.samples, cfg, bits.size)
+    return _statistic(sig.samples, constants(cfg), bits.size)
 
 
 @pytest.mark.parametrize("cfg", [c for c in _GRID if c.differential_precoding], ids=_name)
@@ -89,14 +70,13 @@ def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
     np.testing.assert_array_equal(constants(raw).table, c.table)
     bits_per_key = c.key_bits
     db = _de_bruijn(bits_per_key)
-    cyclic = np.concatenate([db, db[:bits_per_key - 1]])
     window = 2 * cfg.pulse_span_symbols + 1
     seen = np.zeros(c.table.size, dtype=bool)
     for prefix in ([], [1], [1, 1], [1, 0, 0]):
-        tx = np.concatenate([np.array(prefix, dtype=np.uint8), cyclic])
+        tx = np.concatenate([np.array(prefix, dtype=np.uint8), db])
         stat = _waveform_statistic(tx, raw)
         # window p starts after p symbols; decision k reads it
-        p = np.arange(len(prefix), len(prefix) + db.size)
+        p = np.arange(len(prefix), len(prefix) + db.size - bits_per_key + 1)
         k = p + window - 1 - c.q
         ones = np.concatenate([[0], np.cumsum(tx, dtype=np.int64)])
         key = (ones[p] % 2) << bits_per_key
@@ -111,10 +91,10 @@ def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
 @pytest.mark.parametrize("cfg", _CONFIGS, ids=_name)
 def test_noiseless_statistic_is_the_waveform_statistic(cfg):
     # every decision, the first and last few (whose frames reach past the
-    # signal's ends, evaluated from their windows) included, and sequences
-    # shorter than one window
+    # signal's ends) included, sequences shorter than one window, and
+    # sequences longer than one of _noiseless's blocks
     rng = np.random.default_rng(cfg.samples_per_symbol * 10 + cfg.pulse_span_symbols)
-    for n in (1, 2, 5, 9, 17, 50, 700):
+    for n in (1, 2, 5, 9, 17, 50, 700, 5000):
         bits = rng.integers(0, 2, n).astype(np.uint8)
         np.testing.assert_allclose(decision_statistic(bits, cfg),
                                    _waveform_statistic(bits, cfg), rtol=0, atol=1e-12,
