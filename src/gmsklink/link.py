@@ -37,9 +37,10 @@ Every codec keeps only its hard decisions and data bits until the end of
 the round, when its streams of that round, one per point, are decoded in
 one call: the Viterbi decoder's cost per call is mostly per trellis step,
 so a wide batch amortises it, and the block decoders take all their blocks
-as one array.  Points run in groups whose round holds at most
-``_GROUP_BITS`` information bits.  Since every point keeps its own keys,
-the results are those of running each point alone.
+as one array.  Each codec's streams are freed once stacked for its call,
+so no two codecs' batches are held at once.  Points run in groups whose
+round holds at most ``_GROUP_BITS`` information bits.  Since every point
+keeps its own keys, the results are those of running each point alone.
 
 :func:`run_grid` is the one sweep entry; :func:`run_point` is its case of
 one codec at one Eb/N0.
@@ -70,7 +71,8 @@ _NOISE_TAG = 0x6E7A
 # Most information bits a group's round holds, unless one point's round
 # alone has more: 512 segments of 512 bits for the convolutional code,
 # whose Viterbi time per segment stops falling at about that batch width,
-# with a traceback state of 4 MB.
+# with a traceback state of 2.1 MB of packed choices plus one 8-step stage
+# of 0.25 MB.
 _GROUP_BITS = 512 * 512
 
 # Normals a point draws at a time, rounded down to whole frames.
@@ -256,14 +258,18 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
                 held[i].append((point, bits, hard))
                 point.bits_simulated[i] = simulated
             del coded  # free the point's coded streams before the decodes
-        for i, streams in enumerate(held):
-            if streams:
-                owners, data, hard = zip(*streams)
-                codec = codecs[i]
-                decoded, _, _ = CODECS[codec.name].decode(np.stack(hard), codec, n_bits)
-                wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
-                for point, w in zip(owners, wrong.tolist()):
-                    point.errors[i] += w
+        for i, codec in enumerate(codecs):
+            if not held[i]:
+                continue
+            # taken out of the round, a codec's streams are freed once
+            # stacked, so no two codecs' decisions share the decode's peak
+            owners, data, hard = zip(*held[i])
+            held[i] = None
+            hard = np.stack(hard)
+            decoded, _, _ = CODECS[codec.name].decode(hard, codec, n_bits)
+            wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
+            for point, w in zip(owners, wrong.tolist()):
+                point.errors[i] += w
 
 
 def _ber_points(point: _Point, stop_rule: StopRule) -> list[BerPoint]:

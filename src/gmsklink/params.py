@@ -19,7 +19,7 @@ from .energy import EnergyModel, PowerProfile, TimingProfile
 from .errors import ConfigError
 from .fec import CODECS, CodecPowerProfile
 from .link import StopRule, check_ebno
-from .modem import ModemConfig, alpha_for_bt
+from .modem import ModemConfig, alpha_for_bt, gaussian_frequency_pulse
 from .netsim import EnsembleSpec
 
 _VALID_VARIANTS = ("literal", "circuit-unscaled", "both")
@@ -130,6 +130,19 @@ def _float_grid(name: str, start: float, stop: float, step: float) -> list:
     return [start + i * step for i in range(count)]
 
 
+def _db_gain(key: str, db: float) -> float:
+    """The linear gain of ``db`` decibels; a gain that overflows or
+    underflows to 0 raises :class:`ConfigError`."""
+    try:
+        gain = 10.0 ** (db / 10.0)
+    except OverflowError:
+        gain = math.inf
+    if not 0 < gain < math.inf:
+        raise ConfigError(f"{key} must be a finite positive gain in linear terms, "
+                          f"got {db!r} dB")
+    return gain
+
+
 _SCHEMA = {
     "timing.t_start_s": _parse_float,
     "timing.l_bits": _parse_int,
@@ -230,8 +243,26 @@ class RunConfig:
         for key, ceiling in _COUNT_CEILINGS.items():
             if self[key] > ceiling:
                 raise ConfigError(f"{key} must be <= {ceiling}, got {self[key]}")
-        self.modem_config()
+        # the pulse, but not the rest of the modem's constants, which are
+        # built on first use
+        gaussian_frequency_pulse(self.modem_config())
         self.energy_model()
+        _db_gain("codec.g_code_db", self["codec.g_code_db"])
+        # every link is priced through d ** k: the longest link each command
+        # can price must give a finite power
+        k = self["link.path_loss_exponent"]
+        field = self["route.field_m"]
+        for key, longest in (("scan.d_stop_m", self["scan.d_stop_m"]),
+                             ("route.hop_max_m", self["route.hop_max_m"]),
+                             ("route.max_hop_m", min(self["route.max_hop_m"],
+                                                     math.hypot(field, field)))):
+            try:
+                finite = math.isfinite(longest**k)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m, "
+                                  f"whose distance ** {k!r} overflows")
         self.stop_rule()
         self.ebno_grid()
         # the grid's first point gets the most noise
@@ -276,7 +307,7 @@ class RunConfig:
             g_l=self["link.g_l"],
             m_l=self["link.m_l"],
             k_exp=self["link.path_loss_exponent"],
-            n_f=10.0 ** (self["link.noise_figure_db"] / 10.0),
+            n_f=_db_gain("link.noise_figure_db", self["link.noise_figure_db"]),
             sigma2=self["channel.sigma2_j"],
         )
 

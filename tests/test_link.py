@@ -269,14 +269,20 @@ class TestRunGrid:
         assert calls == [3 * math.ceil(25_000 / 12), 3 * math.ceil(50_000 / 12)]
 
 
-@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 2.0, 3.0)])
+@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 2.0, 3.0),
+                                  tuple(1.5 * i for i in range(7))])
 def test_one_round_peak_memory(grid):
     # one round of 25 000 bits: no waveform and no buffer of a point's
     # normals is made.  A point keeps one filtered noise value per decision
     # (1.2 MiB over the four codecs) and one chunk of normals (0.5 MiB) and
     # frees both before the next point; each codec then decodes every
-    # point's stream in one batch.  The peak read 4.6 MiB for four points,
-    # against 8.0 MiB when the round's normals sat in one buffer.
+    # point's stream in one batch, freeing its streams once stacked, in
+    # 8-step Viterbi stages.  The peak read 2.2 MiB for one point, 2.7 MiB
+    # for four and 3.7 MiB for the seven of the benchmark's sweep-curve
+    # shape, whose earlier points' hard decisions add to the last point's
+    # noise.  Holding every codec's streams until the round ended, with
+    # 64-step Viterbi stages, read 4.6 MiB for four points and 8.1 MiB for
+    # seven; with only the streams held, 4.6 MiB for seven.
     args = ([none_spec(), golay_spec(), rs_spec(), conv_spec()], grid,
             ModemConfig(), StopRule(1, 25_000))
     run_grid(*args, seed=3)  # build the codecs' lazy tables untraced
@@ -286,7 +292,7 @@ def test_one_round_peak_memory(grid):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 5.6 * 2**20
+    assert peak <= (3.2 if len(grid) <= 4 else 4.4) * 2**20
 
 
 class TestRunSweep:

@@ -283,6 +283,16 @@ class TestCliBasics:
         ("ber-sweep", "modem.rx_bt = 1e-9"),
         ("ber-sweep --quick --codecs=", ""),
         ("energy-distance", "run.seed = 1\nrun.seed = 2"),
+        # linear gains and powers of distance that overflow, or a gain
+        # that underflows to 0 and would divide by zero
+        ("energy-distance --quick", "link.noise_figure_db = 1e6"),
+        ("energy-distance --quick", "codec.g_code_db = 1e6"),
+        ("energy-distance --quick", "codec.g_code_db = -1e6"),
+        ("route-sim --quick", "route.hop_max_m = 1e300"),
+        ("route-sim --quick", "route.field_m = 1e300\nroute.max_hop_m = 1e300"),
+        ("energy-distance --quick", "scan.d_stop_m = 1e300\nscan.d_step_m = 1e299"),
+        # a pulse whose taps all underflow to 0
+        ("ber-sweep --quick", "modem.bt_product = 1e-300"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"

@@ -14,11 +14,15 @@ gives the same value before the sign (``modem._statistic``):
   noise term ``scale * d_k * N_k``;
 - the engine's hard decisions equal ``demodulate(awgn(modulate(bits)))`` at
   0 dB, over more than a million decisions on the modem config grid.
+
+It also bounds the memory the engine's statistic of a stream takes beside
+the caller's noise array.
 """
 
 import math
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -92,9 +96,10 @@ def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
 def test_noiseless_statistic_is_the_waveform_statistic(cfg):
     # every decision, the first and last few (whose frames reach past the
     # signal's ends) included, sequences shorter than one window, and
-    # sequences longer than one of _noiseless's blocks
+    # sequences longer than one of _noiseless's blocks and than two of the
+    # table's gather blocks
     rng = np.random.default_rng(cfg.samples_per_symbol * 10 + cfg.pulse_span_symbols)
-    for n in (1, 2, 5, 9, 17, 50, 700, 5000):
+    for n in (1, 2, 5, 9, 17, 50, 700, 5000, 40_000):
         bits = rng.integers(0, 2, n).astype(np.uint8)
         np.testing.assert_allclose(decision_statistic(bits, cfg),
                                    _waveform_statistic(bits, cfg), rtol=0, atol=1e-12,
@@ -103,11 +108,12 @@ def test_noiseless_statistic_is_the_waveform_statistic(cfg):
 
 @pytest.mark.parametrize("cfg", _GRID[::7] + _UNTABLED, ids=_name)
 def test_noise_term_is_linear(cfg):
-    # the noisy minus the noiseless waveform statistic is scale * d_k * N_k,
+    # the noisy minus the noiseless waveform statistic is scale * d_k * N_k
+    # (on sequences up to three of the table's gather blocks long),
     # with N_k summed by filter_noise over irregular frame-aligned pieces
     sps = cfg.samples_per_symbol
     rng = np.random.default_rng(cfg.samples_per_symbol + cfg.pulse_span_symbols)
-    for n in (1, 3, 40, 2000):
+    for n in (1, 3, 40, 2000, 40_000):
         bits = rng.integers(0, 2, n).astype(np.uint8)
         chan = ChannelConfig(ebno_db=2.0, samples_per_symbol=sps, seed=n)
         want = _waveform_statistic(bits, cfg, chan) - _waveform_statistic(bits, cfg)
@@ -121,6 +127,25 @@ def test_noise_term_is_linear(cfg):
         scale = noise_scale(chan)
         got = decision_statistic(bits, cfg, noise, scale) - decision_statistic(bits, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+def test_statistic_peak_memory():
+    # 100 012 decisions added into the caller's noise array block by block:
+    # no statistic, key or symbol array spans the stream.  The peak read
+    # 0.60 MiB (the symbols, their parity and one block's keys and values),
+    # against 1.91 MiB with whole-stream arrays.
+    cfg = ModemConfig()
+    rng = np.random.default_rng(4)
+    bits = rng.integers(0, 2, 100_012).astype(np.uint8)
+    noise = rng.standard_normal(bits.size)
+    decision_statistic(bits[:100], cfg)  # build the constants untraced
+    tracemalloc.start()
+    try:
+        decision_statistic(bits, cfg, noise, 0.5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.75 * 2**20
 
 
 def test_the_untabled_configs_have_no_table():

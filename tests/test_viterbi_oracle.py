@@ -87,12 +87,23 @@ def _noisy_blocks(rng, blocks, info_bits, p):
 
 @pytest.mark.parametrize("p", [0.0, 0.02, 0.08, 0.2, 0.5])
 def test_random_blocks_match_reference(p):
+    # trellises of 7 to 518 steps, those around one and two of the
+    # decoder's 8-step stages included; then two blocks and a short one of
+    # 7 steps in one stream, whose trellis restarts mid-stage at step
+    # steps - 7 (but for 15 steps)
     rng = np.random.default_rng(int(p * 1000) + 7)
-    for info_bits in (1, 30, 512):
-        received = _noisy_blocks(rng, 40, info_bits, p)
+    for steps in (7, 8, 9, 15, 16, 17, 36, 518):
+        received = _noisy_blocks(rng, 40, steps - (CONSTRAINT_LENGTH - 1), p)
         np.testing.assert_array_equal(
             viterbi_decode_segments(received, received.shape[1]),
             reference_viterbi_decode_batch(received))
+        if steps > 7:
+            short = _noisy_blocks(rng, 1, 1, p)
+            stream = np.concatenate([received[0], received[1], short[0]])
+            want = np.concatenate([*reference_viterbi_decode_batch(received[:2]),
+                                   reference_viterbi_decode_batch(short)[0]])
+            np.testing.assert_array_equal(
+                viterbi_decode_segments(stream, received.shape[1]), want)
 
 
 def test_every_received_word_of_a_seven_step_block():
