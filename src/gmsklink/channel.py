@@ -185,12 +185,24 @@ def substream_random(entropy, count: int) -> np.ndarray:
     block), and each 64-bit output ``x`` in order reads as
     ``(x >> 11) * 2**-53``.  Philox is counter-based, so no row waits on
     another (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-    SC'11).
+    SC'11).  The outputs are shifted in the one buffer that holds them,
+    and their doubles are scaled in the one array returned.
     """
     values = np.array([[int(e) & _MASK64 for e in row] for row in entropy],
                       dtype=np.uint64)
-    key0, key1 = (k[:, None] for k in _philox_keys(values))
     blocks = -(-count // 4)
+    words = _philox_words(*_philox_keys(values), blocks)
+    words >>= np.uint64(11)
+    out = words.reshape(len(values), 4 * blocks)[:, :count].astype(np.float64)
+    out *= 2.0**-53
+    return out
+
+
+def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
+    """``(keys, blocks, 4)``: the 64-bit outputs of Philox4x64-10 under each
+    key ``(key0[r], key1[r])`` for the counters 1 to ``blocks``; the round
+    temporaries are freed on return."""
+    key0, key1 = key0[:, None], key1[:, None]
     zero = np.zeros((1, blocks), dtype=np.uint64)
     ctr = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero]
     for round_index in range(10):
@@ -200,8 +212,7 @@ def substream_random(entropy, count: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M0, ctr[0])
         hi1, lo1 = _mulhilo(_PHILOX_M1, ctr[2])
         ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
-    out = np.stack(ctr, axis=-1).reshape(len(values), 4 * blocks)[:, :count]
-    return (out >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    return np.stack(ctr, axis=-1)
 
 
 def noise_variance(config: ChannelConfig) -> float:

@@ -13,6 +13,7 @@ written through an atomic rename.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import itertools
 import os
@@ -196,48 +197,62 @@ def _sensitivity(cfg):
 
 
 def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int:
+    """Draw every ensemble, then price and write one ``(mode, variant)``
+    file at a time.
+
+    An ensemble is drawn once, its hop distances raised to the path-loss
+    exponent, and every variant is priced from that draw.  Every draw comes
+    before any output, so an ensemble in which no trial routes is a config
+    error that leaves no file.  Each file's text is dropped once written.
+    """
     trials = 100 if quick else cfg["route.trials"]
     model = cfg.energy_model()
     spec = golay_spec(cfg["codec.g_code_db"])
-    outputs = {}
-    for mode, ens in cfg.ensembles().items():
-        outputs.update(_route_mode(model, spec, mode, ens, trials,
-                                   variant_selection))
-    for fname, text in outputs.items():
-        _write_atomic(os.path.join(out_dir, fname), text)
+    ensembles = cfg.ensembles()
+    # the last ensemble (geometry) is drawn first: routing its slices is the
+    # largest working set, and no other draw is held yet
+    draws = {}
+    for mode, ens in reversed(ensembles.items()):
+        try:
+            draws[mode] = draw_trials(ens, trials, model.budget.k_exp)
+        except RoutingError as exc:
+            raise ConfigError(
+                f"no {mode} trial builds a route with route.max_hop_m = "
+                f"{ens.max_hop_m!r} in a {ens.field_width!r} m field "
+                f"(route.field_m)") from exc
+    for mode in ensembles:
+        drawn = draws.pop(mode)
+        uncoded = None
+        for variant in _variants(variant_selection):
+            stats = compare_coded_uncoded(drawn, trials, model, spec, variant)
+            if uncoded is None:
+                uncoded = _uncoded_text(stats)
+            name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
+            _write_atomic(os.path.join(out_dir, name), _route_csv(*uncoded, stats))
+            print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
+                  f"over {stats.n_trials} trials, {trials - stats.n_trials} "
+                  f"skipped", file=sys.stderr)
     return _EXIT_OK
 
 
-def _route_mode(model, spec, mode: str, ens, trials: int,
-                variant_selection: str) -> dict:
-    """The CSV text of one ensemble per variant, keyed by file name.
+def _uncoded_text(stats) -> tuple:
+    """``(prefixes, mean)``: each row's ``trial,e_uncoded_J,`` text and the
+    mean uncoded energy.  They do not depend on the variant, so an ensemble
+    makes them once."""
+    e_u = stats.e_uncoded.tolist()
+    return ([f"{trial},{e!r}," for trial, e in zip(stats.trials, e_u)],
+            sum(e_u) / stats.n_trials)
 
-    The trials are drawn once, their hop distances raised to the path-loss
-    exponent, and every variant is priced from that draw; it is dropped on
-    return, so one ensemble's draw is held at a time.  The uncoded energies
-    do not depend on the variant, so their text is made once.
-    """
-    draws = draw_trials(ens, trials, model.budget.k_exp)
-    outputs = {}
-    uncoded = None
-    for variant in _variants(variant_selection):
-        stats = compare_coded_uncoded(draws, trials, model, spec, variant)
-        if uncoded is None:
-            uncoded = [f"{trial},{e_u!r}," for trial, e_u, _, _ in stats.samples]
-            mean_u = sum(s[1] for s in stats.samples) / stats.n_trials
-        lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
-        lines += [f"{prefix}{e_c!r},{s!r}"
-                  for prefix, (_, _, e_c, s) in zip(uncoded, stats.samples)]
-        mean_c = sum(s[2] for s in stats.samples) / stats.n_trials
-        lines.append(f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}")
-        name = f"route_{mode}_{variant.value.replace('-', '_')}.csv"
-        outputs[name] = "\n".join(lines) + "\n"
-        print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
-              f"over {stats.n_trials} trials, {trials - stats.n_trials} "
-              f"skipped", file=sys.stderr)
-        # so one variant's samples and lines are held at a time
-        del stats, lines
-    return outputs
+
+def _route_csv(prefixes: list, mean_u: float, stats) -> str:
+    """One ``(mode, variant)`` file: a row per kept trial, then the means."""
+    mean_c = sum(stats.e_coded.tolist()) / stats.n_trials
+    lines = ["trial,e_uncoded_J,e_coded_J,savings_fraction"]
+    lines += [f"{prefix}{e!r},{s!r}" for prefix, e, s in
+              zip(prefixes, stats.e_coded.tolist(), stats.savings.tolist())]
+    # the empty last line ends the text with a newline, with no second copy
+    lines += [f"mean,{mean_u!r},{mean_c!r},{stats.mean!r}", ""]
+    return "\n".join(lines)
 
 
 # ---------------------------------------------------------------- codec-test
@@ -349,19 +364,27 @@ def main(argv=None) -> int:
             overrides["run.variant"] = args.variant
         cfg = cfg.with_overrides(overrides)
         out_dir = cfg["run.out_dir"]
+        made = not os.path.exists(out_dir)
         try:
             os.makedirs(out_dir, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot make output directory {out_dir}: "
                               f"{exc}") from exc
-
-        if args.command == "ber-sweep":
-            return cmd_ber_sweep(cfg, out_dir, args.quick)
-        if args.command == "energy-distance":
-            return cmd_energy_distance(cfg, out_dir, args.quick)
-        if args.command == "route-sim":
-            return cmd_route_sim(cfg, out_dir, args.quick, cfg["run.variant"])
-        parser.error(f"unknown command {args.command!r}")
+        try:
+            if args.command == "ber-sweep":
+                return cmd_ber_sweep(cfg, out_dir, args.quick)
+            if args.command == "energy-distance":
+                return cmd_energy_distance(cfg, out_dir, args.quick)
+            if args.command == "route-sim":
+                return cmd_route_sim(cfg, out_dir, args.quick, cfg["run.variant"])
+            parser.error(f"unknown command {args.command!r}")
+        except BaseException:
+            # a command that fails before writing a file leaves no
+            # directory: rmdir removes only an empty one
+            if made:
+                with contextlib.suppress(OSError):
+                    os.rmdir(out_dir)
+            raise
     except ConfigError as exc:
         print(f"gmsklink: config error: {exc}", file=sys.stderr)
         return _EXIT_USAGE

@@ -8,10 +8,11 @@ replication mode draws hop distances directly (uniform in a range) instead
 of routing over geometry, isolating the route-energy arithmetic from
 routing choices.
 
-``route-sim`` draws each ensemble once per command (:func:`draw_trials`):
-the draw is the table of its routes' hop distances raised to the path-loss
-exponent, and each variant's :func:`compare_coded_uncoded` prices the
-uncoded and the coded routes from that one table.
+``route-sim`` draws each ensemble once per command (:func:`draw_trials`),
+a slice of trials at a time: the draw is the table of its routes' hop
+distances raised to the path-loss exponent, and each variant's
+:func:`compare_coded_uncoded` prices the uncoded and the coded routes from
+that one table into the per-trial columns of a :class:`SavingsStats`.
 
 Every trial has its own stream: replication trial ``t`` is keyed ``(seed,
 tag, t)``, and geometry trial ``t`` is the deployment :func:`deploy_random`
@@ -40,7 +41,7 @@ floats; only the multiplies, divides and adds run on arrays.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -264,16 +265,43 @@ def route_energy(route_or_distances, model: EnergyModel,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class SavingsStats:
-    """Per-trial coded-vs-uncoded savings statistics."""
+    """Per-trial coded-vs-uncoded savings statistics.
+
+    The per-trial results are held as columns: the kept trials' indices and
+    read-only float64 arrays of their uncoded and coded energies and
+    savings.  ``samples`` builds the rows ``(trial index, e_uncoded,
+    e_coded, savings)`` of Python numbers on each request; the ``repr``
+    shows them, and two results are equal when their statistics and
+    columns are.
+    """
 
     mean: float
     std: float
     min: float
     max: float
     n_trials: int
-    samples: tuple  # of (trial index, e_uncoded, e_coded, savings)
+    trials: tuple
+    e_uncoded: np.ndarray
+    e_coded: np.ndarray
+    savings: np.ndarray
+
+    @property
+    def samples(self) -> tuple:
+        return tuple(zip(self.trials, self.e_uncoded.tolist(),
+                         self.e_coded.tolist(), self.savings.tolist()))
+
+    def __eq__(self, other):
+        if not isinstance(other, SavingsStats):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
+
+    def __repr__(self):
+        return (f"SavingsStats(mean={self.mean!r}, std={self.std!r}, "
+                f"min={self.min!r}, max={self.max!r}, n_trials={self.n_trials!r}, "
+                f"samples={self.samples!r})")
 
 
 @dataclass(frozen=True)
@@ -399,6 +427,26 @@ def _route_slice(xs: np.ndarray, ys: np.ndarray, max_hop_m: float) -> list:
     return routes
 
 
+def _draw_slice(ens: EnsembleSpec, rows: range, k_exp: float) -> tuple:
+    """``(kept, table, n_hops)``: the trials of ``rows`` that build a route
+    and their :func:`_hop_table`, their streams computed in one array pass."""
+    if ens.mode == "replication":
+        lo, hi = ens.hop_range
+        u = substream_random([(ens.seed, _TRIAL_TAG, t) for t in rows],
+                             ens.n_relays + 1)
+        # the bytes of Generator.uniform(lo, hi): lo + (hi - lo) * u
+        return (rows, *_hop_table((lo + (hi - lo) * u).tolist(), k_exp))
+    n = ens.n_nodes
+    u = substream_random([(ens.seed + t, _DEPLOY_TAG) for t in rows], 2 * n)
+    # the coordinates, scaled in place to the bytes of
+    # Generator.uniform(0.0, extent)
+    u[:, :n] *= ens.field_width
+    u[:, n:] *= ens.field_height
+    routes = _route_slice(u[:, :n], u[:, n:], ens.max_hop_m)
+    kept = [t for t, distances in zip(rows, routes) if distances is not None]
+    return (kept, *_hop_table([d for d in routes if d is not None], k_exp))
+
+
 def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
     """The routes of the ensemble's first ``trials`` trials, their hop
     distances raised to ``k_exp``.
@@ -408,37 +456,30 @@ def draw_trials(ens: EnsembleSpec, trials: int, k_exp: float) -> Draws:
     :func:`deploy_random` makes with seed ``seed + t`` in geometry mode.  The
     streams of up to ``_DRAW_ROWS`` trials are computed in one array pass
     (:func:`~gmsklink.channel.substream_random`), and their geometry trials
-    are routed together (:func:`_route_slice`).  Geometry-mode trials
-    whose route construction fails are left out, so each row keeps its
-    trial's own index.
+    are routed together (:func:`_route_slice`).  Each slice's hop distances
+    are raised to ``k_exp`` as soon as it is routed, so only one slice's
+    routes are held as lists; the slices' tables are then placed in one.
+    Geometry-mode trials whose route construction fails are left out, so
+    each row keeps its trial's own index; :class:`RoutingError` is raised
+    when every trial fails.
     """
     if trials < 1:
         raise ConfigError("trials must be >= 1")
-    kept, routes = [], []
+    kept, parts = [], []
     for start in range(0, trials, _DRAW_ROWS):
-        rows = range(start, min(start + _DRAW_ROWS, trials))
-        if ens.mode == "replication":
-            lo, hi = ens.hop_range
-            u = substream_random([(ens.seed, _TRIAL_TAG, t) for t in rows],
-                                 ens.n_relays + 1)
-            kept.extend(rows)
-            # the bytes of Generator.uniform(lo, hi): lo + (hi - lo) * u
-            routes.extend((lo + (hi - lo) * u).tolist())
-            continue
-        n = ens.n_nodes
-        u = substream_random([(ens.seed + t, _DEPLOY_TAG) for t in rows], 2 * n)
-        # the coordinates, scaled in place to the bytes of
-        # Generator.uniform(0.0, extent)
-        u[:, :n] *= ens.field_width
-        u[:, n:] *= ens.field_height
-        for t, distances in zip(rows, _route_slice(u[:, :n], u[:, n:],
-                                                   ens.max_hop_m)):
-            if distances is not None:
-                kept.append(t)
-                routes.append(distances)
+        slice_kept, *part = _draw_slice(
+            ens, range(start, min(start + _DRAW_ROWS, trials)), k_exp)
+        kept.extend(slice_kept)
+        parts.append(part)
     if not kept:
         raise RoutingError("every trial failed to build a route")
-    return Draws(tuple(kept), k_exp, *_hop_table(routes, k_exp))
+    table = np.zeros((len(kept), max(part.shape[1] for part, _ in parts)))
+    row = 0
+    for part, _ in parts:
+        table[row:row + len(part), :part.shape[1]] = part
+        row += len(part)
+    return Draws(tuple(kept), k_exp, table,
+                 np.concatenate([n_hops for _, n_hops in parts]))
 
 
 def _route_totals(draws: Draws, link: LinkConstants) -> tuple:
@@ -478,11 +519,16 @@ def compare_coded_uncoded(ens, trials: int, model: EnergyModel, spec: CodeSpec,
     e_u = _route_totals(draws, model.link())[column]
     e_c = _route_totals(draws, model.link(_route_code(spec), variant))[column]
     sv = 1.0 - e_c / e_u
+    for values in (e_u, e_c, sv):
+        values.flags.writeable = False
     return SavingsStats(
         mean=float(sv.mean()),
         std=float(sv.std(ddof=1)) if len(sv) > 1 else 0.0,
         min=float(sv.min()),
         max=float(sv.max()),
         n_trials=len(sv),
-        samples=tuple(zip(draws.trials, e_u.tolist(), e_c.tolist(), sv.tolist())),
+        trials=draws.trials,
+        e_uncoded=e_u,
+        e_coded=e_c,
+        savings=sv,
     )

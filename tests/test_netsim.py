@@ -301,6 +301,25 @@ class TestCompareCodedUncoded:
                 assert all(e_u == e_c and s == 0.0
                            for _, e_u, e_c, s in stats.samples)
 
+    def test_results_hold_read_only_columns_and_compare_by_value(self):
+        args = (EnsembleSpec(seed=3), 50, MODEL, GOLAY)
+        stats = compare_coded_uncoded(*args)
+        assert stats == compare_coded_uncoded(*args)
+        assert stats.samples == tuple(zip(stats.trials, stats.e_uncoded.tolist(),
+                                          stats.e_coded.tolist(),
+                                          stats.savings.tolist()))
+        for column in (stats.e_uncoded, stats.e_coded, stats.savings):
+            assert column.dtype == np.float64 and column.shape == (50,)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0.0
+        # one per-trial value one ulp off, every statistic unchanged
+        for name in ("e_uncoded", "e_coded", "savings"):
+            column = getattr(stats, name).copy()
+            column[7] = np.nextafter(column[7], np.inf)
+            assert dataclasses.replace(stats, **{name: column}) != stats
+        assert dataclasses.replace(stats, trials=(1, *stats.trials[1:])) != stats
+        assert stats != stats.samples
+
     def test_replication_mode_statistics(self):
         stats = compare_coded_uncoded(EnsembleSpec(seed=2), 500, MODEL, GOLAY,
                                       CodedVariant.CIRCUIT_UNSCALED)
@@ -377,6 +396,13 @@ def _reference_samples(ens, trials, spec, variant, radiated_only):
     return samples
 
 
+# the dataclass SavingsStats was while it held a (trial, e_uncoded, e_coded,
+# savings) row per trial; SavingsStats, holding columns, keeps its repr
+_RowStats = dataclasses.make_dataclass(
+    "SavingsStats", ["mean", "std", "min", "max", "n_trials", "samples"],
+    frozen=True)
+
+
 class TestDrawOnce:
     ENSEMBLES = [EnsembleSpec(seed=1), EnsembleSpec(seed=90210, n_relays=0),
                  EnsembleSpec(seed=7, n_relays=6, hop_range=(5.0, 300.0)),
@@ -391,6 +417,27 @@ class TestDrawOnce:
 
     @pytest.mark.parametrize("ens", ENSEMBLES)
     def test_samples_match_reference_exactly(self, ens):
+        self._check_against_reference(ens)
+
+    def test_slices_assemble_to_the_reference(self, monkeypatch):
+        # the short-reach ensembles above, drawn in slices of 40 trials: every
+        # slice skips trials, and the slices' tables differ in width
+        monkeypatch.setattr(netsim, "_DRAW_ROWS", 40)
+        widths = set()
+        for ens in self.ENSEMBLES:
+            if ens.max_hop_m != 35.0:
+                continue
+            self._check_against_reference(ens)
+            draws = draw_trials(ens, 150, BUDGET.k_exp)
+            slices = np.array(draws.trials) // 40
+            assert set(slices.tolist()) == {0, 1, 2, 3}
+            for s in range(4):
+                assert np.count_nonzero(slices == s) < min(40, 150 - 40 * s)
+                widths.add(int(draws.n_hops[slices == s].max()))
+        assert len(widths) > 1
+
+    @staticmethod
+    def _check_against_reference(ens):
         trials = 150
         draws = draw_trials(ens, trials, BUDGET.k_exp)
         for variant in CodedVariant:
@@ -405,6 +452,9 @@ class TestDrawOnce:
                 savings = np.array([s[3] for s in expected])
                 assert from_spec.mean == float(savings.mean())
                 assert from_spec.n_trials == len(expected)
+                assert repr(from_spec) == repr(_RowStats(
+                    from_spec.mean, from_spec.std, from_spec.min, from_spec.max,
+                    from_spec.n_trials, tuple(expected)))
 
     def test_short_reach_skips_about_a_third(self):
         # so the reference comparison above covers skipped trials

@@ -293,6 +293,10 @@ class TestCliBasics:
         ("energy-distance --quick", "scan.d_stop_m = 1e300\nscan.d_step_m = 1e299"),
         # a pulse whose taps all underflow to 0
         ("ber-sweep --quick", "modem.bt_product = 1e-300"),
+        # a geometry ensemble in which no trial routes: every ensemble is
+        # drawn before any output
+        ("route-sim --quick", "route.max_hop_m = 3.5"),
+        ("route-sim --quick", "route.field_m = 1e6"),
     ])
     def test_bad_value_fails_at_load(self, tmp_path, capsys, command, line):
         bad = tmp_path / "bad.params"
@@ -305,6 +309,25 @@ class TestCliBasics:
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("gmsklink: config error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("line, reach, field", [
+        ("route.max_hop_m = 3.5", "3.5", "100.0"),
+        ("route.field_m = 1e6", "100.0", "1000000.0")])
+    def test_unroutable_ensemble_names_reach_and_field(self, tmp_path, capsys,
+                                                       line, reach, field):
+        bad = tmp_path / "bad.params"
+        bad.write_text(line + "\n")
+        # the output directory is removed only when the command made it
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        for out in (tmp_path / "out", kept):
+            argv = ["route-sim", "--quick", "--config", str(bad), "--out", str(out)]
+            assert cli.main(argv) == 1
+            assert capsys.readouterr().err == (
+                "gmsklink: config error: no geometry trial builds a route with "
+                f"route.max_hop_m = {reach} in a {field} m field (route.field_m)\n")
+        assert not (tmp_path / "out").exists()
+        assert kept.is_dir() and not any(kept.iterdir())
 
     def test_duplicate_key_names_both_lines(self):
         with pytest.raises(ConfigError) as info:
