@@ -103,10 +103,10 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     ``coded`` is one stream, or a ``(P, L)`` array of ``P`` streams of equal
     length decoded in one batch; the result has the same number of
     dimensions.  Each stream's short last segment rides in the batch with
-    the full ones: it is padded with zeros at the front, and its trellis
-    restarts in the zero state at its own first step, so it decodes as it
-    would alone.  Raises :class:`FramingError` unless every segment, the
-    short one too, is a whole number of steps and holds at least one
+    the full ones: it is padded with zero pairs at the front, and its
+    trellis restarts in the zero state at its own first step, so it decodes
+    as it would alone.  Raises :class:`FramingError` unless every segment,
+    the short one too, is a whole number of steps and holds at least one
     information bit besides its tail, and raises ValueError unless every
     coded bit is 0 or 1 (see :func:`~gmsklink.errors.as_bits`).
     """
@@ -118,18 +118,35 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     _check_segment(c.shape[-1] % n or n)
     streams = c.reshape(-1, c.shape[-1])
     count, length = streams.shape
-    full = length - length % n
-    pad = -length % n
-    batch = np.zeros((count, length + pad), dtype=np.uint8)
-    batch[:, :full] = streams[:, :full]
-    batch[:, full + pad:] = streams[:, full:]
-    segments = batch.shape[1] // n
+    segments = -(-length // n)
+    pad = (-length % n) // 2  # zero pairs before the short last segment
     restart = np.zeros((count, segments), dtype=np.intp)
-    restart[:, -1] = pad // 2
-    bits = _decode(batch.reshape(-1, n), restart.ravel()).reshape(count, segments, -1)
-    out = np.concatenate([bits[:, :-1].reshape(count, -1), bits[:, -1, pad // 2:]],
-                         axis=1)
+    restart[:, -1] = pad
+    bits = _decode(_received_pairs(streams, n), restart.ravel())
+    bits = bits.reshape(count, segments, -1)
+    out = np.concatenate([bits[:, :-1].reshape(count, -1), bits[:, -1, pad:]], axis=1)
     return out.reshape(*c.shape[:-1], -1)
+
+
+def _received_pairs(streams: np.ndarray, n: int) -> np.ndarray:
+    """The received pairs ``r1 << 1 | r2`` of every segment of ``n`` coded
+    bits of the ``(P, L)`` streams, as the ``(P * S, n // 2)`` transpose of
+    a C-ordered array: row ``p * S + g`` is segment ``g`` of stream ``p``,
+    a short last segment with zero pairs in front.  Each pair is written
+    in place, so the pairs are the one array made."""
+    count, length = streams.shape
+    steps = n // 2
+    full, rest = divmod(length, n)
+    pairs = np.zeros((steps, count, full + (rest > 0)), dtype=np.uint8)
+    blocks = [(streams[:, :full * n].reshape(count, full, steps, 2),
+               pairs[:, :, :full].transpose(1, 2, 0))]
+    if rest:
+        blocks.append((streams[:, full * n:].reshape(count, rest // 2, 2),
+                       pairs[steps - rest // 2:, :, full].T))
+    for bits, out in blocks:
+        np.left_shift(bits[..., 0], 1, out=out)
+        out |= bits[..., 1]
+    return pairs.reshape(steps, -1).T
 
 
 def _check_segment(width: int):
@@ -138,8 +155,15 @@ def _check_segment(width: int):
                            f"or shorter than {2 * CONSTRAINT_LENGTH}")
 
 
-def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
-    """Hard-decision Viterbi over a (B, 2T) batch; returns (B, T - 6) bits.
+def _decode(pairs: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
+    """Hard-decision Viterbi over a (B, T) batch of received pairs
+    ``r1 << 1 | r2`` (``uint8``, 0-3); returns (B, T - 6) ``uint8`` bits.
+
+    The pairs are read a step at a time, so they are best the transpose of
+    a C-ordered (T, B) array (see :func:`_received_pairs`).  They, the
+    stage and the metrics are let go once the forward pass is done, and the
+    traceback writes its bits straight into the result: beside the packed
+    choices, the traceback holds only the result and one unpacked stage.
 
     Row ``i``'s trellis restarts in the zero state at step ``restart[i]``
     (0 for every row when ``restart`` is None), so its bits before that
@@ -151,9 +175,8 @@ def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
     against one; metrics stay within ``4 T + 1`` and use the narrowest
     integer type that holds it.  The choices are kept at one bit each.
     """
-    nb, width = c.shape
-    steps = width // 2
-    received = ((c[:, 0::2] << 1) | c[:, 1::2]).T.copy()  # (T, B)
+    nb, steps = pairs.shape
+    received, pairs = pairs.T, None  # (T, B); freed below unless the caller holds it
     penalty = 2 * steps + 1
     dtype = np.min_scalar_type(-2 * penalty)
     bm0, bm1 = _BM0.astype(dtype), _BM1.astype(dtype)
@@ -168,8 +191,9 @@ def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
     back = np.empty((steps, nb * _N_STATES // 8), dtype=np.uint8)
     restarts = {}
     if restart is not None:
-        for t in np.unique(restart[restart > 0]):
-            restarts[int(t)] = np.flatnonzero(restart == t)
+        # a plain grouping: np.unique would import numpy.ma on numpy 2.4
+        for t in sorted(set(restart[restart > 0].tolist())):
+            restarts[t] = np.flatnonzero(restart == t)
     for t in range(steps):
         rows = restarts.get(t)
         if rows is not None:
@@ -186,19 +210,22 @@ def _decode(c: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
             t0 = t - t % _STAGE
             back[t0:t + 1] = np.packbits(stage[:t + 1 - t0], axis=None,
                                          bitorder="little").reshape(t + 1 - t0, -1)
+    del received, stage, pm, nxt, b0, b1, c0, c1
 
     # tail-terminated: trace back from state 0; choice b * 32 + j of row i
     # at step t, flat[t, 64 i + 32 b + j], is the choice into state 2j + b
     base = np.arange(nb) * _N_STATES
     state = np.zeros(nb, dtype=np.intp)
-    bits = np.empty((steps, nb), dtype=np.uint8)
+    info = steps - (CONSTRAINT_LENGTH - 1)
+    bits = np.empty((nb, info), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
         if t == steps - 1 or t % _STAGE == _STAGE - 1:
             t0 = t - t % _STAGE
             flat = np.unpackbits(back[t0:t + 1], axis=None, bitorder="little")
             flat = flat.reshape(t + 1 - t0, -1)
         bit = state & 1
-        bits[t] = bit
+        if t < info:
+            bits[:, t] = bit
         j = state >> 1
         state = j | (flat[t - t0, base + (bit * _HALF + j)].astype(np.intp) * _HALF)
-    return bits[: steps - (CONSTRAINT_LENGTH - 1)].T.copy()
+    return bits

@@ -10,6 +10,11 @@ pattern of weight <= 2 that has it (23 851 patterns, zero included) or marks
 the word uncorrectable: exact bounded-distance decoding (standard syndrome
 decoding; Lin & Costello, *Error Control Coding*).  The tables are built on
 first use, so importing the package costs nothing for them.
+
+The bit conversions make and read ``uint8`` symbols, a byte per 4-bit
+symbol, in shifts and ORs; the encoder and decoder keep the integer type
+they are given (promoted with ``uint8``), so the codec's own path holds
+symbols at one byte each while a caller's ``int64`` words stay ``int64``.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ import functools
 
 import numpy as np
 
-from ..errors import DecodeFailure
+from ..errors import DecodeFailure, as_bits
 
 N_SYMBOLS = 15
 K_SYMBOLS = 11
@@ -27,6 +32,7 @@ D_MIN = 5
 T_CORRECT = 2
 
 _SHIFTS = np.array([12, 8, 4, 0])  # four 4-bit fields in 16 bits, the first on top
+_BIT_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)  # a symbol's bits, MSB first
 _POSITIONS = np.arange(N_SYMBOLS)
 
 
@@ -86,26 +92,29 @@ def _decoding_tables():
 
 
 def _as_symbols(symbols, width: int) -> np.ndarray:
+    """``symbols`` as a (B, ``width``) integer array in [0, 16), checked in
+    its own type: it is not cast (bools become ``uint8``), so no value can
+    wrap into range."""
     s = np.asarray(symbols)
     if s.dtype.kind not in "biu":  # a cast would truncate 3.5 to symbol 3
         raise ValueError(f"symbols must be integers, got dtype {s.dtype}")
-    s = s.astype(np.int64, copy=False)
     if s.ndim != 2 or s.shape[1] != width:
         raise ValueError(f"expected a (B, {width}) symbol array, got shape {s.shape}")
     if s.size and (s.min() < 0 or s.max() > 15):
         raise ValueError("symbols must lie in [0, 16)")
-    return s
+    return s.astype(np.uint8) if s.dtype.kind == "b" else s
 
 
 def encode_words(messages) -> np.ndarray:
     """Encode a (B, 11) symbol array into (B, 15) systematic codewords."""
     msgs = _as_symbols(messages, K_SYMBOLS)
     packed = np.bitwise_xor.reduce(_parity_table()[_POSITIONS[:K_SYMBOLS], msgs], axis=1)
-    return np.concatenate([msgs, (packed[:, None] >> _SHIFTS) & 15], axis=1)
+    parity = ((packed[:, None] >> _SHIFTS) & 15).astype(np.uint8)
+    return np.concatenate([msgs, parity], axis=1)
 
 
 def decode_words(received):
-    """Decode a (B, 15) symbol array.
+    """Decode a (B, 15) array of integer symbols.
 
     Returns ``(words, corrected, failed)``: the decoded (B, 15) words, the
     per-word count of corrected symbols, and a boolean failure mask.  Failed
@@ -120,17 +129,26 @@ def decode_words(received):
 
 
 def bits_to_symbols(bits) -> np.ndarray:
-    """Bit array (a multiple of 4 long) -> symbols, MSB first per symbol."""
-    b = np.asarray(bits, dtype=np.uint8)
+    """Bit array (a multiple of 4 long) -> ``uint8`` symbols, MSB first per
+    symbol; ValueError unless every bit is 0 or 1."""
+    b = as_bits(np.asarray(bits).reshape(-1))
     if b.size % SYMBOL_BITS:
         raise ValueError(f"bit count must be a multiple of {SYMBOL_BITS}")
-    return b.reshape(-1, SYMBOL_BITS) @ np.array([8, 4, 2, 1])
+    b = b.reshape(-1, SYMBOL_BITS)
+    s = b[:, 0] << 3
+    for i in range(1, SYMBOL_BITS):
+        s |= b[:, i] << (3 - i)
+    return s
 
 
 def symbols_to_bits(symbols) -> np.ndarray:
-    """Symbols -> flat bit array, MSB first per symbol."""
-    s = np.asarray(symbols, dtype=np.int64).reshape(-1, 1)
-    return ((s >> np.array([3, 2, 1, 0])) & 1).astype(np.uint8).reshape(-1)
+    """Symbols -> flat ``uint8`` bit array, MSB first per symbol."""
+    s = np.asarray(symbols)
+    if s.dtype.kind not in "biu":
+        s = s.astype(np.int64)
+    bits = s.reshape(-1, 1) >> _BIT_SHIFTS
+    bits &= 1
+    return bits.astype(np.uint8, copy=False).reshape(-1)
 
 
 def rs_encode(message) -> np.ndarray:

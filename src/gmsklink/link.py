@@ -38,7 +38,8 @@ the round, when its streams of that round, one per point, are decoded in
 one call: the Viterbi decoder's cost per call is mostly per trellis step,
 so a wide batch amortises it, and the block decoders take all their blocks
 as one array.  Each codec's streams are freed once stacked for its call,
-so no two codecs' batches are held at once.  Points run in groups whose
+and its decode's arrays once it returns, so no two codecs' batches are
+held at once.  Points run in groups whose
 round holds at most ``_GROUP_BITS`` information bits.  Since every point
 keeps its own keys, the results are those of running each point alone.
 
@@ -259,17 +260,24 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
                 point.bits_simulated[i] = simulated
             del coded  # free the point's coded streams before the decodes
         for i, codec in enumerate(codecs):
-            if not held[i]:
-                continue
-            # taken out of the round, a codec's streams are freed once
-            # stacked, so no two codecs' decisions share the decode's peak
-            owners, data, hard = zip(*held[i])
-            held[i] = None
-            hard = np.stack(hard)
-            decoded, _, _ = CODECS[codec.name].decode(hard, codec, n_bits)
-            wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
-            for point, w in zip(owners, wrong.tolist()):
-                point.errors[i] += w
+            if held[i]:
+                _decode_round(held, i, codec, n_bits)
+
+
+def _decode_round(held, i, codec, n_bits):
+    """Decode codec ``i``'s streams of a round in one call and add each
+    point's bit errors.  Taken out of ``held``, the streams are freed once
+    stacked and the stack once decoded; the decode's arrays go on return,
+    so none of them is alive in the next codec's decode or the next
+    round."""
+    owners, data, hard = zip(*held[i])
+    held[i] = None
+    hard = np.stack(hard)
+    decoded, _, _ = CODECS[codec.name].decode(hard, codec, n_bits)
+    del hard
+    wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
+    for point, w in zip(owners, wrong.tolist()):
+        point.errors[i] += w
 
 
 def _ber_points(point: _Point, stop_rule: StopRule) -> list[BerPoint]:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from gmsklink.errors import DecodeFailure
+from gmsklink.fec import CODECS, apply_code
 from gmsklink.fec import reed_solomon as rs
 from gmsklink.fec import rs_decode, rs_encode, rs_spec
 
@@ -161,3 +162,59 @@ def test_bits_symbols_roundtrip():
     rng = np.random.default_rng(6)
     bits = rng.integers(0, 2, 44).astype(np.uint8)
     np.testing.assert_array_equal(rs.symbols_to_bits(rs.bits_to_symbols(bits)), bits)
+
+
+def test_bits_to_symbols_rejects_values_other_than_bits():
+    # a 2 in a symbol's last bit used to pass as symbol 2
+    with pytest.raises(ValueError, match="0s and 1s"):
+        rs.bits_to_symbols([0, 0, 0, 2])
+
+
+def _int64_decode(coded, info_len):
+    """The codec's decode with the symbols held as int64: the bits summed
+    by a matrix product, the words decoded and split by int64 shifts."""
+    symbols = coded.reshape(-1, rs.SYMBOL_BITS).astype(np.int64) @ np.array([8, 4, 2, 1])
+    words, corrected, failed = rs.decode_words(symbols.reshape(-1, rs.N_SYMBOLS))
+    assert words.dtype == np.int64
+    message = words[:, :rs.K_SYMBOLS].reshape(-1, 1)
+    bits = ((message >> np.array([3, 2, 1, 0])) & 1).astype(np.uint8)
+    return (bits.reshape(*coded.shape[:-1], -1)[..., :info_len],
+            int(corrected.sum()), int(failed.sum()))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.01, 0.05, 0.2])
+def test_uint8_batch_decode_matches_streams_and_int64_path(p):
+    # five streams of 1000 bits (23 blocks, the last one padded), with
+    # channel errors from none to mostly uncorrectable blocks
+    rng = np.random.default_rng(int(p * 100) + 8)
+    spec, info_len = rs_spec(), 1000
+    coded = np.stack([apply_code(rng.integers(0, 2, info_len).astype(np.uint8), spec)
+                      for _ in range(5)])
+    coded ^= (rng.random(coded.shape) < p).astype(np.uint8)
+    decode = CODECS["reed_solomon"].decode
+    bits, corrected, failed = decode(coded, spec, info_len)
+    assert bits.dtype == np.uint8 and bits.shape == (5, info_len)
+    want_bits, want_corrected, want_failed = _int64_decode(coded, info_len)
+    np.testing.assert_array_equal(bits, want_bits)
+    assert (corrected, failed) == (want_corrected, want_failed)
+    alone = [decode(stream, spec, info_len) for stream in coded]
+    np.testing.assert_array_equal(bits, np.stack([b for b, _, _ in alone]))
+    assert (corrected, failed) == (sum(c for _, c, _ in alone), sum(f for _, _, f in alone))
+    if p == 0.05:
+        assert corrected > 0 and failed > 0
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.int8, np.uint16, np.int32, np.uint64])
+def test_decode_words_keeps_its_results_for_any_integer_type(dtype):
+    rng = np.random.default_rng(9)
+    received = rs.encode_words(rng.integers(0, 16, (300, 11)))
+    received[rng.random(received.shape) < 0.1] ^= 5
+    for got, want in zip(rs.decode_words(received.astype(dtype)), rs.decode_words(received)):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("dtype", [np.int64, np.uint16])
+def test_symbol_range_is_checked_before_any_cast(dtype):
+    # 256 would wrap to symbol 0 in uint8
+    with pytest.raises(ValueError, match=r"\[0, 16\)"):
+        rs.decode_words(np.full((1, 15), 256, dtype=dtype))
