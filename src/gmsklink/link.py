@@ -26,14 +26,23 @@ The receiver keeps one number per bit, and that number is linear in the
 signal and the noise, so codec decision ``k`` is
 ``table[key] + scale * d_k * N_k < 0``: the noiseless part from the modem's
 statistic table or the waveform of the decision's few symbols
-(:func:`~gmsklink.modem.decision_statistic`), and ``N_k`` the receiver
+(:class:`~gmsklink.modem.StatisticBlocks`), and ``N_k`` the receiver
 filter's output on the normals of the component decision ``k`` reads,
-summed chunk by chunk (:func:`~gmsklink.modem.filter_noise`).  The hard
+summed chunk by chunk (:func:`~gmsklink.modem.add_filtered`).  The hard
 decisions are those of ``demodulate(awgn(modulate(bits)))`` up to a
 statistic within about 1e-15 of 0, where the two float evaluation orders
 may disagree.
 
-Every codec keeps only its hard decisions and data bits until the end of
+Decisions are made a block at a time as their noise completes
+(:func:`_statistics`).  The odd decisions read I, which comes first, so
+each keeps its sum until the stream's Q part, which the even ones read;
+an even decision keeps a sum only while a chunk of Q feeds it.  After each
+chunk of Q, the decisions whose frames have all been read are decided and
+their signs packed 8 to a byte.  At its peak a point's round holds each
+noisy codec's odd sums (4 bytes per decision), one chunk of normals and
+its filtered frames, and the packed decisions of the round's points.
+
+Every codec keeps only its packed decisions and data bits until the end of
 the round, when its streams of that round, one per point, are decoded in
 one call: the Viterbi decoder's cost per call is mostly per trellis step,
 so a wide batch amortises it, and the block decoders take all their blocks
@@ -60,8 +69,9 @@ import numpy as np
 from .channel import ChannelConfig, awgn, noise_scale, substream  # noqa: F401
 from .errors import ConfigError
 from .fec import CODECS, CodeSpec, apply_code, block_layout, strip_code  # noqa: F401
-from .modem import (ModemConfig, decide, decision_statistic, demodulate,  # noqa: F401
-                    filter_noise, modulate, signal_length, theoretical_ber)
+from .modem import (ModemConfig, StatisticBlocks, add_filtered,  # noqa: F401
+                    constants, demodulate, modulate, signal_length,
+                    theoretical_ber, undo_precoding)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -76,8 +86,15 @@ _NOISE_TAG = 0x6E7A
 # of 0.25 MB.
 _GROUP_BITS = 512 * 512
 
-# Normals a point draws at a time, rounded down to whole frames.
+# Normals a point draws at a time, rounded down to whole frames.  Chunks
+# of 16 Ki normals cut the traced peak of a sweep at the benchmark's
+# sweep-dense shape from 2.95 to 2.15 MiB, but made its passes about 13 %
+# slower (best of 10, 2-vCPU Xeon).
 _CHUNK_NORMALS = 1 << 16
+
+# Data bits drawn at a time: a 128 KiB int64 draw, not one of 8 bytes per
+# bit of the round.
+_DATA_SLICE = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -159,39 +176,108 @@ def _scale(ebno_db: float, n_bits: int, coded_bits: int, modem: ModemConfig) -> 
                                      samples_per_symbol=modem.samples_per_symbol))
 
 
+def _statistics(coded, scales, modem: ModemConfig, rng):
+    """Yield ``(i, stat)``: the statistic of the next block of stream
+    ``i``'s decisions, with AWGN of its noise scale whose normals are the
+    stream of ``rng``; each stream's blocks come in order and cover it.
+
+    Stream ``i``'s signal of ``f`` frames reads the first ``2 f sps``
+    normals, frames ``[0, f)`` onto I and ``[f, 2 f)`` onto Q, as
+    :func:`awgn` draws them; a scale of 0 reads none, and its stream is one
+    block, made first.  The normals come in chunks of whole frames, each
+    filtered once for every stream whose component spans it; a component
+    that starts or ends inside a chunk filters its own frames, as it would
+    alone, since a BLAS kernel may round a row differently beside other
+    rows (OpenBLAS's Prescott kernel does).  I feeds the odd decisions,
+    which keep one float each; Q feeds the even ones, which keep one only
+    from the first undecided decision to the last one the chunk feeds.
+    After each chunk of its Q part, a stream's decisions whose frames have
+    all been read are one block, cut to a multiple of 8 decisions unless it
+    ends the stream, so that each block's signs pack into whole bytes.
+    """
+    c = constants(modem)
+    sps, frames = modem.samples_per_symbol, c.taps.shape[1]
+    blocks = [StatisticBlocks(bits, modem) for bits in coded]
+    for i, scale in enumerate(scales):
+        if not scale:
+            yield i, blocks[i].noiseless(blocks[i].size)
+            blocks[i] = None
+    noisy = [i for i, scale in enumerate(scales) if scale]
+    size = [bits.size for bits in coded]
+    length = [signal_length(n, modem) // sps for n in size]  # frames a component
+    odd = {i: np.zeros(size[i] // 2) for i in noisy}
+    even = {i: (0, np.empty(0)) for i in noisy}  # (first decision, sums)
+    done = dict.fromkeys(noisy, 0)  # the first undecided decision
+    total = max((2 * length[i] for i in noisy), default=0)
+    step = max(1, _CHUNK_NORMALS // sps)
+    z = np.empty(min(step, total) * sps)
+    for g0 in range(0, total, step):
+        g1 = min(g0 + step, total)
+        rng.standard_normal(out=z[:(g1 - g0) * sps])
+        part = _filter(z, 0, g1 - g0, c)
+        for i in noisy:
+            n, f, k = size[i], length[i], done[i]
+            if k == n:
+                continue  # decided before its last frames were read
+            if g0 < f:
+                add_filtered(odd[i], part if g1 <= f else _filter(z, 0, f - g0, c),
+                             g0, 1, c)
+            a, b = max(g0, f), min(g1, 2 * f)
+            if a >= b:
+                continue
+            # the even decisions from the first undecided one (a multiple
+            # of 8) to the last one these frames feed, with the sums carried
+            # from the last chunk
+            v0, sums = even[i]
+            carried = sums[(k - v0) // 2:]
+            sums = np.zeros(max(0, min(b - f - c.q, n) - k + 1) // 2)
+            sums[:carried.size] = carried
+            add_filtered(sums, part if (a, b) == (g0, g1) else _filter(z, a - g0, b - g0, c),
+                         a - f, k, c)
+            even[i] = k, sums
+            ready = n if b == 2 * f else min(n, max(k, (b - f - c.q - frames + 1) & ~7))
+            if ready == k:
+                continue
+            noise = np.empty(ready - k)
+            noise[::2] = sums[:(ready - k + 1) // 2]
+            noise[1::2] = odd[i][k // 2:ready // 2]
+            yield i, blocks[i].statistic(noise, scales[i])
+            done[i] = ready
+            if ready == n:
+                blocks[i] = odd[i] = even[i] = None
+
+
+def _filter(z: np.ndarray, m0: int, m1: int, c) -> np.ndarray:
+    """Frames ``[m0, m1)`` of the normals ``z`` times the receiver taps."""
+    sps = c.taps.shape[0]
+    return z[m0 * sps:m1 * sps].reshape(-1, sps) @ c.taps
+
+
 def _decide(coded, scales, modem: ModemConfig, rng) -> list:
     """The hard decisions on each coded stream sent through AWGN of its
-    noise scale, whose normals are the stream of ``rng``.
+    noise scale, whose normals are the stream of ``rng``, packed by
+    ``np.packbits``: the signs of :func:`_statistics`'s blocks, each packed
+    as it comes."""
+    packed = [np.empty(-(-bits.size // 8), dtype=np.uint8) for bits in coded]
+    made = [0] * len(coded)  # decisions packed
+    for i, stat in _statistics(coded, scales, modem, rng):
+        k = made[i]
+        packed[i][k // 8:(k + stat.size + 7) // 8] = np.packbits(stat < 0)
+        made[i] = k + stat.size
+    if modem.differential_precoding:
+        return packed
+    return [np.packbits(undo_precoding(np.unpackbits(p, count=bits.size), modem))
+            for p, bits in zip(packed, coded)]
 
-    Stream ``i``'s signal of ``n`` samples reads the first ``2 n`` normals,
-    ``z[:n]`` onto I and ``z[n:2n]`` onto Q, as :func:`awgn` draws them; a
-    scale of 0 reads none.  The normals come in chunks of whole frames, and
-    each stream keeps one filtered noise value per decision, so no waveform
-    and no buffer of the stream is made.
-    """
-    sps = modem.samples_per_symbol
-    samples = [signal_length(c.size, modem) for c in coded]
-    noise = [np.zeros(c.size) if scale else None for c, scale in zip(coded, scales)]
-    total = max((2 * n for n, acc in zip(samples, noise) if acc is not None), default=0)
-    chunk = max(1, _CHUNK_NORMALS // sps) * sps
-    z = np.empty(min(chunk, total))
-    for p0 in range(0, total, chunk):
-        p1 = min(p0 + chunk, total)
-        rng.standard_normal(out=z[:p1 - p0])
-        for acc, n in zip(noise, samples):
-            if acc is None:
-                continue
-            for component in (0, 1):
-                a, b = max(p0, component * n), min(p1, (component + 1) * n)
-                if a < b:
-                    filter_noise(acc, z[a - p0:b - p0], (a - component * n) // sps,
-                                 component, modem)
-    del z
-    hard = []
-    for i, (c, scale) in enumerate(zip(coded, scales)):
-        acc, noise[i] = noise[i], None
-        hard.append(decide(decision_statistic(c, modem, acc, scale), modem))
-    return hard
+
+def _data_bits(rng, n_bits: int) -> np.ndarray:
+    """The ``uint8`` bits of ``rng.integers(0, 2, n_bits)``, drawn in slices
+    of at most ``_DATA_SLICE``: the slices continue one stream, so no
+    ``int64`` draw spans the round."""
+    bits = np.empty(n_bits, dtype=np.uint8)
+    for a in range(0, n_bits, _DATA_SLICE):
+        bits[a:a + _DATA_SLICE] = rng.integers(0, 2, min(_DATA_SLICE, n_bits - a))
+    return bits
 
 
 class _Point:
@@ -245,11 +331,11 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
         if not any(running):
             break
         simulated += n_bits
-        held = [[] for _ in codecs]  # each codec's (point, bits, hard decisions)
+        held = [[] for _ in codecs]  # each codec's (point, bits, packed decisions)
         for point, ids in zip(points, running):
             if not ids:
                 continue
-            bits = point.data_rng.integers(0, 2, n_bits).astype(np.uint8)
+            bits = _data_bits(point.data_rng, n_bits)
             coded = [apply_code(bits, codecs[i]) for i in ids]
             scales = [_scale(point.ebno_db, n_bits, c.size, modem) for c in coded]
             # a point whose codecs read no noise keys no stream
@@ -270,9 +356,11 @@ def _decode_round(held, i, codec, n_bits):
     stacked and the stack once decoded; the decode's arrays go on return,
     so none of them is alive in the next codec's decode or the next
     round."""
-    owners, data, hard = zip(*held[i])
+    owners, data, packed = zip(*held[i])
     held[i] = None
-    hard = np.stack(hard)
+    hard = np.unpackbits(np.stack(packed), axis=1,
+                         count=block_layout(n_bits, codec).coded_bits)
+    del packed
     decoded, _, _ = CODECS[codec.name].decode(hard, codec, n_bits)
     del hard
     wrong = np.count_nonzero(decoded != np.stack(data), axis=1)

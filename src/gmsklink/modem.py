@@ -13,10 +13,11 @@ the transmitter (on by default) makes those decisions map directly to
 information bits.
 
 The value a decision takes the sign of is linear in the signal and the
-noise.  :func:`decision_statistic` computes it from the waveform of only
-the few symbols the decision's frames read, or from a table of such values,
-and the noise part from the receiver filter applied to the noise alone
-(:func:`filter_noise`).  The BER engine decides every bit that way;
+noise.  :class:`StatisticBlocks` computes it a block of decisions at a
+time, from the waveform of only the few symbols the decision's frames read
+or from a table of such values, and the noise part from the receiver
+filter applied to the noise alone (:func:`add_filtered`).  The BER engine
+decides every bit that way;
 ``modulate``, ``awgn`` and ``demodulate`` stay as the library path and as
 its oracle.  Everything these derive from a :class:`ModemConfig` is built
 once, on first use (:func:`constants`).
@@ -228,7 +229,7 @@ class ModemConstants:
         component's ``sps`` samples of symbol period ``m`` and zero outside
         the signal.
     q: the first frame decision 0 reads; negative for wide receiver filters.
-    table: the statistic table (see :func:`decision_statistic`), or None
+    table: the statistic table (see :class:`StatisticBlocks`), or None
         where its key would be wider than ``_KEY_BITS`` bits; a cache of
         the waveform chain's statistic (see :func:`constants`).
     """
@@ -274,7 +275,8 @@ def constants(config: ModemConfig) -> ModemConstants:
     tx = _de_bruijn(c.key_bits)
     parity = _parity(tx)
     lo, hi = _inner(c, tx.size)
-    key = _keys(c, tx, parity, lo, hi)
+    start = lo + c.q - c.cumtaps.shape[0] + 1
+    key = _keys(c, tx[start:], parity[start:], hi - lo)
     table = np.empty(2 << c.key_bits)
     table[key] = value = _noiseless(c, tx, parity, lo, hi)
     table[key ^ (1 << c.key_bits)] = -value
@@ -407,7 +409,13 @@ def decide(statistic: np.ndarray, config: ModemConfig) -> np.ndarray:
     """Hard bit decisions from decision statistics: 1 where a statistic is
     negative, with the precoding undone when the transmitter did not
     precode."""
-    decisions = (statistic < 0).view(np.uint8)
+    return undo_precoding((statistic < 0).view(np.uint8), config)
+
+
+def undo_precoding(decisions: np.ndarray, config: ModemConfig) -> np.ndarray:
+    """The bits of threshold decisions (``uint8``, 1 for a negative
+    statistic): the decisions themselves when the transmitter precoded, and
+    each XOR the one before it when it did not."""
     if config.differential_precoding:
         return decisions
     out = decisions.copy()
@@ -451,15 +459,15 @@ def _parity(tx: np.ndarray) -> np.ndarray:
 def _inner(c: ModemConstants, n: int) -> tuple[int, int]:
     """The inner decisions ``[lo, hi)`` of ``n`` channel symbols: those
     whose frames all lie in the signal and carry no symbol past either end
-    (see :func:`decision_statistic`)."""
+    (see :class:`StatisticBlocks`)."""
     lo = min(max(0, c.cumtaps.shape[0] - 1 - c.q), n)
     return lo, max(lo, n - c.taps.shape[1] + 1 - c.q)
 
 
-def _keys(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
-          k0: int, k1: int) -> np.ndarray:
-    """The statistic-table keys of the inner decisions ``[k0, k1)`` on the
-    channel symbols ``tx`` (see :func:`decision_statistic`).
+def _keys(c: ModemConstants, tx: np.ndarray, parity: np.ndarray, m: int) -> np.ndarray:
+    """The statistic-table keys of ``m`` inner decisions in a row, the first
+    of whose windows starts at ``tx[0]``, where ``parity[i]`` is the parity
+    of the ones before ``tx[i]`` (see :class:`StatisticBlocks`).
 
     The window bits take ``log2(key_bits)`` array passes, not ``key_bits``,
     which keeps a block's fixed cost low: ``run[i]`` holds the ``width``
@@ -467,9 +475,8 @@ def _keys(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
     the run of each binary digit of ``key_bits``.
     """
     key_bits = c.key_bits
-    start, m = k0 + c.q - c.cumtaps.shape[0] + 1, k1 - k0
-    key = parity[start:start + m].astype(np.uint16) << key_bits
-    run = tx[start:start + m + key_bits - 1].astype(np.uint16)
+    key = parity[:m].astype(np.uint16) << key_bits
+    run = tx[:m + key_bits - 1].astype(np.uint16)
     width, done = 1, 0
     while True:
         if key_bits & width:
@@ -511,54 +518,120 @@ def decision_statistic(bits, config: ModemConfig, noise: np.ndarray | None = Non
     ``demodulate(awgn(modulate(bits)))`` up to decisions within about 1e-15
     of 0.
 
-    The value is linear in the signal and the noise.  ``noise[k]``, if
-    given, is the receiver filter's output on decision ``k``'s component of
-    unit noise (see :func:`filter_noise`); it is scaled and derotated in
-    place, and the noiseless part is added to it block by block, so beside
-    it no array spans the stream but the symbols and their parity; it is
-    returned.  The noiseless part of an inner decision,
-    whose frames all lie in the signal and carry no symbol past either end,
-    depends on nothing but its ``key_bits`` symbols and the parity of the
-    ones before them (Laurent, IEEE Trans. Commun. 34(2), 1986): the symbols
-    before the window turn it by ``2 * ones - ended`` quarter turns, the
-    derotation by ``k + 1`` more, and ``ended = k + q - window + 1``, so
-    the total is ``window - q + 2 * ones`` (mod 4).  Those values are read
-    from the statistic table at ``parity << key_bits | window bits``,
-    ``_GATHER_BLOCK`` decisions at a time.  The
-    first and last few decisions, and every decision of a config without a
-    table, are read from the waveform of their symbols (:func:`_noiseless`).
+    ``noise[k]``, if given, is the receiver filter's output on decision
+    ``k``'s component of unit noise (see :func:`filter_noise`); the value
+    is made in place in it and returned.  This is the one-block case of
+    :class:`StatisticBlocks`.
     """
-    bits = as_bits(bits)
-    c = constants(config)
-    tx = _precode(bits) if config.differential_precoding else bits
-    parity = _parity(tx)
+    blocks = StatisticBlocks(bits, config)
     if noise is None:
-        stat = np.empty(tx.size)
-        for k0, k1, part in _noiseless_blocks(c, tx, parity):
-            stat[k0:k1] = part
+        return blocks.noiseless(blocks.size)
+    return blocks.statistic(noise, scale)
+
+
+class StatisticBlocks:
+    """The decision statistic of one bit stream, made one block of
+    consecutive decisions at a time, in order, from their filtered noise.
+
+    The value is linear in the signal and the noise.  The noiseless part of
+    an inner decision, whose frames all lie in the signal and carry no
+    symbol past either end, depends on nothing but its ``key_bits`` symbols
+    and the parity of the ones before them (Laurent, IEEE Trans. Commun.
+    34(2), 1986): the symbols before the window turn it by
+    ``2 * ones - ended`` quarter turns, the derotation by ``k + 1`` more,
+    and ``ended = k + q - window + 1``, so the total is
+    ``window - q + 2 * ones`` (mod 4).  Those values are read from the
+    statistic table at ``parity << key_bits | window bits``,
+    ``_GATHER_BLOCK`` decisions at a time.  The first and last few
+    decisions, once per stream, and every decision of a config without a
+    table, in :func:`_noiseless`'s blocks, are read from the waveform of
+    their symbols.  No array spans the stream: the channel symbols and
+    their parity are made from the bits for each table gather and waveform
+    block alone.  A block may start and end at any decision: each value is
+    the same float whatever the blocks.
+    """
+
+    def __init__(self, bits, config: ModemConfig):
+        self._bits = as_bits(bits)
+        self._precoded = config.differential_precoding
+        self._c = c = constants(config)
+        self.size = n = self._bits.size
+        # the inner decisions, read from the table; none without one
+        self._lo, self._hi = _inner(c, n) if c.table is not None else (0, 0)
+        self._made = (0, np.empty(0))  # the last waveform block: (first decision, values)
+        self._next = 0  # the first decision of the next block
+
+    def statistic(self, noise: np.ndarray, scale: float) -> np.ndarray:
+        """The statistic of the next ``noise.size`` decisions, made in place
+        in ``noise``, their filtered unit noise: scaled and derotated, then
+        plus the noiseless part."""
+        k0 = self._next
+        for r in range(4):
+            noise[(r - k0) % 4::4] *= _DEROTATE[r] * scale
+        for a, values in self._pieces(noise.size):
+            noise[a:a + values.size] += values
+        return noise
+
+    def noiseless(self, m: int) -> np.ndarray:
+        """The noiseless statistic of the next ``m`` decisions."""
+        stat = np.empty(m)
+        for a, values in self._pieces(m):
+            stat[a:a + values.size] = values
         return stat
-    for r in range(4):
-        noise[r::4] *= _DEROTATE[r] * scale
-    for k0, k1, part in _noiseless_blocks(c, tx, parity):
-        noise[k0:k1] += part
-    return noise
 
+    def _pieces(self, m: int):
+        # (offset, values) covering the next m decisions' noiseless part
+        c, k0, k1 = self._c, self._next, self._next + m
+        self._next = k1
+        k = k0
+        while k < k1:
+            if self._lo <= k < self._hi:
+                b = min(k1, self._hi, k + _GATHER_BLOCK)
+                s = k + c.q - c.cumtaps.shape[0] + 1
+                tx, parity = self._symbols(s, s + b - k + c.key_bits - 1)
+                values = np.take(c.table, _keys(c, tx, parity, b - k), mode="clip")
+            else:
+                s0, values = self._waveform_block(k)
+                values = values[k - s0:k1 - s0]
+            yield k - k0, values
+            k += values.size
 
-def _noiseless_blocks(c: ModemConstants, tx: np.ndarray, parity: np.ndarray):
-    """Yield ``(k0, k1, stat)``, the noiseless statistic of decisions
-    ``[k0, k1)`` on the channel symbols ``tx``, for blocks that cover every
-    decision in order: the inner ones from the table ``_GATHER_BLOCK`` at a
-    time, the rest from the waveform of their symbols."""
-    n = tx.size
-    if c.table is None:
-        yield 0, n, _noiseless(c, tx, parity, 0, n)
-        return
-    lo, hi = _inner(c, n)
-    yield 0, lo, _noiseless(c, tx, parity, 0, lo)
-    for b0 in range(lo, hi, _GATHER_BLOCK):
-        b1 = min(b0 + _GATHER_BLOCK, hi)
-        yield b0, b1, np.take(c.table, _keys(c, tx, parity, b0, b1), mode="clip")
-    yield hi, n, _noiseless(c, tx, parity, hi, n)
+    def _waveform_block(self, k: int):
+        """``(b0, values)``: the noiseless statistic of the waveform block
+        ``[b0, b1)`` that holds decision ``k``, made once: an edge of a
+        tabled stream, or one of :func:`_noiseless`'s blocks."""
+        b0, values = self._made
+        if not b0 <= k < b0 + values.size:
+            c, n = self._c, self.size
+            if c.table is not None:
+                b0, b1 = (0, self._lo) if k < self._lo else (self._hi, n)
+            else:
+                step = max(1, _PRODUCT_SIZE // c.taps.size)
+                b0 = k - k % step
+                b1 = min(b0 + step, n)
+            # the symbols _noiseless reads
+            s = max(b0 + c.q - c.cumtaps.shape[0] + 1, 0)
+            tx, parity = self._symbols(s, min(b1 + c.q + c.taps.shape[1] - 1, n))
+            values = _noiseless(c, tx, parity, b0 - s, b1 - s)
+            self._made = b0, values
+        return b0, values
+
+    def _symbols(self, s: int, e: int):
+        """The channel symbols ``[s, e)`` and, for ``i <= e - s``, the
+        parity of the ones before symbol ``s + i``."""
+        bits = self._bits
+        if self._precoded:
+            # the precoding of bits[:s] telescopes: its ones have the
+            # parity of bits[s - 1]
+            before = bits[s - 1] if s else 0
+            tx = _precode(bits[s:e])
+            tx[:1] ^= before
+        else:
+            tx = bits[s:e]
+            before = int(np.count_nonzero(bits[:s])) & 1
+        parity = _parity(tx)
+        parity ^= before
+        return tx, parity
 
 
 def filter_noise(noise: np.ndarray, z: np.ndarray, frame: int, component: int,
@@ -574,15 +647,28 @@ def filter_noise(noise: np.ndarray, z: np.ndarray, frame: int, component: int,
     split between any two frames.
     """
     c = constants(config)
-    # part[m, t] is frame + m's share of decision frame + m - q - t
-    part = z.reshape(-1, config.samples_per_symbol) @ c.taps
+    first = 1 - component
+    add_filtered(noise[first::2], z.reshape(-1, config.samples_per_symbol) @ c.taps,
+                 frame, first, c)
+
+
+def add_filtered(acc: np.ndarray, part: np.ndarray, frame: int, first: int,
+                 c: ModemConstants) -> None:
+    """Add filtered noise to the decisions ``first, first + 2, ...``, whose
+    sums ``acc`` holds in that order.
+
+    ``part`` is frames ``frame, frame + 1, ...`` of one noise component
+    ``@ c.taps``: ``part[m, t]`` is frame ``frame + m``'s share of decision
+    ``frame + m - q - t``.  The shares are added ``t`` ascending; decisions
+    outside ``acc`` are skipped.
+    """
     for t in range(c.taps.shape[1]):
-        k0 = max(frame - c.q - t, 0)
-        k0 += (k0 + component + 1) % 2
-        k1 = min(frame + part.shape[0] - c.q - t, noise.size)
+        k0 = max(frame - c.q - t, first)
+        k0 += (k0 - first) % 2
+        k1 = min(frame + part.shape[0] - c.q - t, first + 2 * acc.size)
         if k0 < k1:
-            m0 = k0 + c.q + t - frame
-            noise[k0:k1:2] += part[m0:m0 + k1 - k0:2, t]
+            m0, j0 = k0 + c.q + t - frame, (k0 - first) // 2
+            acc[j0:j0 + (k1 - k0 + 1) // 2] += part[m0:m0 + k1 - k0:2, t]
 
 
 def theoretical_ber(ebno_db, alpha: float):

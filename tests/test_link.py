@@ -28,6 +28,32 @@ ALPHA = alpha_for_bt(0.3)
 MODEM = ModemConfig()
 
 
+@pytest.mark.parametrize("slice_bits", [link._DATA_SLICE, 4096, 4097, 1000, 777])
+@pytest.mark.parametrize("n_bits", [1, 12_345, 25_000, 200_000])
+def test_data_bits_drawn_in_slices_are_one_draw(n_bits, slice_bits, monkeypatch):
+    # int64 draws of 0 or 1 continue one Philox stream from slice to slice,
+    # whatever the slices, so a round's bits are those of one draw
+    monkeypatch.setattr(link, "_DATA_SLICE", slice_bits)
+    for seed in range(5):
+        got = link._data_bits(substream(seed, 1), n_bits)
+        assert got.dtype == np.uint8
+        want = substream(seed, 1).integers(0, 2, n_bits)
+        np.testing.assert_array_equal(got, want)
+
+
+def test_data_bits_peak_memory():
+    # 200 000 bits: the uint8 bits and one 16 Ki-bit int64 slice, 0.32 MiB
+    # (one int64 draw cast to uint8 peaked at 1.72 MiB)
+    rng = substream(3)
+    tracemalloc.start()
+    try:
+        link._data_bits(rng, 200_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.4 * 2**20
+
+
 def _curve(codec, grid, stop_rule, seed):
     """One codec's points over ``grid``, in the order given."""
     return [row[0] for row in run_grid([codec], grid, MODEM, stop_rule, seed)]
@@ -276,25 +302,35 @@ class TestRunGrid:
         assert calls == [3 * math.ceil(25_000 / 12), 3 * math.ceil(50_000 / 12)]
 
 
-@pytest.mark.parametrize("grid", [(0.0,), (0.0, 1.0, 2.0, 3.0),
-                                  tuple(1.5 * i for i in range(7))])
-def test_one_round_peak_memory(grid):
-    # one round of 25 000 bits: no waveform and no buffer of a point's
-    # normals is made.  A point keeps one filtered noise value per decision
-    # (1.2 MiB over the four codecs) and one chunk of normals (0.5 MiB) and
-    # frees both before the next point; each codec then decodes every
-    # point's stream in one batch, freeing its streams once stacked, in
-    # 8-step Viterbi stages.  The peak read 2.2 MiB for one point, 2.7 MiB
-    # for four and 3.2 MiB for the seven of the benchmark's sweep-curve
-    # shape, whose earlier points' hard decisions add to the last point's
-    # noise, all of them in the last point's decisions.  RS decoding in
-    # int64 symbols, with the Viterbi decoder's padded batch and its output
-    # copied beside the packed choices, read 3.7 MiB for seven, in the RS
-    # decode.  Holding every codec's streams until the round ended, with
-    # 64-step Viterbi stages, read 4.6 MiB for four points and 8.1 MiB for
-    # seven; with only the streams held, 4.6 MiB for seven.
+@pytest.mark.parametrize("grid, stop_rule, bound_mib", [
+    ((0.0,), StopRule(1, 25_000), 2.3),
+    ((0.0, 1.0, 2.0, 3.0), StopRule(1, 25_000), 2.3),
+    (tuple(1.5 * i for i in range(7)), StopRule(1, 25_000), 2.7),
+    ((0.0, 1.5, 3.0), StopRule(10**9, 75_000), 3.2),
+], ids=["1-point", "4-points", "sweep-curve", "sweep-dense"])
+def test_one_round_peak_memory(grid, stop_rule, bound_mib):
+    # rounds of 25 000 bits (and, at the benchmark's sweep-dense shape, a
+    # second of 50 000): no waveform and no buffer of a point's normals is
+    # made.  A point keeps one filtered noise value per odd decision (0.6
+    # MiB over the four codecs in a round of 25 000 bits), the even ones'
+    # sums only from the first undecided decision to the last one the
+    # chunk feeds, one chunk of normals (0.5 MiB) and its filtered frames
+    # (0.25 MiB), and frees them before the next point; every point's
+    # decisions are held packed, 8 to a byte, until each codec decodes
+    # every point's stream of the round in one batch, freeing its streams
+    # once stacked, in 8-step Viterbi stages.  The peak read 1.97 MiB for
+    # one point, 2.10 MiB for four and 2.95 MiB for sweep-dense, in the
+    # last point's decisions, and 2.50 MiB for the seven of sweep-curve, in
+    # its Viterbi decode.  With one noise value per decision and the
+    # decisions held a byte each, it read 2.15, 2.69, 4.26 and 3.22 MiB,
+    # all in the last point's decisions.  RS decoding in int64 symbols,
+    # with the Viterbi decoder's padded batch and its output copied beside
+    # the packed choices, read 3.7 MiB for seven, in the RS decode.
+    # Holding every codec's streams until the round ended, with 64-step
+    # Viterbi stages, read 4.6 MiB for four points and 8.1 MiB for seven;
+    # with only the streams held, 4.6 MiB for seven.
     args = ([none_spec(), golay_spec(), rs_spec(), conv_spec()], grid,
-            ModemConfig(), StopRule(1, 25_000))
+            ModemConfig(), stop_rule)
     run_grid(*args, seed=3)  # build the codecs' lazy tables untraced
     tracemalloc.start()
     try:
@@ -302,7 +338,7 @@ def test_one_round_peak_memory(grid):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= (3.2 if len(grid) <= 4 else 3.8) * 2**20
+    assert peak <= bound_mib * 2**20
 
 
 _COLD_PASS = """
@@ -325,12 +361,13 @@ def test_cold_pass_imports_and_peak_memory():
     # the first round of a fresh process, as every ber-sweep run is, at the
     # sweep-curve shape: its first calls build the codecs' tables and the
     # modem's statistic table and import numpy.random, and nothing else of
-    # numpy.  The peak read 4.0 MiB, in the last point's decisions, the
-    # first Viterbi call 4.0 MiB too.  With np.unique grouping the Viterbi
-    # restarts (which imports numpy.ma on numpy 2.4), RS decoding in int64
-    # symbols, each codec's decode arrays alive into the next codec's, and
-    # the padded batch and output copy beside the packed choices, the first
-    # Viterbi call read 5.9 MiB.
+    # numpy.  The peak read 3.84 MiB, in the first Viterbi call; the last
+    # point's decisions read 3.05 MiB (4.04 MiB with one noise value per
+    # decision and the decisions held a byte each).  With np.unique
+    # grouping the Viterbi restarts (which imports numpy.ma on numpy 2.4),
+    # RS decoding in int64 symbols, each codec's decode arrays alive into
+    # the next codec's, and the padded batch and output copy beside the
+    # packed choices, the first Viterbi call read 5.9 MiB.
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
@@ -341,7 +378,7 @@ def test_cold_pass_imports_and_peak_memory():
     numpy_imports = [m for m in result["imported"]
                      if m.split(".")[0] == "numpy" and m.split(".")[:2] != ["numpy", "random"]]
     assert numpy_imports == []
-    assert result["peak"] <= 4.5 * 2**20
+    assert result["peak"] <= 4.2 * 2**20
 
 
 def test_route_sim_peak_memory(tmp_path, capsys):

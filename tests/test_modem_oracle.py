@@ -183,7 +183,8 @@ def _engine_matches_chain(cfg, seed):
             chan = ChannelConfig(ebno_db=ebno, samples_per_symbol=sps, seed=seed)
             want = demodulate(awgn(modulate(bits, cfg), chan), cfg, n)
             scale = noise_scale(chan)
-            got, = link._decide([bits], [scale], cfg, substream(seed))
+            packed, = link._decide([bits], [scale], cfg, substream(seed))
+            got = np.unpackbits(packed, count=n)
             np.testing.assert_array_equal(got, want, err_msg=f"{n} bits, {ebno} dB")
 
 

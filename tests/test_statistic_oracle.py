@@ -13,7 +13,10 @@ gives the same value before the sign (``modem._statistic``):
 - the noisy minus the noiseless waveform statistic equals the engine's
   noise term ``scale * d_k * N_k``;
 - the engine's hard decisions equal ``demodulate(awgn(modulate(bits)))`` at
-  0 dB, over more than a million decisions on the modem config grid.
+  0 dB, over more than a million decisions on the modem config grid;
+- the engine's statistics, made a block at a time as each chunk of normals
+  is filtered, equal bit for bit those made from each stream's normals
+  filtered into one array, with the noiseless part of the whole stream.
 
 It also bounds the memory the engine's statistic of a stream takes beside
 the caller's noise array.
@@ -29,8 +32,9 @@ import pytest
 
 from gmsklink import link
 from gmsklink.channel import ChannelConfig, awgn, noise_scale, substream
-from gmsklink.modem import (ModemConfig, _de_bruijn, _statistic, constants,
-                            decision_statistic, demodulate, filter_noise,
+from gmsklink.modem import (_DEROTATE, ModemConfig, _de_bruijn, _inner, _keys,
+                            _noiseless, _parity, _precode, _statistic, constants,
+                            decide, decision_statistic, demodulate, filter_noise,
                             modulate, signal_length)
 
 _SHAPES = [(1, 0.6), (1, 1.0)] + [
@@ -132,8 +136,9 @@ def test_noise_term_is_linear(cfg):
 def test_statistic_peak_memory():
     # 100 012 decisions added into the caller's noise array block by block:
     # no statistic, key or symbol array spans the stream.  The peak read
-    # 0.60 MiB (the symbols, their parity and one block's keys and values),
-    # against 1.91 MiB with whole-stream arrays.
+    # 0.44 MiB (one gather block's keys and values, and the symbols and
+    # parity it reads), against 0.60 MiB with the stream's symbols and
+    # parity and 1.91 MiB with whole-stream arrays.
     cfg = ModemConfig()
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, 100_012).astype(np.uint8)
@@ -145,7 +150,7 @@ def test_statistic_peak_memory():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= 0.75 * 2**20
+    assert peak <= 0.5 * 2**20
 
 
 def test_the_untabled_configs_have_no_table():
@@ -164,7 +169,8 @@ def test_engine_decides_as_the_waveform_chain_at_0_db(cfg):
     bits = np.random.default_rng(seed).integers(0, 2, _PER_CONFIG).astype(np.uint8)
     chan = ChannelConfig(ebno_db=0.0, samples_per_symbol=sps, seed=seed)
     want = demodulate(awgn(modulate(bits, cfg), chan), cfg, bits.size)
-    got, = link._decide([bits], [noise_scale(chan)], cfg, substream(seed))
+    packed, = link._decide([bits], [noise_scale(chan)], cfg, substream(seed))
+    got = np.unpackbits(packed, count=bits.size)
     assert np.count_nonzero(got != want) == 0
 
 
@@ -174,3 +180,107 @@ def test_constants_are_built_on_first_use_not_at_import():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "0"
+
+
+# the engine's other paths, pinned by tests/test_pins.py, and the default
+# modem with and without precoding
+_PINNED = [ModemConfig(), ModemConfig(pulse_span_symbols=4),
+           ModemConfig(samples_per_symbol=16), ModemConfig(pulse_span_symbols=6),
+           ModemConfig(rx_bt=0.3), ModemConfig(bt_product=0.5), ModemConfig(rx_bt=0.1),
+           ModemConfig(differential_precoding=False)]
+
+
+def _whole_stream_statistic(bits, cfg, noise=None, scale=0.0):
+    """The statistic of a whole stream as one array: ``noise`` (its
+    filtered unit noise, or none) scaled and derotated, plus the noiseless
+    part, read from the table with the edges made in one waveform call
+    each, or made in one waveform call where there is no table."""
+    c = constants(cfg)
+    tx = _precode(bits) if cfg.differential_precoding else bits
+    parity = _parity(tx)
+    n = tx.size
+    if c.table is None:
+        parts = [(0, n, _noiseless(c, tx, parity, 0, n))]
+    else:
+        lo, hi = _inner(c, n)
+        start = lo + c.q - c.cumtaps.shape[0] + 1
+        parts = [(0, lo, _noiseless(c, tx, parity, 0, lo)),
+                 (lo, hi, c.table[_keys(c, tx[start:], parity[start:], hi - lo)]),
+                 (hi, n, _noiseless(c, tx, parity, hi, n))]
+    if noise is None:
+        stat = np.empty(n)
+        for k0, k1, part in parts:
+            stat[k0:k1] = part
+        return stat
+    for r in range(4):
+        noise[r::4] *= _DEROTATE[r] * scale
+    for k0, k1, part in parts:
+        noise[k0:k1] += part
+    return noise
+
+
+def _oracle(coded, scales, cfg, seed):
+    # the engine's normals, drawn in its chunks: a noisy stream of m
+    # samples reads z[:m] onto I and z[m:2m] onto Q, and each chunk's part
+    # of each component is filtered into the stream's one noise array
+    sps = cfg.samples_per_symbol
+    rng = substream(seed)
+    samples = [signal_length(bits.size, cfg) for bits in coded]
+    noise = [np.zeros(bits.size) if scale else None for bits, scale in zip(coded, scales)]
+    total = max((2 * m for m, acc in zip(samples, noise) if acc is not None), default=0)
+    chunk = max(1, link._CHUNK_NORMALS // sps) * sps
+    for p0 in range(0, total, chunk):
+        z = rng.standard_normal(min(p0 + chunk, total) - p0)
+        for acc, m in zip(noise, samples):
+            for component in (0, 1):
+                a, b = max(p0, component * m), min(p0 + z.size, (component + 1) * m)
+                if acc is not None and a < b:
+                    filter_noise(acc, z[a - p0:b - p0], (a - component * m) // sps,
+                                 component, cfg)
+    return [_whole_stream_statistic(bits, cfg, acc, scale)
+            for bits, acc, scale in zip(coded, noise, scales)]
+
+
+@pytest.mark.parametrize("chunk, sizes", [
+    # a round's streams at the shipped chunk size
+    (link._CHUNK_NORMALS, (25_000, 50_000, 34_140, 50_012)),
+    # chunks of 80 normals, 5 to 20 frames, whose boundaries split the
+    # frames of many decisions; streams of 1 and 7 bits are shorter than
+    # the frames a decision reads at rx_bt 0.1, where decisions read frames
+    # past both ends of the signal
+    (80, (3000, 1, 6012, 4100, 7, 6000)),
+], ids=["chunk64Ki", "chunk80"])
+@pytest.mark.parametrize("cfg", _PINNED, ids=_name)
+def test_engine_statistics_are_the_whole_stream_statistics(cfg, chunk, sizes, monkeypatch):
+    # the third stream is at a zero noise scale
+    monkeypatch.setattr(link, "_CHUNK_NORMALS", chunk)
+    rng = np.random.default_rng(cfg.samples_per_symbol + chunk)
+    coded = [rng.integers(0, 2, n).astype(np.uint8) for n in sizes]
+    scales = [0.6, 0.9, 0.0, 1.3, 0.45, 0.8][:len(coded)]
+    want = _oracle(coded, scales, cfg, seed=5)
+    got = [[] for _ in coded]
+    for i, stat in link._statistics(coded, scales, cfg, substream(5)):
+        got[i].append(stat.copy())
+    for i, (bits, stat) in enumerate(zip(coded, want)):
+        engine = np.concatenate(got[i])
+        assert engine.size == bits.size
+        np.testing.assert_array_equal(engine.view(np.uint64), stat.view(np.uint64),
+                                      err_msg=f"stream {i}")
+    for i, packed in enumerate(link._decide(coded, scales, cfg, substream(5))):
+        hard = np.unpackbits(packed, count=coded[i].size)
+        np.testing.assert_array_equal(hard, decide(want[i], cfg), err_msg=f"stream {i}")
+
+
+def test_engine_without_noise_draws_none(monkeypatch):
+    # every stream at a zero noise scale: their statistics are the
+    # noiseless ones, and no normal is drawn
+    class NoDraws:
+        def standard_normal(self, *args, **kwargs):
+            raise AssertionError("a normal was drawn")
+
+    cfg = ModemConfig()
+    coded = [np.random.default_rng(n).integers(0, 2, n).astype(np.uint8) for n in (17, 900)]
+    got = dict(link._statistics(coded, [0.0, 0.0], cfg, NoDraws()))
+    for i, bits in enumerate(coded):
+        np.testing.assert_array_equal(got[i].view(np.uint64),
+                                      _whole_stream_statistic(bits, cfg).view(np.uint64))
