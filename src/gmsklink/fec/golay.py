@@ -4,9 +4,10 @@ Systematic construction with generator [I | B], using the standard symmetric
 12x12 matrix B.  Decoding is syndrome decoding: a 4096-entry table maps each
 12-bit syndrome to the error pattern of weight <= 3 that has it, so every
 such pattern is corrected and weight-4 patterns are reported as failures.
-The word-level routines are vectorised so exhaustive sweeps over all
-messages and error patterns stay cheap.  Both tables are built on first
-use, so importing the package costs nothing for them.
+Bits are ``uint8``, messages and syndromes ``uint16``, codewords and error
+patterns ``uint32``.  The word-level routines are vectorised so exhaustive
+sweeps over all messages and error patterns stay cheap.  Both tables are
+built on first use, so importing the package costs nothing for them.
 """
 
 from __future__ import annotations
@@ -23,26 +24,21 @@ K_BITS = 12
 D_MIN = 8
 T_CORRECT = 3
 
-_B = [
-    [1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1],
-    [1, 0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1],
-    [0, 1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 1],
-    [1, 1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1],
-    [1, 1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1],
-    [1, 0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1],
-    [0, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1],
-    [0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 1],
-    [0, 1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 1],
-    [1, 0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1],
-    [0, 1, 1, 0, 1, 1, 1, 0, 0, 0, 1, 1],
-    [1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 0],
-]
-
-# Row i of B packed as a 12-bit integer, column 0 at bit 11.
-B_ROWS = np.array(
-    [sum(bit << (11 - j) for j, bit in enumerate(row)) for row in _B],
-    dtype=np.uint16,
-)
+# The rows of B as 12-bit integers, column 0 at bit 11.
+B_ROWS = np.array([
+    0b110111000101,
+    0b101110001011,
+    0b011100010111,
+    0b111000101101,
+    0b110001011011,
+    0b100010110111,
+    0b000101101111,
+    0b001011011101,
+    0b010110111001,
+    0b101101110001,
+    0b011011100011,
+    0b111111111110,
+], dtype=np.uint16)
 
 
 @functools.cache
@@ -55,10 +51,6 @@ def _product_table() -> np.ndarray:
     return table
 
 
-_POW2_12 = (1 << np.arange(11, -1, -1)).astype(np.uint16)
-_POW2_24 = (1 << np.arange(23, -1, -1)).astype(np.uint32)
-
-
 def encode_words(messages: np.ndarray) -> np.ndarray:
     """Encode 12-bit message integers into 24-bit codeword integers."""
     messages = np.asarray(messages, dtype=np.uint32)
@@ -67,14 +59,16 @@ def encode_words(messages: np.ndarray) -> np.ndarray:
 
 @functools.cache
 def _error_table() -> np.ndarray:
-    """table[s]: the one error pattern of weight <= 3 with syndrome s, or -1.
+    """table[s]: the one error pattern of weight <= 3 with syndrome s, or
+    1 << 24, above every pattern, where none has it.
 
     The 2325 patterns of weight <= 3 have distinct syndromes (d_min = 8); the
     other 1771 syndromes are those of weight-4 cosets, which are uncorrectable.
     """
     patterns = np.array([sum(1 << i for i in bits) for w in range(T_CORRECT + 1)
-                         for bits in itertools.combinations(range(N_BITS), w)])
-    table = np.full(1 << K_BITS, -1, dtype=np.int64)
+                         for bits in itertools.combinations(range(N_BITS), w)],
+                        dtype=np.uint32)
+    table = np.full(1 << K_BITS, 1 << N_BITS, dtype=np.uint32)
     table[_product_table()[patterns >> 12] ^ (patterns & 0xFFF)] = patterns
     return table
 
@@ -90,32 +84,36 @@ def decode_words(words: np.ndarray):
     words = np.atleast_1d(np.asarray(words, dtype=np.uint32))
     r1 = (words >> 12).astype(np.uint16)
     errors = _error_table()[_product_table()[r1] ^ (words & 0xFFF)]
-    failed = errors < 0
+    failed = errors >> N_BITS > 0
     errors[failed] = 0
-    messages = (r1 ^ (errors >> 12)).astype(np.uint16)
-    return messages, np.bitwise_count(errors).astype(np.uint8), failed
+    messages = r1 ^ (errors >> 12).astype(np.uint16)
+    return messages, np.bitwise_count(errors), failed
 
 
 def pack_message_bits(bits: np.ndarray) -> np.ndarray:
-    """(B, 12) bit array -> 12-bit integers, first bit at the MSB."""
-    return (np.asarray(bits, dtype=np.uint16) @ _POW2_12).astype(np.uint16)
+    """(B, 12) bit array -> ``uint16`` 12-bit integers, first bit at the MSB."""
+    return np.packbits(bits, axis=-1).view(">u2")[:, 0] >> 4  # the last 4 bits are 0
 
 
 def unpack_message_bits(values: np.ndarray) -> np.ndarray:
-    """12-bit integers -> (B, 12) bit array."""
-    values = np.asarray(values, dtype=np.uint16)
-    return ((values[:, None] >> np.arange(11, -1, -1)) & 1).astype(np.uint8)
+    """12-bit integers -> (B, 12) ``uint8`` bit array."""
+    top = (np.asarray(values, dtype=np.uint16) << 4).astype(">u2")
+    return np.unpackbits(top.view(np.uint8).reshape(-1, 2), axis=1, count=K_BITS)
 
 
 def pack_codeword_bits(bits: np.ndarray) -> np.ndarray:
-    """(B, 24) bit array -> 24-bit integers, first bit at the MSB."""
-    return (np.asarray(bits, dtype=np.uint32) @ _POW2_24).astype(np.uint32)
+    """(B, 24) bit array -> ``uint32`` 24-bit integers, first bit at the MSB."""
+    values = np.zeros(len(bits), dtype=np.uint32)
+    for byte in np.packbits(np.reshape(bits, -1)).reshape(-1, 3).T:  # 3 bytes a word
+        values <<= 8
+        values |= byte
+    return values
 
 
 def unpack_codeword_bits(values: np.ndarray) -> np.ndarray:
-    """24-bit integers -> (B, 24) bit array."""
-    values = np.asarray(values, dtype=np.uint32)
-    return ((values[:, None] >> np.arange(23, -1, -1)) & 1).astype(np.uint8)
+    """24-bit integers -> (B, 24) ``uint8`` bit array."""
+    top = (np.asarray(values, dtype=np.uint32) << 8).astype(">u4")
+    return np.unpackbits(top.view(np.uint8).reshape(-1, 4), axis=1, count=N_BITS)
 
 
 def golay_encode(message_bits) -> np.ndarray:

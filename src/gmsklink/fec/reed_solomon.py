@@ -8,13 +8,15 @@ of per-(position, symbol) table entries.  A word's four 4-bit syndromes pack
 into 16 bits, and a 65536-entry table maps each syndrome to the one error
 pattern of weight <= 2 that has it (23 851 patterns, zero included) or marks
 the word uncorrectable: exact bounded-distance decoding (standard syndrome
-decoding; Lin & Costello, *Error Control Coding*).  The tables are built on
-first use, so importing the package costs nothing for them.
+decoding; Lin & Costello, *Error Control Coding*).  An entry is a ``uint16``
+correction, 0xPVQW for symbol P ^= V and symbol Q ^= W, and an ``int8``
+weight (-1 for uncorrectable), so decoding a word is at most two symbol
+XORs.  The tables are built on first use, so importing the package costs
+nothing.
 
-The bit conversions make and read ``uint8`` symbols, a byte per 4-bit
-symbol, in shifts and ORs; the encoder and decoder keep the integer type
-they are given (promoted with ``uint8``), so the codec's own path holds
-symbols at one byte each while a caller's ``int64`` words stay ``int64``.
+Symbols are ``uint8`` in the bit conversions; the encoder and decoder keep
+the integer type they are given (promoted with ``uint8``), so the codec's
+own path holds symbols at one byte each.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ SYMBOL_BITS = 4
 D_MIN = 5
 T_CORRECT = 2
 
-_SHIFTS = np.array([12, 8, 4, 0])  # four 4-bit fields in 16 bits, the first on top
+_SHIFTS = np.array([12, 8, 4, 0], dtype=np.uint8)  # four 4-bit fields in 16 bits
 _BIT_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)  # a symbol's bits, MSB first
 _POSITIONS = np.arange(N_SYMBOLS)
 
@@ -64,31 +66,28 @@ def _parity_table() -> np.ndarray:
     for contributions in syndrome[K_SYMBOLS:]:
         syn = (syn[:, None] ^ contributions).reshape(-1)
     cancel = np.empty(1 << 16, dtype=np.uint16)
-    cancel[syn] = np.arange(1 << 16)
+    cancel[syn] = np.arange(1 << 16, dtype=np.uint16)
     return cancel[syndrome[:K_SYMBOLS]]
 
 
 @functools.cache
-def _decoding_tables():
-    """The error patterns of weight <= 2, their weights, and syndrome -> row.
-
-    Rows: the zero pattern, 225 single-symbol patterns, 23 625 two-symbol
-    patterns, and a last all-zero row of weight -1 for uncorrectable words.
-    """
-    rows = np.arange(N_SYMBOLS * 15)
-    singles = np.zeros((rows.size, N_SYMBOLS), dtype=np.uint8)
-    singles[rows, rows // 15] = rows % 15 + 1
-    a, b = np.triu_indices(rows.size, 1)
-    keep = a // 15 != b // 15  # two distinct positions
-    a, b = a[keep], b[keep]
-    zero = np.zeros((1, N_SYMBOLS), dtype=np.uint8)
-    patterns = np.concatenate([zero, singles, singles[a] | singles[b], zero])
-    weights = np.concatenate([[0], np.ones(rows.size), np.full(a.size, 2), [-1]])
-    single_syn = _syndrome_table()[:, 1:].reshape(-1)
-    syn = np.concatenate([[0], single_syn, single_syn[a] ^ single_syn[b]])
-    row_of = np.full(1 << 16, len(patterns) - 1, dtype=np.int16)
-    row_of[syn] = np.arange(syn.size)
-    return patterns, weights.astype(np.int8), row_of
+def _decoding_table() -> tuple:
+    """(fix, weight)[s]: the one error pattern of weight <= 2 with syndrome s,
+    filled one first position at a time, with every later second position."""
+    syndrome = _syndrome_table()
+    fix = np.zeros(1 << 16, dtype=np.uint16)
+    weight = np.full(1 << 16, -1, dtype=np.int8)
+    weight[0] = 0  # syndrome 0: the zero pattern
+    values = np.arange(1, 16, dtype=np.uint16)
+    for p in range(N_SYMBOLS):
+        first = np.uint16(p << 12) | values << 8  # (15,): symbol p ^= v
+        fix[syndrome[p, 1:]] = first
+        weight[syndrome[p, 1:]] = 1
+        later = np.arange(p + 1, N_SYMBOLS, dtype=np.uint16)
+        syn = syndrome[p, 1:, None, None] ^ syndrome[later, 1:]  # (15, later, 15)
+        fix[syn] = first[:, None, None] | later[:, None] << 4 | values
+        weight[syn] = 2
+    return fix, weight
 
 
 def _as_symbols(symbols, width: int) -> np.ndarray:
@@ -122,10 +121,13 @@ def decode_words(received):
     symbols so residual errors stay measurable.
     """
     r = _as_symbols(received, N_SYMBOLS)
-    patterns, weights, row_of = _decoding_tables()
-    row = row_of[np.bitwise_xor.reduce(_syndrome_table()[_POSITIONS, r], axis=1)]
-    weights = weights[row]
-    return r ^ patterns[row], np.maximum(weights, 0), weights < 0
+    syndromes = np.bitwise_xor.reduce(_syndrome_table()[_POSITIONS, r], axis=1)
+    fix, weight = (column[syndromes] for column in _decoding_table())
+    hit = np.flatnonzero(weight > 0)
+    words, fix = r.copy(), fix[hit]
+    for shift in (8, 0):  # the first pair, then the second
+        words[hit, (fix >> (shift + 4)) & 15] ^= (fix >> shift) & 15
+    return words, np.maximum(weight, 0), weight < 0
 
 
 def bits_to_symbols(bits) -> np.ndarray:

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 from decimal import Decimal
 
 from .channel import LinkBudget
-from .energy import EnergyModel, PowerProfile, TimingProfile
+from .energy import CodedVariant, EnergyModel, PowerProfile, TimingProfile
 from .errors import ConfigError
-from .fec import CODECS, CodecPowerProfile
+from .fec import CODECS, CodecPowerProfile, golay_spec
 from .link import StopRule, check_ebno
 from .modem import ModemConfig, alpha_for_bt, gaussian_frequency_pulse
 from .netsim import EnsembleSpec
@@ -246,23 +246,8 @@ class RunConfig:
         # the pulse, but not the rest of the modem's constants, which are
         # built on first use
         gaussian_frequency_pulse(self.modem_config())
-        self.energy_model()
+        model = self.energy_model()
         _db_gain("codec.g_code_db", self["codec.g_code_db"])
-        # every link is priced through d ** k: the longest link each command
-        # can price must give a finite power
-        k = self["link.path_loss_exponent"]
-        field = self["route.field_m"]
-        for key, longest in (("scan.d_stop_m", self["scan.d_stop_m"]),
-                             ("route.hop_max_m", self["route.hop_max_m"]),
-                             ("route.max_hop_m", min(self["route.max_hop_m"],
-                                                     math.hypot(field, field)))):
-            try:
-                finite = math.isfinite(longest**k)
-            except OverflowError:
-                finite = False
-            if not finite:
-                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m, "
-                                  f"whose distance ** {k!r} overflows")
         self.stop_rule()
         self.ebno_grid()
         # the grid's first point gets the most noise
@@ -275,6 +260,30 @@ class RunConfig:
         if not start > 0:
             raise ConfigError(f"scan.d_start_m must be positive, got {start}")
         self.ensembles()
+        # every link is priced through d ** k: the longest link each command
+        # can price must have a finite energy, coded or not
+        code = golay_spec(self["codec.g_code_db"])
+        links = [model.link()] + [model.link(code, variant) for variant in CodedVariant]
+        for link in links:
+            terms = (link.rx, link.e_circuit, link.e_transient, link.e_codec)
+            if not all(math.isfinite(term) for term in terms):
+                raise ConfigError(
+                    f"a link's energy overflows at any length: received energy per bit "
+                    f"{link.rx!r} J, circuit {link.e_circuit!r} J, start-up "
+                    f"{link.e_transient!r} J, codec {link.e_codec!r} J")
+        field = self["route.field_m"]
+        for key, longest in (("scan.d_stop_m", self["scan.d_stop_m"]),
+                             ("route.hop_max_m", self["route.hop_max_m"]),
+                             ("route.max_hop_m", min(self["route.max_hop_m"],
+                                                     math.hypot(field, field)))):
+            try:
+                finite = all(math.isfinite(link.breakdown(longest).e_total)
+                             for link in links)
+            except OverflowError:
+                finite = False
+            if not finite:
+                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m, "
+                                  f"whose energy overflows")
 
     def __getitem__(self, key):
         for k, v in self.values:

@@ -1,14 +1,17 @@
 """Tests for the extended Golay (24, 12) codec."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gmsklink.errors import DecodeFailure
-from gmsklink.fec import golay_decode, golay_encode
-from gmsklink.fec.golay import (B_ROWS, decode_words, encode_words,
-                                pack_codeword_bits, unpack_message_bits)
+from gmsklink.fec import CODECS, apply_code, golay_decode, golay_encode, golay_spec
+from gmsklink.fec.golay import (B_ROWS, decode_words, encode_words, pack_codeword_bits,
+                                pack_message_bits, unpack_codeword_bits,
+                                unpack_message_bits)
 
 ALL_MESSAGES = np.arange(4096, dtype=np.uint32)
 ALL_WORDS = encode_words(ALL_MESSAGES)
@@ -137,3 +140,64 @@ def test_pack_unpack_consistency():
     words = pack_codeword_bits(bits)
     np.testing.assert_array_equal(unpack_message_bits((words >> 12).astype(np.uint16)),
                                   bits[:, :12])
+
+
+def test_pack_and_unpack_keep_natural_widths():
+    bits = np.random.default_rng(3).integers(0, 2, (5, 24)).astype(np.uint8)
+    assert pack_message_bits(bits[:, :12]).dtype == np.uint16
+    assert pack_codeword_bits(bits).dtype == np.uint32
+    assert unpack_message_bits(np.arange(5, dtype=np.uint16)).dtype == np.uint8
+    assert unpack_codeword_bits(np.arange(5, dtype=np.uint32)).dtype == np.uint8
+    msgs, corrected, failed = decode_words(pack_codeword_bits(bits))
+    assert (msgs.dtype, corrected.dtype, failed.dtype) == (np.uint16, np.uint8, np.bool_)
+
+
+def test_message_bits_roundtrip_every_12_bit_value():
+    values = np.arange(1 << 12, dtype=np.uint16)
+    bits = unpack_message_bits(values)
+    want = (values[:, None].astype(np.int64) >> np.arange(11, -1, -1)) & 1
+    np.testing.assert_array_equal(bits, want)
+    np.testing.assert_array_equal(pack_message_bits(bits), values)
+
+
+def test_codeword_bits_roundtrip_every_24_bit_value():
+    # a slice of 2**20 values at a time; each half of a word unpacks as the
+    # 12-bit value it holds, which the test above checks bit by bit
+    for start in range(0, 1 << 24, 1 << 20):
+        values = np.arange(start, start + (1 << 20), dtype=np.uint32)
+        bits = unpack_codeword_bits(values)
+        np.testing.assert_array_equal(pack_codeword_bits(bits), values)
+        np.testing.assert_array_equal(bits[:, :12], unpack_message_bits(values >> 12))
+        np.testing.assert_array_equal(bits[:, 12:], unpack_message_bits(values & 0xFFF))
+
+
+def _peak(call):
+    call()  # first-call setup and tables, untraced
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_encode_peak_memory():
+    # 50 000 bits, 4167 blocks: the bits, the packed messages and the
+    # codeword bits, a byte or two per value.  The peak read 0.14 MiB; with
+    # the codeword bits unpacked through an int64 shift it read 0.91 MiB.
+    bits = np.random.default_rng(4).integers(0, 2, 50_000).astype(np.uint8)
+    assert _peak(lambda: apply_code(bits, golay_spec())) <= 0.3 * 2**20
+
+
+def test_decode_peak_memory():
+    # seven streams of 25 000 bits, 14 588 blocks, decoded in one call.  The
+    # peak read 0.34 MiB; with the bits packed through a uint32 copy and the
+    # error patterns held as int64 it read 1.61 MiB.
+    rng = np.random.default_rng(5)
+    spec = golay_spec()
+    coded = np.stack([apply_code(row, spec) for row in
+                      rng.integers(0, 2, (7, 25_000)).astype(np.uint8)])
+    coded ^= (rng.random(coded.shape) < 0.03).astype(np.uint8)
+    decode = CODECS["golay"].decode
+    assert _peak(lambda: decode(coded, spec, 25_000)) <= 0.8 * 2**20

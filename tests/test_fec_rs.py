@@ -1,6 +1,7 @@
 """Tests for the Reed-Solomon (15, 11) codec over GF(16)."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,3 +219,62 @@ def test_symbol_range_is_checked_before_any_cast(dtype):
     # 256 would wrap to symbol 0 in uint8
     with pytest.raises(ValueError, match=r"\[0, 16\)"):
         rs.decode_words(np.full((1, 15), 256, dtype=dtype))
+
+
+def test_decoding_table_entries_have_their_syndromes():
+    # every entry's correction, applied to the zero word, has the syndrome
+    # that indexes it and as many nonzero symbols as its weight says
+    fix, weight = rs._decoding_table()
+    words = np.zeros((fix.size, rs.N_SYMBOLS), dtype=np.uint8)
+    rows = np.arange(fix.size)
+    for shift in (8, 0):
+        words[rows, (fix >> (shift + 4)) & 15] ^= (fix >> shift) & 15
+    syndromes = np.bitwise_xor.reduce(rs._syndrome_table()[rs._POSITIONS, words], axis=1)
+    ok = weight >= 0
+    np.testing.assert_array_equal(syndromes[ok], rows[ok])
+    np.testing.assert_array_equal(np.count_nonzero(words[ok], axis=1), weight[ok])
+    assert not words[~ok].any()
+    assert np.bincount(weight + 1).tolist() == [65_536 - 23_851, 1, 225, 23_625]
+
+
+def test_symbols_keep_natural_widths():
+    bits = np.random.default_rng(7).integers(0, 2, 4 * 15 * 6).astype(np.uint8)
+    symbols = rs.bits_to_symbols(bits).reshape(-1, 15)
+    assert symbols.dtype == np.uint8
+    assert rs.encode_words(symbols[:, :11]).dtype == np.uint8
+    words, corrected, failed = rs.decode_words(symbols)
+    assert (words.dtype, failed.dtype) == (np.uint8, np.bool_)
+    assert corrected.dtype.itemsize == 1
+    assert rs.symbols_to_bits(words).dtype == np.uint8
+
+
+def _cold_build(table):
+    """Peak and kept traced bytes of ``table``'s first build."""
+    rs._syndrome_table()
+    table.cache_clear()
+    tracemalloc.start()
+    try:
+        table()
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, kept
+
+
+def test_decoding_table_cold_build_memory():
+    # the table is 65 536 entries of three bytes (0.19 MiB), filled one first
+    # position at a time.  The build peaked at 0.23 MiB.  The three tables
+    # it replaced (every pattern of weight <= 2 as 15 bytes, their weights
+    # and a syndrome -> row index), built from int64 pair indices, peaked
+    # at 1.42 MiB and kept 0.49 MiB.
+    peak, kept = _cold_build(rs._decoding_table)
+    assert peak <= 0.5 * 2**20
+    assert kept <= 0.25 * 2**20
+
+
+def test_parity_table_cold_build_memory():
+    # the syndromes of the 65 536 parity words and their inverse, two bytes
+    # an entry.  The build peaked at 0.44 MiB; with the parity words
+    # numbered by an int64 arange it peaked at 0.83 MiB.
+    peak, _ = _cold_build(rs._parity_table)
+    assert peak <= 0.5 * 2**20

@@ -401,13 +401,13 @@ class TestCliBasics:
         assert "FAIL" in proc.stdout
 
     def test_codec_test_catches_one_wrong_rs_syndrome_row(self, monkeypatch, capsys):
-        # rows past 225 are two-symbol patterns: send one of their syndromes
-        # to the next pattern, a fault no random sample is likely to hit
-        patterns, weights, row_of = reed_solomon._decoding_tables()
-        row_of = row_of.copy()
-        row_of[np.flatnonzero(row_of == 500)[0]] = 501
-        monkeypatch.setattr(reed_solomon, "_decoding_tables",
-                            lambda: (patterns, weights, row_of))
+        # send one two-symbol pattern's syndrome to another two-symbol
+        # pattern's entry, a fault no random sample is likely to hit
+        fix, weight = reed_solomon._decoding_table()
+        two = np.flatnonzero(weight == 2)
+        fix = fix.copy()
+        fix[two[0]] = fix[two[1]]
+        monkeypatch.setattr(reed_solomon, "_decoding_table", lambda: (fix, weight))
         assert cli.main(["codec-test", "--quick"]) == 2
         assert "rs-correction: FAIL" in capsys.readouterr().out.splitlines()
 
