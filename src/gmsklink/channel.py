@@ -237,24 +237,18 @@ def noise_scale(config: ChannelConfig) -> float:
     return np.sqrt(noise_variance(config) / 2.0)
 
 
-def add_noise(samples: np.ndarray, z_i, z_q, scale: float) -> None:
-    """Add ``scale * z_i`` to the I and ``scale * z_q`` to the Q of complex
-    ``samples`` in place; ``s + scale * z`` is bitwise ``s + normal(0,
-    scale)``, the draw numpy's own ``normal()`` makes."""
-    for part, z in ((samples.real, z_i), (samples.imag, z_q)):
-        part += z * scale
-
-
 def awgn(signal: BasebandSignal, config: ChannelConfig) -> BasebandSignal:
     """Add complex white Gaussian noise at the configured per-bit SNR.
 
     The input is left untouched; with no noise (an infinite Eb/N0) it is
-    returned as it is.
+    returned as it is.  I takes the seed's first ``n`` normals times the
+    scale and Q the next ``n``: bitwise numpy's own ``normal(0, scale)``.
     """
     scale = noise_scale(config)
     if scale == 0.0:
         return signal
     noisy = np.array(signal.samples, dtype=complex)
     rng, n = substream(config.seed), noisy.size
-    add_noise(noisy, rng.standard_normal(n), rng.standard_normal(n), scale)
+    noisy.real += rng.standard_normal(n) * scale
+    noisy.imag += rng.standard_normal(n) * scale
     return BasebandSignal(samples=noisy, sample_rate=signal.sample_rate)

@@ -13,7 +13,6 @@ written through an atomic rename.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import dataclasses
 import itertools
 import os
@@ -364,13 +363,16 @@ def main(argv=None) -> int:
             overrides["run.variant"] = args.variant
         cfg = cfg.with_overrides(overrides)
         out_dir = cfg["run.out_dir"]
-        made = not os.path.exists(out_dir)
+        made, path = [], os.path.normpath(out_dir)  # those made, innermost first
+        while path and not os.path.exists(path):
+            made.append(path)
+            path = os.path.dirname(path)
         try:
-            os.makedirs(out_dir, exist_ok=True)
-        except OSError as exc:
-            raise ConfigError(f"cannot make output directory {out_dir}: "
-                              f"{exc}") from exc
-        try:
+            try:
+                os.makedirs(out_dir, exist_ok=True)
+            except OSError as exc:
+                raise ConfigError(f"cannot make output directory {out_dir}: "
+                                  f"{exc}") from exc
             if args.command == "ber-sweep":
                 return cmd_ber_sweep(cfg, out_dir, args.quick)
             if args.command == "energy-distance":
@@ -380,10 +382,12 @@ def main(argv=None) -> int:
             parser.error(f"unknown command {args.command!r}")
         except BaseException:
             # a command that fails before writing a file leaves no
-            # directory: rmdir removes only an empty one
-            if made:
-                with contextlib.suppress(OSError):
-                    os.rmdir(out_dir)
+            # directory it made: rmdir removes only an empty one
+            for path in made:
+                try:
+                    os.rmdir(path)
+                except OSError:
+                    break
             raise
     except ConfigError as exc:
         print(f"gmsklink: config error: {exc}", file=sys.stderr)

@@ -38,7 +38,8 @@ Decisions are made a block at a time as their noise completes
 each keeps its sum until the stream's Q part, which the even ones read;
 an even decision keeps a sum only while a chunk of Q feeds it.  After each
 chunk of Q, the decisions whose frames have all been read are decided and
-their signs packed 8 to a byte.  At its peak a point's round holds each
+their signs packed 8 to a byte; the transmitter precodes, so the signs are
+the hard bits the decoder reads.  At its peak a point's round holds each
 noisy codec's odd sums (4 bytes per decision), one chunk of normals and
 its filtered frames, and the packed decisions of the round's points.
 
@@ -71,7 +72,7 @@ from .errors import ConfigError
 from .fec import CODECS, CodeSpec, apply_code, block_layout, strip_code  # noqa: F401
 from .modem import (ModemConfig, StatisticBlocks, add_filtered,  # noqa: F401
                     constants, demodulate, modulate, signal_length,
-                    theoretical_ber, undo_precoding)
+                    theoretical_ber)
 
 _WILSON_Z = 1.959963984540054  # two-sided 95%
 
@@ -264,10 +265,7 @@ def _decide(coded, scales, modem: ModemConfig, rng) -> list:
         k = made[i]
         packed[i][k // 8:(k + stat.size + 7) // 8] = np.packbits(stat < 0)
         made[i] = k + stat.size
-    if modem.differential_precoding:
-        return packed
-    return [np.packbits(undo_precoding(np.unpackbits(p, count=bits.size), modem))
-            for p, bits in zip(packed, coded)]
+    return packed
 
 
 def _data_bits(rng, n_bits: int) -> np.ndarray:

@@ -8,9 +8,8 @@ of symbols whose pulses are still in flight, so no sample needs its own
 phase accumulation or complex exponential.  The demodulator is a coherent
 threshold receiver: a Gaussian predetection lowpass (default 3-dB bandwidth
 0.5/T), evaluated only at the symbol-rate decision instants, per-bit
-derotation by powers of j, and a sign decision.  Differential precoding at
-the transmitter (on by default) makes those decisions map directly to
-information bits.
+derotation by powers of j, and a sign decision.  The transmitter always
+precodes differentially, so those decisions are the information bits.
 
 The value a decision takes the sign of is linear in the signal and the
 noise.  :class:`StatisticBlocks` computes it a block of decisions at a
@@ -109,8 +108,6 @@ class ModemConfig:
     bit_rate: bits per second.
     rx_bt: receiver predetection lowpass 3-dB bandwidth times the bit period,
         at least sqrt(ln 2) / (32 pi), about 0.0083.
-    differential_precoding: precode bits at the transmitter so receiver
-        threshold decisions map directly to information bits.
     """
 
     bt_product: float = 0.3
@@ -118,7 +115,6 @@ class ModemConfig:
     pulse_span_symbols: int = 3
     bit_rate: float = 1e4
     rx_bt: float = 0.5
-    differential_precoding: bool = True
 
     def __post_init__(self):
         if not self.bt_product > 0:
@@ -211,13 +207,15 @@ def receiver_lowpass(config: ModemConfig) -> np.ndarray:
     sigma = np.sqrt(np.log(2.0)) / (2.0 * np.pi * config.rx_bt)  # bit periods
     half = max(1, int(np.ceil(4.0 * sigma * sps)))
     t = np.arange(-half, half + 1) / sps
-    h = np.exp(-0.5 * (t / sigma) ** 2)
+    # a tiny sigma overflows the square: exp(-inf) is the 0 tap it should be
+    with np.errstate(over="ignore"):
+        h = np.exp(-0.5 * (t / sigma) ** 2)
     return h / h.sum()
 
 
 @dataclass(frozen=True)
 class ModemConstants:
-    """What the modulator, the receiver and :func:`decision_statistic` derive
+    """What the modulator, the receiver and :class:`StatisticBlocks` derive
     from one :class:`ModemConfig`; see :func:`constants`.
 
     cumtaps: the running sum of the frequency pulse as a ``(window, sps)``
@@ -305,11 +303,10 @@ def signal_length(num_bits: int, config: ModemConfig) -> int:
 def modulate(bits, config: ModemConfig) -> BasebandSignal:
     """Modulate a bit sequence onto a unit-envelope GMSK baseband waveform.
 
-    Bit 1 maps to +1 frequency deviation, bit 0 to -1.  Output length is
+    Precoded symbol 1 maps to +1 frequency deviation, symbol 0 to -1.  Output length is
     ``(len(bits) + 2 * pulse_span_symbols) * samples_per_symbol`` samples.
     """
-    bits = as_bits(bits)
-    tx = _precode(bits) if config.differential_precoding else bits
+    tx = _precode(as_bits(bits))
     return BasebandSignal(samples=_modulate_tx(tx, constants(config)),
                           sample_rate=config.bit_rate * config.samples_per_symbol)
 
@@ -405,24 +402,6 @@ def _statistic(samples: np.ndarray, c: ModemConstants, num_bits: int) -> np.ndar
     return stat
 
 
-def decide(statistic: np.ndarray, config: ModemConfig) -> np.ndarray:
-    """Hard bit decisions from decision statistics: 1 where a statistic is
-    negative, with the precoding undone when the transmitter did not
-    precode."""
-    return undo_precoding((statistic < 0).view(np.uint8), config)
-
-
-def undo_precoding(decisions: np.ndarray, config: ModemConfig) -> np.ndarray:
-    """The bits of threshold decisions (``uint8``, 1 for a negative
-    statistic): the decisions themselves when the transmitter precoded, and
-    each XOR the one before it when it did not."""
-    if config.differential_precoding:
-        return decisions
-    out = decisions.copy()
-    out[1:] ^= decisions[:-1]
-    return out
-
-
 def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np.ndarray:
     """Recover ``num_bits`` hard bit decisions from a GMSK baseband signal.
 
@@ -446,7 +425,7 @@ def demodulate(signal: BasebandSignal, config: ModemConfig, num_bits: int) -> np
         raise FramingError(
             f"sample rate {signal.sample_rate} does not match config ({nominal_rate})"
         )
-    return decide(_statistic(samples, constants(config), num_bits), config)
+    return (_statistic(samples, constants(config), num_bits) < 0).view(np.uint8)
 
 
 def _parity(tx: np.ndarray) -> np.ndarray:
@@ -511,24 +490,6 @@ def _noiseless(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
     return out
 
 
-def decision_statistic(bits, config: ModemConfig, noise: np.ndarray | None = None,
-                       scale: float = 0.0) -> np.ndarray:
-    """Each decision's value before its sign for ``bits`` sent through AWGN
-    of scale ``scale``, with no waveform of ``bits``: :func:`decide` of it is
-    ``demodulate(awgn(modulate(bits)))`` up to decisions within about 1e-15
-    of 0.
-
-    ``noise[k]``, if given, is the receiver filter's output on decision
-    ``k``'s component of unit noise (see :func:`filter_noise`); the value
-    is made in place in it and returned.  This is the one-block case of
-    :class:`StatisticBlocks`.
-    """
-    blocks = StatisticBlocks(bits, config)
-    if noise is None:
-        return blocks.noiseless(blocks.size)
-    return blocks.statistic(noise, scale)
-
-
 class StatisticBlocks:
     """The decision statistic of one bit stream, made one block of
     consecutive decisions at a time, in order, from their filtered noise.
@@ -553,7 +514,6 @@ class StatisticBlocks:
 
     def __init__(self, bits, config: ModemConfig):
         self._bits = as_bits(bits)
-        self._precoded = config.differential_precoding
         self._c = c = constants(config)
         self.size = n = self._bits.size
         # the inner decisions, read from the table; none without one
@@ -620,36 +580,14 @@ class StatisticBlocks:
         """The channel symbols ``[s, e)`` and, for ``i <= e - s``, the
         parity of the ones before symbol ``s + i``."""
         bits = self._bits
-        if self._precoded:
-            # the precoding of bits[:s] telescopes: its ones have the
-            # parity of bits[s - 1]
-            before = bits[s - 1] if s else 0
-            tx = _precode(bits[s:e])
-            tx[:1] ^= before
-        else:
-            tx = bits[s:e]
-            before = int(np.count_nonzero(bits[:s])) & 1
+        # the precoding of bits[:s] telescopes: its ones have the parity of
+        # bits[s - 1]
+        before = bits[s - 1] if s else 0
+        tx = _precode(bits[s:e])
+        tx[:1] ^= before
         parity = _parity(tx)
         parity ^= before
         return tx, parity
-
-
-def filter_noise(noise: np.ndarray, z: np.ndarray, frame: int, component: int,
-                 config: ModemConfig) -> None:
-    """Add the receiver filter's output on unit noise to the decisions that
-    read it.
-
-    ``z`` holds whole frames of one component of a signal's noise, I
-    (``component`` 0) or Q (1), from frame ``frame`` on, and ``noise[k]``
-    sums decision ``k``'s share of them.  Decision ``k`` reads Q when even
-    and I when odd (see :func:`_statistic`), so each component feeds every
-    other entry.  A component's frames may come in any number of calls,
-    split between any two frames.
-    """
-    c = constants(config)
-    first = 1 - component
-    add_filtered(noise[first::2], z.reshape(-1, config.samples_per_symbol) @ c.taps,
-                 frame, first, c)
 
 
 def add_filtered(acc: np.ndarray, part: np.ndarray, frame: int, first: int,

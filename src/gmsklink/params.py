@@ -271,19 +271,25 @@ class RunConfig:
                     f"a link's energy overflows at any length: received energy per bit "
                     f"{link.rx!r} J, circuit {link.e_circuit!r} J, start-up "
                     f"{link.e_transient!r} J, codec {link.e_codec!r} J")
+        # a route sums its hops, none longer than the longest, so its
+        # energy is at most the hop count times the longest hop's
         field = self["route.field_m"]
-        for key, longest in (("scan.d_stop_m", self["scan.d_stop_m"]),
-                             ("route.hop_max_m", self["route.hop_max_m"]),
-                             ("route.max_hop_m", min(self["route.max_hop_m"],
-                                                     math.hypot(field, field)))):
+        for key, longest, count_key, hops in (
+                ("scan.d_stop_m", self["scan.d_stop_m"], None, 1),
+                ("route.hop_max_m", self["route.hop_max_m"],
+                 "route.n_relays", self["route.n_relays"] + 1),
+                ("route.max_hop_m", min(self["route.max_hop_m"], math.hypot(field, field)),
+                 "route.n_nodes", self["route.n_nodes"] - 1)):
             try:
-                finite = all(math.isfinite(link.breakdown(longest).e_total)
+                finite = all(math.isfinite(hops * link.breakdown(longest).e_total)
                              for link in links)
             except OverflowError:
                 finite = False
             if not finite:
-                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m, "
-                                  f"whose energy overflows")
+                route = (f" and {count_key} = {self[count_key]!r} a route of {hops} of them"
+                         if count_key else "")
+                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m"
+                                  f"{route}, whose energy overflows")
 
     def __getitem__(self, key):
         for k, v in self.values:

@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from gmsklink import link
-from gmsklink.channel import (ChannelConfig, add_noise, awgn, noise_scale,
-                              noise_variance, substream)
+from gmsklink.channel import (ChannelConfig, awgn, noise_scale, noise_variance,
+                              substream)
 from gmsklink.modem import (_PRODUCT_SIZE, BasebandSignal, ModemConfig,
                             demodulate, gaussian_frequency_pulse, modulate,
                             receiver_lowpass)
@@ -30,8 +30,7 @@ EBNO_DB = (0.0, 3.0, 6.0, np.inf)
 def reference_modulate(bits, cfg):
     sps = cfg.samples_per_symbol
     tx = bits.copy()
-    if cfg.differential_precoding:
-        tx[1:] ^= bits[:-1]
+    tx[1:] ^= bits[:-1]
     impulses = np.zeros((bits.size - 1) * sps + 1)
     impulses[::sps] = 2.0 * tx - 1.0
     phase = np.pi * np.cumsum(np.convolve(impulses, gaussian_frequency_pulse(cfg)))
@@ -56,10 +55,7 @@ def reference_demodulate(samples, cfg, num_bits):
     delay = ((2 * cfg.pulse_span_symbols + 1) * sps // 2 + sps // 2 - 1
              + (h.size - 1) // 2)
     k = np.arange(num_bits)
-    decisions = ((y[delay + k * sps] * JPOW[(k + 1) % 4]).real < 0).astype(np.uint8)
-    if not cfg.differential_precoding:
-        decisions[1:] ^= decisions[:-1].copy()
-    return decisions
+    return ((y[delay + k * sps] * JPOW[(k + 1) % 4]).real < 0).astype(np.uint8)
 
 
 def _check_against_reference(cfg, bits, seed):
@@ -80,15 +76,22 @@ def _check_against_reference(cfg, bits, seed):
 _SHAPES = [(1, 0.6), (1, 1.0)] + [
     (span, bt) for span in (2, 3, 4) for bt in (0.25, 0.3, 0.5, 1.0)
 ]
+# the default receiver filter, whose statistic tables have keys of 6 to 12
+# bits, and a narrower one, whose keys of 6 to 13 bits include odd widths
+_RX_BTS = [0.5, 0.3]
 
 
-@pytest.mark.parametrize("precoding", [True, False])
+def _rx_name(rx_bt):
+    return f"rx{rx_bt}"
+
+
+@pytest.mark.parametrize("rx_bt", _RX_BTS, ids=_rx_name)
 @pytest.mark.parametrize("span,bt", _SHAPES)
 @pytest.mark.parametrize("sps", [4, 8, 16])
-def test_matches_full_rate_reference(sps, span, bt, precoding):
-    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps,
-                      pulse_span_symbols=span, differential_precoding=precoding)
-    seed = sps * 1000 + span * 100 + int(bt * 20) + precoding
+def test_matches_full_rate_reference(sps, span, bt, rx_bt):
+    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps, pulse_span_symbols=span,
+                      rx_bt=rx_bt)
+    seed = sps * 1000 + span * 100 + int(bt * 20) + _RX_BTS.index(rx_bt) + 1
     bits = np.random.default_rng(seed).integers(0, 2, 601).astype(np.uint8)
     _check_against_reference(cfg, bits, seed)
 
@@ -142,7 +145,8 @@ def test_awgn_with_a_shared_stream_is_bit_identical(ebno, extra):
         want = reference_awgn(sig.samples, chan)
         np.testing.assert_array_equal(awgn(sig, chan).samples, want)
         if ebno != np.inf:
-            add_noise(sig.samples, z[:n], z[n:2 * n], noise_scale(chan))
+            sig.samples.real += z[:n] * noise_scale(chan)
+            sig.samples.imag += z[n:2 * n] * noise_scale(chan)
         np.testing.assert_array_equal(sig.samples, want)
 
 
@@ -188,13 +192,14 @@ def _engine_matches_chain(cfg, seed):
             np.testing.assert_array_equal(got, want, err_msg=f"{n} bits, {ebno} dB")
 
 
-@pytest.mark.parametrize("precoding", [True, False])
+@pytest.mark.parametrize("rx_bt", _RX_BTS, ids=_rx_name)
 @pytest.mark.parametrize("span,bt", _SHAPES)
 @pytest.mark.parametrize("sps", [4, 8, 16])
-def test_block_engine_equals_the_waveform_chain(sps, span, bt, precoding):
-    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps,
-                      pulse_span_symbols=span, differential_precoding=precoding)
-    _engine_matches_chain(cfg, seed=sps * 1000 + span * 100 + int(bt * 20) + precoding)
+def test_block_engine_equals_the_waveform_chain(sps, span, bt, rx_bt):
+    cfg = ModemConfig(bt_product=bt, samples_per_symbol=sps, pulse_span_symbols=span,
+                      rx_bt=rx_bt)
+    _engine_matches_chain(cfg, seed=sps * 1000 + span * 100 + int(bt * 20)
+                          + _RX_BTS.index(rx_bt) + 1)
 
 
 @pytest.mark.parametrize("span,bt", [(1, 1.0), (3, 0.3)])

@@ -317,17 +317,19 @@ class TestCliBasics:
                                                        line, reach, field):
         bad = tmp_path / "bad.params"
         bad.write_text(line + "\n")
-        # the output directory is removed only when the command made it
+        # the output directory and its parents are removed only where the
+        # command made them, innermost first
         kept = tmp_path / "kept"
         kept.mkdir()
-        for out in (tmp_path / "out", kept):
-            argv = ["route-sim", "--quick", "--config", str(bad), "--out", str(out)]
+        for out in ("out", "kept", "x/a/b", "x/a/b/", "kept/a/b"):
+            argv = ["route-sim", "--quick", "--config", str(bad),
+                    "--out", os.path.join(tmp_path, out)]
             assert cli.main(argv) == 1
             assert capsys.readouterr().err == (
                 "gmsklink: config error: no geometry trial builds a route with "
                 f"route.max_hop_m = {reach} in a {field} m field (route.field_m)\n")
-        assert not (tmp_path / "out").exists()
-        assert kept.is_dir() and not any(kept.iterdir())
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["bad.params", "kept"]
+        assert not any(kept.iterdir())
 
     def test_duplicate_key_names_both_lines(self):
         with pytest.raises(ConfigError) as info:

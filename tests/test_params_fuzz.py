@@ -46,15 +46,17 @@ def _assert_fully_checked(cfg):
         assert 1 <= len(grid) <= 1_000_000
         assert all(math.isfinite(x) for x in grid)
     assert cfg.distance_grid()[0] > 0
-    # the longest link each command prices has a finite energy, coded or not
+    # the longest link each command prices has a finite energy, coded or
+    # not, and so does a route of the most hops of that length
     model = cfg.energy_model()
     code = golay_spec(cfg["codec.g_code_db"])
     field = cfg["route.field_m"]
-    longest = (cfg["scan.d_stop_m"], cfg["route.hop_max_m"],
-               min(cfg["route.max_hop_m"], math.hypot(field, field)))
+    longest = ((cfg["scan.d_stop_m"], 1),
+               (cfg["route.hop_max_m"], cfg["route.n_relays"] + 1),
+               (min(cfg["route.max_hop_m"], math.hypot(field, field)), cfg["route.n_nodes"] - 1))
     for link in [model.link()] + [model.link(code, v) for v in CodedVariant]:
-        for d in longest:
-            assert math.isfinite(link.breakdown(d).e_total)
+        for d, hops in longest:
+            assert math.isfinite(hops * link.breakdown(d).e_total)
 
 
 def _load(tmp_path_factory, changes):
@@ -115,9 +117,14 @@ _EDGE_CASES = [
     ("route-sim", "route.hop_min_m = 100"),
     ("route-sim", "route.hop_max_m = 1e90"),
     ("route-sim", "route.max_hop_m = 1e300"),
+    # every hop's energy is finite, but a route of 10 001 of them overflows
+    ("route-sim", "energy.alpha = 1e-307\nroute.n_relays = 10000"),
 ]
 
 
+# a warning on a config that loads, such as an overflow inside a numpy
+# expression, fails the case
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, text", _EDGE_CASES)
 def test_quick_command_on_an_edge_value_exits_cleanly(tmp_path, capsys, command, text):
     path = tmp_path / "edge.params"

@@ -32,17 +32,19 @@ import pytest
 
 from gmsklink import link
 from gmsklink.channel import ChannelConfig, awgn, noise_scale, substream
-from gmsklink.modem import (_DEROTATE, ModemConfig, _de_bruijn, _inner, _keys,
-                            _noiseless, _parity, _precode, _statistic, constants,
-                            decide, decision_statistic, demodulate, filter_noise,
-                            modulate, signal_length)
+from gmsklink.modem import (_DEROTATE, ModemConfig, StatisticBlocks, _de_bruijn,
+                            _inner, _keys, _modulate_tx, _noiseless, _parity,
+                            _precode, _statistic, add_filtered, constants,
+                            demodulate, modulate, signal_length)
 
 _SHAPES = [(1, 0.6), (1, 1.0)] + [
     (span, bt) for span in (2, 3, 4) for bt in (0.25, 0.3, 0.5, 1.0)
 ]
+# at the default receiver filter the tables' keys are 6 to 12 bits wide,
+# always even; at rx_bt 0.3 they are 6 to 13 bits wide, odd ones included
 _GRID = [ModemConfig(bt_product=bt, samples_per_symbol=sps, pulse_span_symbols=span,
-                     differential_precoding=precoding)
-         for sps in (4, 8, 16) for span, bt in _SHAPES for precoding in (True, False)]
+                     rx_bt=rx_bt)
+         for rx_bt in (0.5, 0.3) for sps in (4, 8, 16) for span, bt in _SHAPES]
 # the untabled path, whose key would pass _KEY_BITS symbols: a receiver
 # filter wide enough to reach past both ends of the signal, and a pulse
 # span of 8
@@ -54,8 +56,9 @@ _PER_CONFIG = math.ceil(_DECISIONS / len(_CONFIGS))
 
 
 def _name(cfg):
+    # "pre": the transmitter precodes
     return (f"sps{cfg.samples_per_symbol}-span{cfg.pulse_span_symbols}-bt{cfg.bt_product}"
-            f"-rx{cfg.rx_bt}-{'pre' if cfg.differential_precoding else 'raw'}")
+            f"-rx{cfg.rx_bt}-pre")
 
 
 def _waveform_statistic(bits, cfg, chan=None):
@@ -65,24 +68,35 @@ def _waveform_statistic(bits, cfg, chan=None):
     return _statistic(sig.samples, constants(cfg), bits.size)
 
 
-@pytest.mark.parametrize("cfg", [c for c in _GRID if c.differential_precoding], ids=_name)
+def _filter_noise(noise, z, frame, component, cfg):
+    # the receiver filter's output on the unit noise z, whole frames of
+    # component I (0) or Q (1) from frame `frame` on, added to the decisions
+    # that read it: the odd ones read I and the even ones Q
+    c = constants(cfg)
+    first = 1 - component
+    add_filtered(noise[first::2], z.reshape(-1, cfg.samples_per_symbol) @ c.taps,
+                 frame, first, c)
+
+
+def _noiseless_statistic(bits, cfg):
+    return StatisticBlocks(bits, cfg).noiseless(bits.size)
+
+
+@pytest.mark.parametrize("cfg", _GRID, ids=_name)
 def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
-    # without precoding the bits are the channel symbols the table is keyed
-    # by; a prefix of 0 to 3 bits with an even or odd number of ones moves
-    # each window to all four decision phases mod 4 and both parities
+    # the table is keyed by channel symbols, which are modulated here as
+    # they are; a prefix of 0 to 3 symbols with an even or odd number of
+    # ones moves each window to all four decision phases mod 4 and both
+    # parities
     c = constants(cfg)
     assert c.table is not None
-    raw = ModemConfig(bt_product=cfg.bt_product, samples_per_symbol=cfg.samples_per_symbol,
-                      pulse_span_symbols=cfg.pulse_span_symbols, differential_precoding=False)
-    assert constants(raw).table is not None
-    np.testing.assert_array_equal(constants(raw).table, c.table)
     bits_per_key = c.key_bits
     db = _de_bruijn(bits_per_key)
     window = 2 * cfg.pulse_span_symbols + 1
     seen = np.zeros(c.table.size, dtype=bool)
     for prefix in ([], [1], [1, 1], [1, 0, 0]):
         tx = np.concatenate([np.array(prefix, dtype=np.uint8), db])
-        stat = _waveform_statistic(tx, raw)
+        stat = _statistic(_modulate_tx(tx, c), c, tx.size)
         # window p starts after p symbols; decision k reads it
         p = np.arange(len(prefix), len(prefix) + db.size - bits_per_key + 1)
         k = p + window - 1 - c.q
@@ -105,7 +119,7 @@ def test_noiseless_statistic_is_the_waveform_statistic(cfg):
     rng = np.random.default_rng(cfg.samples_per_symbol * 10 + cfg.pulse_span_symbols)
     for n in (1, 2, 5, 9, 17, 50, 700, 5000, 40_000):
         bits = rng.integers(0, 2, n).astype(np.uint8)
-        np.testing.assert_allclose(decision_statistic(bits, cfg),
+        np.testing.assert_allclose(_noiseless_statistic(bits, cfg),
                                    _waveform_statistic(bits, cfg), rtol=0, atol=1e-12,
                                    err_msg=f"{n} bits")
 
@@ -114,7 +128,7 @@ def test_noiseless_statistic_is_the_waveform_statistic(cfg):
 def test_noise_term_is_linear(cfg):
     # the noisy minus the noiseless waveform statistic is scale * d_k * N_k
     # (on sequences up to three of the table's gather blocks long),
-    # with N_k summed by filter_noise over irregular frame-aligned pieces
+    # with N_k summed by _filter_noise over irregular frame-aligned pieces
     sps = cfg.samples_per_symbol
     rng = np.random.default_rng(cfg.samples_per_symbol + cfg.pulse_span_symbols)
     for n in (1, 3, 40, 2000, 40_000):
@@ -127,9 +141,10 @@ def test_noise_term_is_linear(cfg):
         noise = np.zeros(n)
         for a, b in zip(cuts, cuts[1:]):
             component = int(a >= m)
-            filter_noise(noise, z[a:b], (a - component * m) // sps, component, cfg)
+            _filter_noise(noise, z[a:b], (a - component * m) // sps, component, cfg)
         scale = noise_scale(chan)
-        got = decision_statistic(bits, cfg, noise, scale) - decision_statistic(bits, cfg)
+        got = (StatisticBlocks(bits, cfg).statistic(noise, scale)
+               - _noiseless_statistic(bits, cfg))
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
@@ -143,10 +158,10 @@ def test_statistic_peak_memory():
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, 100_012).astype(np.uint8)
     noise = rng.standard_normal(bits.size)
-    decision_statistic(bits[:100], cfg)  # build the constants untraced
+    _noiseless_statistic(bits[:100], cfg)  # build the constants untraced
     tracemalloc.start()
     try:
-        decision_statistic(bits, cfg, noise, 0.5)
+        StatisticBlocks(bits, cfg).statistic(noise, 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -182,12 +197,10 @@ def test_constants_are_built_on_first_use_not_at_import():
     assert proc.stdout.strip() == "0"
 
 
-# the engine's other paths, pinned by tests/test_pins.py, and the default
-# modem with and without precoding
+# the default modem and the engine's other paths, pinned by tests/test_pins.py
 _PINNED = [ModemConfig(), ModemConfig(pulse_span_symbols=4),
            ModemConfig(samples_per_symbol=16), ModemConfig(pulse_span_symbols=6),
-           ModemConfig(rx_bt=0.3), ModemConfig(bt_product=0.5), ModemConfig(rx_bt=0.1),
-           ModemConfig(differential_precoding=False)]
+           ModemConfig(rx_bt=0.3), ModemConfig(bt_product=0.5), ModemConfig(rx_bt=0.1)]
 
 
 def _whole_stream_statistic(bits, cfg, noise=None, scale=0.0):
@@ -196,7 +209,7 @@ def _whole_stream_statistic(bits, cfg, noise=None, scale=0.0):
     part, read from the table with the edges made in one waveform call
     each, or made in one waveform call where there is no table."""
     c = constants(cfg)
-    tx = _precode(bits) if cfg.differential_precoding else bits
+    tx = _precode(bits)
     parity = _parity(tx)
     n = tx.size
     if c.table is None:
@@ -235,8 +248,8 @@ def _oracle(coded, scales, cfg, seed):
             for component in (0, 1):
                 a, b = max(p0, component * m), min(p0 + z.size, (component + 1) * m)
                 if acc is not None and a < b:
-                    filter_noise(acc, z[a - p0:b - p0], (a - component * m) // sps,
-                                 component, cfg)
+                    _filter_noise(acc, z[a - p0:b - p0], (a - component * m) // sps,
+                                  component, cfg)
     return [_whole_stream_statistic(bits, cfg, acc, scale)
             for bits, acc, scale in zip(coded, noise, scales)]
 
@@ -268,7 +281,7 @@ def test_engine_statistics_are_the_whole_stream_statistics(cfg, chunk, sizes, mo
                                       err_msg=f"stream {i}")
     for i, packed in enumerate(link._decide(coded, scales, cfg, substream(5))):
         hard = np.unpackbits(packed, count=coded[i].size)
-        np.testing.assert_array_equal(hard, decide(want[i], cfg), err_msg=f"stream {i}")
+        np.testing.assert_array_equal(hard, want[i] < 0, err_msg=f"stream {i}")
 
 
 def test_engine_without_noise_draws_none(monkeypatch):
