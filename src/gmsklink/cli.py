@@ -219,6 +219,10 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
                 f"no {mode} trial builds a route with route.max_hop_m = "
                 f"{ens.max_hop_m!r} in a {ens.field_width!r} m field "
                 f"(route.field_m)") from exc
+    # load priced one geometry hop: price the most a drawn route takes
+    hops = int(draws["geometry"].n_hops.max())
+    cfg.check_route_energy([("route.max_hop_m", hops,
+                             f" and a drawn geometry route of {hops} of them")])
     for mode in ensembles:
         drawn = draws.pop(mode)
         uncoded = None

@@ -25,33 +25,39 @@ _HALF = _N_STATES // 2
 
 # Steps whose add-compare-select choices are kept a byte per choice before
 # they are packed eight to the byte, and which traceback unpacks at a time.
-# Eight steps keep both unpacked blocks to 8 * 64 bytes a row (a 343-row
-# batch peaks at 2.8 MiB, against 6.3 MiB at 64 steps) for the same time:
-# the packed choices are the one array the size of the trellis.
+# Eight steps keep each unpacked block to 8 * 64 bytes a row (a 343-row
+# batch of 518 steps peaks at 1.70 MiB, 1.36 MiB of it the packed choices,
+# the one array the size of the trellis).  The metrics are renormalised
+# once a stage, which keeps them in int8 (see _decode).
 _STAGE = 8
 
 
-def _branch_tables():
-    """Branch metrics of the butterflies, indexed by the received pair.
+def _edge_costs():
+    """``(pairs, costs)``: the pair ``o1 << 1 | o2`` that the edge from
+    ``j`` into each state ``2j + b`` emits, and ``costs[o, r]``, the Hamming
+    distance less 1 between the emitted pair ``o`` and the received pair
+    ``r = r1 << 1 | r2``, as ``int8``.
 
     State ``s`` holds the previous 6 inputs, newest at bit 0; input ``b``
     moves it to ``(b | s << 1) & 63``.  So next state ``2j + b`` is reached
-    from ``j`` (pred0) and from ``j + 32`` (pred1).  ``bm0[r, b, j]`` is the
-    Hamming distance between the received pair ``r = r1 << 1 | r2`` and the
-    pair emitted on the edge ``j -> 2j + b``; ``bm1`` is the same for
-    ``j + 32 -> 2j + b``.
+    from ``j`` (pred0) and from ``j + 32`` (pred1).  Both generators tap the
+    register's bit 6, so the edge from ``j + 32`` emits the complement
+    ``3 - o`` of the pair ``o`` the edge from ``j`` does, whose distance
+    less 1 is the negation.
     """
     # reg bit i (from LSB) is x[t-i], so tap i of a generator masks reg bit i
     g1 = sum(int(tap) << i for i, tap in enumerate(G1_TAPS))
     g2 = sum(int(tap) << i for i, tap in enumerate(G2_TAPS))
-    reg = np.arange(2)[:, None] | (np.arange(_N_STATES) << 1)  # [b, s]
-    out = (np.bitwise_count(reg & g1) & 1) << 1 | (np.bitwise_count(reg & g2) & 1)
-    received = np.arange(4)[:, None, None]
-    bm = np.bitwise_count(received ^ out[None]).astype(np.int8)  # [r, b, s]
-    return bm[:, :, :_HALF], bm[:, :, _HALF:]
+    reg = np.arange(_N_STATES)  # the register of the edge j -> 2j + b is 2j + b
+    pairs = (np.bitwise_count(reg & g1) & 1) << 1 | (np.bitwise_count(reg & g2) & 1)
+    costs = np.bitwise_count(np.arange(4)[:, None] ^ np.arange(4)) - 1
+    return pairs.astype(np.intp), costs.astype(np.int8)
 
 
-_BM0, _BM1 = _branch_tables()
+_PAIRS, _COSTS = _edge_costs()
+
+# The start metric of every state but 0 (see _decode).
+_PENALTY = 13
 
 
 def _encode_rows(x: np.ndarray) -> np.ndarray:
@@ -167,28 +173,32 @@ def _decode(pairs: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
 
     Row ``i``'s trellis restarts in the zero state at step ``restart[i]``
     (0 for every row when ``restart`` is None), so its bits before that
-    step mean nothing.  Each step is one add-compare-select over the 32
-    butterflies: both predecessor halves of the metric vector are views,
-    ties keep pred0, and the winners go straight into the natural-order
-    view of the next metric vector.  Paths from a nonzero start state carry
-    a penalty above any metric a zero-start path reaches, so they never win
-    against one; metrics stay within ``4 T + 1`` and use the narrowest
-    integer type that holds it.  The choices are kept at one bit each.
+    step mean nothing.  The metrics are state-major, a ``(64, B)`` array
+    with the rows innermost, so every operation of a step runs over
+    contiguous rows.  Each step gathers the cost of every edge, its branch
+    metric less 1 (see :func:`_edge_costs`), then makes one add-compare-
+    select over the 32 butterflies: into state ``2j + b`` the candidates
+    are ``pm[j] + cost`` and ``pm[j + 32] - cost``, ties keep pred0, and
+    the winners and choices go straight into natural-order views.  Paths
+    from a nonzero start state carry a penalty of 13, above the 12 any
+    zero-start path reaches in the 6 steps after which every state has one,
+    so they never win against one.  A row's metrics then lie within 25 of
+    its least, which moves by at most 1 a step; after each stage of
+    ``_STAGE`` steps that least is subtracted, so every metric stays within
+    -8 and 33 and is an ``int8``.  The choices are kept at one bit each.
     """
     nb, steps = pairs.shape
     received, pairs = pairs.T, None  # (T, B); freed below unless the caller holds it
-    penalty = 2 * steps + 1
-    dtype = np.min_scalar_type(-2 * penalty)
-    bm0, bm1 = _BM0.astype(dtype), _BM1.astype(dtype)
-    start = np.full(_N_STATES, penalty, dtype=dtype)
+    start = np.full((_N_STATES, 1), _PENALTY, dtype=np.int8)
     start[0] = 0
-    pm = np.tile(start, (nb, 1))
+    pm = np.repeat(start, nb, axis=1)
     nxt = np.empty_like(pm)
-    b0, b1, c0, c1 = (np.empty((nb, 2, _HALF), dtype=dtype) for _ in range(4))
-    # the choices of _STAGE steps at a time, one byte each, are packed into
-    # back at eight to the byte
-    stage = np.empty((_STAGE, nb * _N_STATES), dtype=bool)
-    back = np.empty((steps, nb * _N_STATES // 8), dtype=np.uint8)
+    # the costs of each received pair, and the costs and candidates of the
+    # edges into each state, as (32, 2, B) views [j, b] of 2j + b
+    costs = np.empty((4, nb), dtype=np.int8)
+    edge, c0, c1 = (np.empty((_HALF, 2, nb), dtype=np.int8) for _ in range(3))
+    stage = np.empty((_STAGE, _N_STATES * nb), dtype=bool)
+    back = np.empty((steps, _N_STATES * nb // 8), dtype=np.uint8)
     restarts = {}
     if restart is not None:
         # a plain grouping: np.unique would import numpy.ma on numpy 2.4
@@ -197,35 +207,37 @@ def _decode(pairs: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
     for t in range(steps):
         rows = restarts.get(t)
         if rows is not None:
-            pm[rows] = start
+            pm[:, rows] = start
         # pairs are 0-3: "clip" spares the copy of out that "raise" makes
-        np.take(bm0, received[t], axis=0, out=b0, mode="clip")
-        np.take(bm1, received[t], axis=0, out=b1, mode="clip")
-        np.add(pm[:, None, :_HALF], b0, out=c0)
-        np.add(pm[:, None, _HALF:], b1, out=c1)
-        np.less(c1, c0, out=stage[t % _STAGE].reshape(nb, 2, _HALF))
-        np.minimum(c0, c1, out=nxt.reshape(nb, _HALF, 2).transpose(0, 2, 1))
+        np.take(_COSTS, received[t], axis=1, out=costs, mode="clip")
+        np.take(costs, _PAIRS, axis=0, out=edge.reshape(_N_STATES, nb), mode="clip")
+        np.add(pm[:_HALF, None], edge, out=c0)
+        np.subtract(pm[_HALF:, None], edge, out=c1)
+        np.less(c1, c0, out=stage[t % _STAGE].reshape(_HALF, 2, nb))
+        np.minimum(c0, c1, out=nxt.reshape(_HALF, 2, nb))
         pm, nxt = nxt, pm
         if t % _STAGE == _STAGE - 1 or t == steps - 1:
+            pm -= pm.min(axis=0)
             t0 = t - t % _STAGE
             back[t0:t + 1] = np.packbits(stage[:t + 1 - t0], axis=None,
                                          bitorder="little").reshape(t + 1 - t0, -1)
-    del received, stage, pm, nxt, b0, b1, c0, c1
+    del received, stage, pm, nxt, costs, edge, c0, c1
 
-    # tail-terminated: trace back from state 0; choice b * 32 + j of row i
-    # at step t, flat[t, 64 i + 32 b + j], is the choice into state 2j + b
-    base = np.arange(nb) * _N_STATES
+    # tail-terminated: trace back from state 0; the choice into state s of
+    # row i at step t, flat[t, s * B + i], is 1 where s came from
+    # s >> 1 | 32
+    rows = np.arange(nb)
     state = np.zeros(nb, dtype=np.intp)
     info = steps - (CONSTRAINT_LENGTH - 1)
     bits = np.empty((nb, info), dtype=np.uint8)
     for t in range(steps - 1, -1, -1):
         if t == steps - 1 or t % _STAGE == _STAGE - 1:
             t0 = t - t % _STAGE
+            flat = None  # one unpacked stage at a time
             flat = np.unpackbits(back[t0:t + 1], axis=None, bitorder="little")
             flat = flat.reshape(t + 1 - t0, -1)
-        bit = state & 1
         if t < info:
-            bits[:, t] = bit
-        j = state >> 1
-        state = j | (flat[t - t0, base + (bit * _HALF + j)].astype(np.intp) * _HALF)
+            bits[:, t] = state & 1
+        choice = flat[t - t0, state * nb + rows]
+        state = state >> 1 | choice.astype(np.intp) << (CONSTRAINT_LENGTH - 2)
     return bits

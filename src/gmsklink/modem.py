@@ -43,6 +43,12 @@ ALPHA_ANCHORS = ((0.25, 0.68), (1.0, 0.85))
 # Exact powers of j (j**k = _JPOW[k % 4]).
 _JPOW = np.array([1.0 + 0.0j, 0.0 + 1.0j, -1.0 + 0.0j, 0.0 - 1.0j])
 
+# A channel symbol's step of the quarter turns, mod 2**16 (see _modulate_tx).
+_TURNS = np.array([2**16 - 1, 1], dtype=np.uint16)
+
+# The frequency of a channel symbol, and of none (see _modulate_tx).
+_LEVELS = np.array([-1.0, 1.0, 0.0, 0.0])
+
 # Sign of the filter-output component that is decision k's derotated real
 # part, by k % 4 (see demodulate).
 _DEROTATE = np.array([-1.0, -1.0, 1.0, 1.0])
@@ -60,8 +66,8 @@ _PRODUCT_SIZE = 1 << 17
 # Widest window of a statistic table, which bounds its memory at
 # 2 * 2**_KEY_BITS doubles (256 KiB): a decision's symbols (2 * span + 1
 # plus its frames less one; 10 at the default modem, 12 at a span of 4)
-# and a parity bit, in a uint16 key.  Wider configs (spans of 6 and up,
-# very narrow receiver filters) have no table.
+# and the data bit before them, in a uint16 key.  Wider configs (spans of 6
+# and up, very narrow receiver filters) have no table.
 _KEY_BITS = 14
 
 # Decisions whose table keys and values are made at a time, so that no key
@@ -268,16 +274,18 @@ def constants(config: ModemConfig) -> ModemConstants:
     if c.key_bits > _KEY_BITS:
         return c
     # the table caches the waveform chain: the inner decisions of a de
-    # Bruijn sequence read every key once, at the parity of the ones before
-    # it; the other parity's value is the negation
+    # Bruijn sequence of channel symbols read every window of them once, at
+    # the parity of the ones before it.  The data bits those symbols precode
+    # are their running parity; the complement of a key's data bits
+    # precodes to the same symbols at the other parity, whose value is the
+    # negation
     tx = _de_bruijn(c.key_bits)
     parity = _parity(tx)
     lo, hi = _inner(c, tx.size)
-    start = lo + c.q - c.cumtaps.shape[0] + 1
-    key = _keys(c, tx[start:], parity[start:], hi - lo)
+    key = _keys(c, parity[1:], lo + c.q - c.cumtaps.shape[0] + 1, hi - lo)
     table = np.empty(2 << c.key_bits)
     table[key] = value = _noiseless(c, tx, parity, lo, hi)
-    table[key ^ (1 << c.key_bits)] = -value
+    table[key ^ ((2 << c.key_bits) - 1)] = -value
     table.flags.writeable = False
     return ModemConstants(cumtaps, tables, taps, q, table)
 
@@ -330,7 +338,7 @@ def _modulate_tx(tx: np.ndarray, c: ModemConstants) -> np.ndarray:
     # quarter_turns[m] = (sum of sym[k] for k <= m - window) mod 4, summed
     # mod 2**16 (a symbol of -1 is 2**16 - 1), which keeps the sum mod 4
     quarter_turns = np.zeros(rows, dtype=np.uint16)
-    np.cumsum(2 * tx16[:n - 1] - 1, dtype=np.uint16, out=quarter_turns[window:])
+    np.cumsum(_TURNS[tx[:n - 1]], dtype=np.uint16, out=quarter_turns[window:])
     quarter_turns &= 3
 
     # Interior rows window-1 .. n-1: every pulse in flight is a real symbol.
@@ -350,10 +358,12 @@ def _modulate_tx(tx: np.ndarray, c: ModemConstants) -> np.ndarray:
 
     # Edge rows, whose window reaches past the symbols: sum the window
     # directly, with zero symbols past either end, all in one small product.
-    edge = np.r_[0:window - 1, max(n, window - 1):rows]
+    # Row m reads symbol k = m - d at delay d, which lies outside the
+    # sequence where k, read as unsigned (so negative k too), is not below n.
+    edge = np.concatenate((np.arange(window - 1), np.arange(max(n, window - 1), rows)))
     k = edge[:, None] - np.arange(window)
-    inside = (k >= 0) & (k < n)
-    symbols = np.where(inside, 2.0 * tx[np.clip(k, 0, n - 1)] - 1.0, 0.0)
+    outside = k.view(np.uintp) >= n
+    symbols = _LEVELS[tx.take(k, mode="clip") | outside << 1]
     out[edge] = _JPOW[quarter_turns[edge], None] * np.exp(1j * np.pi * (symbols @ c.cumtaps))
     return out.ravel()
 
@@ -443,25 +453,28 @@ def _inner(c: ModemConstants, n: int) -> tuple[int, int]:
     return lo, max(lo, n - c.taps.shape[1] + 1 - c.q)
 
 
-def _keys(c: ModemConstants, tx: np.ndarray, parity: np.ndarray, m: int) -> np.ndarray:
+def _keys(c: ModemConstants, bits: np.ndarray, s: int, m: int) -> np.ndarray:
     """The statistic-table keys of ``m`` inner decisions in a row, the first
-    of whose windows starts at ``tx[0]``, where ``parity[i]`` is the parity
-    of the ones before ``tx[i]`` (see :class:`StatisticBlocks`).
+    of whose windows starts at symbol ``s`` of the data bits ``bits``: the
+    ``key_bits + 1`` bits from ``bits[s - 1]`` on, with a 0 before the
+    stream (see :class:`StatisticBlocks`).
 
     The window bits take ``log2(key_bits)`` array passes, not ``key_bits``,
     which keeps a block's fixed cost low: ``run[i]`` holds the ``width``
-    symbols from ``i`` on, ``width`` doubles from 1, and the key takes in
-    the run of each binary digit of ``key_bits``.
+    bits from ``i`` on, ``width`` doubles from 1, and the key takes in
+    the run of each binary digit of ``key_bits + 1``.
     """
-    key_bits = c.key_bits
-    key = parity[:m].astype(np.uint16) << key_bits
-    run = tx[:m + key_bits - 1].astype(np.uint16)
+    wanted = c.key_bits + 1
+    run = np.zeros(m + wanted - 1, dtype=np.uint16)
+    a = max(s - 1, 0)
+    run[a - s + 1:] = bits[a:s + m + wanted - 2]
+    key = np.zeros(m, dtype=np.uint16)
     width, done = 1, 0
     while True:
-        if key_bits & width:
+        if wanted & width:
             key |= run[done:done + m] << done
             done += width
-        if done == key_bits:
+        if done == wanted:
             return key
         run = run[:-width] | run[width:] << width
         width *= 2
@@ -501,15 +514,18 @@ class StatisticBlocks:
     34(2), 1986): the symbols before the window turn it by
     ``2 * ones - ended`` quarter turns, the derotation by ``k + 1`` more,
     and ``ended = k + q - window + 1``, so the total is
-    ``window - q + 2 * ones`` (mod 4).  Those values are read from the
-    statistic table at ``parity << key_bits | window bits``,
-    ``_GATHER_BLOCK`` decisions at a time.  The first and last few
+    ``window - q + 2 * ones`` (mod 4).  The data bits hold both: symbol
+    ``i`` is ``bits[i] ^ bits[i - 1]``, and the ones before symbol ``s``
+    have the parity of ``bits[s - 1]`` (with a 0 before the stream).  So
+    those values are read from the statistic table at the ``key_bits + 1``
+    data bits from ``bits[s - 1]`` on, where ``s`` is the window's first
+    symbol, ``_GATHER_BLOCK`` decisions at a time.  The first and last few
     decisions, once per stream, and every decision of a config without a
     table, in :func:`_noiseless`'s blocks, are read from the waveform of
-    their symbols.  No array spans the stream: the channel symbols and
-    their parity are made from the bits for each table gather and waveform
-    block alone.  A block may start and end at any decision: each value is
-    the same float whatever the blocks.
+    their symbols.  No array spans the stream: a table gather makes its
+    keys from the data bits, and a waveform block its channel symbols and
+    their parity, alone.  A block may start and end at any decision: each
+    value is the same float whatever the blocks.
     """
 
     def __init__(self, bits, config: ModemConfig):
@@ -548,8 +564,7 @@ class StatisticBlocks:
             if self._lo <= k < self._hi:
                 b = min(k1, self._hi, k + _GATHER_BLOCK)
                 s = k + c.q - c.cumtaps.shape[0] + 1
-                tx, parity = self._symbols(s, s + b - k + c.key_bits - 1)
-                values = np.take(c.table, _keys(c, tx, parity, b - k), mode="clip")
+                values = np.take(c.table, _keys(c, self._bits, s, b - k), mode="clip")
             else:
                 s0, values = self._waveform_block(k)
                 values = values[k - s0:k1 - s0]

@@ -246,7 +246,6 @@ class RunConfig:
         # the pulse, but not the rest of the modem's constants, which are
         # built on first use
         gaussian_frequency_pulse(self.modem_config())
-        model = self.energy_model()
         _db_gain("codec.g_code_db", self["codec.g_code_db"])
         self.stop_rule()
         self.ebno_grid()
@@ -262,9 +261,7 @@ class RunConfig:
         self.ensembles()
         # every link is priced through d ** k: the longest link each command
         # can price must have a finite energy, coded or not
-        code = golay_spec(self["codec.g_code_db"])
-        links = [model.link()] + [model.link(code, variant) for variant in CodedVariant]
-        for link in links:
+        for link in self._priced_links():
             terms = (link.rx, link.e_circuit, link.e_transient, link.e_codec)
             if not all(math.isfinite(term) for term in terms):
                 raise ConfigError(
@@ -272,24 +269,43 @@ class RunConfig:
                     f"{link.rx!r} J, circuit {link.e_circuit!r} J, start-up "
                     f"{link.e_transient!r} J, codec {link.e_codec!r} J")
         # a route sums its hops, none longer than the longest, so its
-        # energy is at most the hop count times the longest hop's
+        # energy is at most the hop count times the longest hop's.  A
+        # replication route has route.n_relays + 1 hops; a geometry route's
+        # are counted once its ensemble is drawn (cmd_route_sim), since
+        # route.n_nodes - 1 bounds them far above what a route takes
+        relays = self["route.n_relays"]
+        self.check_route_energy([
+            ("scan.d_stop_m", 1, ""),
+            ("route.hop_max_m", relays + 1,
+             f" and route.n_relays = {relays!r} a route of {relays + 1} of them"),
+            ("route.max_hop_m", 1, "")])
+
+    def _priced_links(self) -> list:
+        """The uncoded link and the coded link of every variant."""
+        model = self.energy_model()
+        code = golay_spec(self["codec.g_code_db"])
+        return [model.link()] + [model.link(code, variant) for variant in CodedVariant]
+
+    def check_route_energy(self, routes) -> None:
+        """Raise :class:`ConfigError` unless, for each ``(key, hops, note)``
+        of ``routes``, ``hops`` links of the longest length ``key`` allows
+        (for ``route.max_hop_m``, within the field's diagonal) have a finite
+        energy, coded or not; ``note`` says in the message what counted the
+        hops."""
         field = self["route.field_m"]
-        for key, longest, count_key, hops in (
-                ("scan.d_stop_m", self["scan.d_stop_m"], None, 1),
-                ("route.hop_max_m", self["route.hop_max_m"],
-                 "route.n_relays", self["route.n_relays"] + 1),
-                ("route.max_hop_m", min(self["route.max_hop_m"], math.hypot(field, field)),
-                 "route.n_nodes", self["route.n_nodes"] - 1)):
+        links = self._priced_links()
+        for key, hops, note in routes:
+            metres = self[key]
+            if key == "route.max_hop_m":
+                metres = min(metres, math.hypot(field, field))
             try:
-                finite = all(math.isfinite(hops * link.breakdown(longest).e_total)
+                finite = all(math.isfinite(hops * link.breakdown(metres).e_total)
                              for link in links)
             except OverflowError:
                 finite = False
             if not finite:
-                route = (f" and {count_key} = {self[count_key]!r} a route of {hops} of them"
-                         if count_key else "")
-                raise ConfigError(f"{key} = {self[key]!r} allows a link of {longest!r} m"
-                                  f"{route}, whose energy overflows")
+                raise ConfigError(f"{key} = {self[key]!r} allows a link of {metres!r} m"
+                                  f"{note}, whose energy overflows")
 
     def __getitem__(self, key):
         for k, v in self.values:

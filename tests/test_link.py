@@ -320,8 +320,9 @@ def test_one_round_peak_memory(grid, stop_rule, bound_mib):
     # every point's stream of the round in one batch, freeing its streams
     # once stacked, in 8-step Viterbi stages.  The peak read 1.97 MiB for
     # one point, 2.10 MiB for four and 2.95 MiB for sweep-dense, in the
-    # last point's decisions, and 2.50 MiB for the seven of sweep-curve, in
-    # its Viterbi decode.  With one noise value per decision and the
+    # last point's decisions, and 2.36 MiB for the seven of sweep-curve, in
+    # its Viterbi decode (2.50 MiB with int16 metrics and two unpacked
+    # stages alive at once).  With one noise value per decision and the
     # decisions held a byte each, it read 2.15, 2.69, 4.26 and 3.22 MiB,
     # all in the last point's decisions.  RS decoding in int64 symbols,
     # with the Viterbi decoder's padded batch and its output copied beside
@@ -361,9 +362,11 @@ def test_cold_pass_imports_and_peak_memory():
     # the first round of a fresh process, as every ber-sweep run is, at the
     # sweep-curve shape: its first calls build the codecs' tables and the
     # modem's statistic table and import numpy.random, and nothing else of
-    # numpy.  The peak read 3.52 MiB, in the first Viterbi call, with the
+    # numpy.  The peak read 3.37 MiB, in the first Viterbi call, with the
     # block codecs' tables kept at their natural widths (the RS decoding
-    # table 0.19 MiB); the last point's decisions read 3.05 MiB (4.04 MiB
+    # table 0.19 MiB) and int8 Viterbi metrics (3.52 MiB with int16 ones
+    # and two unpacked stages alive at once); the last point's decisions
+    # read 3.05 MiB (4.04 MiB
     # with one noise value per decision and the decisions held a byte
     # each).  With the RS decoding tables kept as 23 852 15-byte patterns
     # and an index (0.49 MiB), the first Viterbi call read 3.84 MiB.  With

@@ -47,13 +47,14 @@ def _assert_fully_checked(cfg):
         assert all(math.isfinite(x) for x in grid)
     assert cfg.distance_grid()[0] > 0
     # the longest link each command prices has a finite energy, coded or
-    # not, and so does a route of the most hops of that length
+    # not, and so does a replication route of the most hops of that
+    # length; a geometry route's hops are priced once drawn (route-sim)
     model = cfg.energy_model()
     code = golay_spec(cfg["codec.g_code_db"])
     field = cfg["route.field_m"]
     longest = ((cfg["scan.d_stop_m"], 1),
                (cfg["route.hop_max_m"], cfg["route.n_relays"] + 1),
-               (min(cfg["route.max_hop_m"], math.hypot(field, field)), cfg["route.n_nodes"] - 1))
+               (min(cfg["route.max_hop_m"], math.hypot(field, field)), 1))
     for link in [model.link()] + [model.link(code, v) for v in CodedVariant]:
         for d, hops in longest:
             assert math.isfinite(hops * link.breakdown(d).e_total)
@@ -119,6 +120,12 @@ _EDGE_CASES = [
     ("route-sim", "route.max_hop_m = 1e300"),
     # every hop's energy is finite, but a route of 10 001 of them overflows
     ("route-sim", "energy.alpha = 1e-307\nroute.n_relays = 10000"),
+    # route.n_nodes - 1 such hops would overflow, but the drawn routes are
+    # short and price finite
+    ("route-sim", "energy.alpha = 1e-307\nroute.n_nodes = 10000"),
+    # one hop of 1000 m is finite, but a drawn route of two overflows: an
+    # error after the draw, before any file
+    ("route-sim", "energy.alpha = 1e-307\nroute.field_m = 1000\nroute.max_hop_m = 1000"),
 ]
 
 
@@ -141,3 +148,23 @@ def test_quick_command_on_an_edge_value_exits_cleanly(tmp_path, capsys, command,
         for written in out.iterdir():
             cells = written.read_text().replace("\n", ",").split(",")
             assert not {"nan", "inf", "-inf"} & set(cells), written.name
+
+
+@pytest.mark.parametrize("text, code", [
+    ("energy.alpha = 1e-307\nroute.n_nodes = 10000", 0),
+    ("energy.alpha = 1e-307\nroute.field_m = 1000\nroute.max_hop_m = 1000", 1),
+])
+def test_geometry_routes_are_priced_as_drawn(tmp_path, capsys, text, code):
+    # load prices one geometry hop; route-sim prices the longest drawn route
+    path = tmp_path / "edge.params"
+    path.write_text(text + "\n")
+    out = tmp_path / "out"
+    assert cli.main(["route-sim", "--quick", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code:
+        assert err.splitlines() == ["gmsklink: config error: route.max_hop_m = 1000.0 allows "
+                                    "a link of 1000.0 m and a drawn geometry route of 2 of "
+                                    "them, whose energy overflows"]
+        assert not out.exists()
+    else:
+        assert len(list(out.iterdir())) == 4

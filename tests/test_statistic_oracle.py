@@ -84,10 +84,10 @@ def _noiseless_statistic(bits, cfg):
 
 @pytest.mark.parametrize("cfg", _GRID, ids=_name)
 def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
-    # the table is keyed by channel symbols, which are modulated here as
-    # they are; a prefix of 0 to 3 symbols with an even or odd number of
-    # ones moves each window to all four decision phases mod 4 and both
-    # parities
+    # the table is keyed by data bits, whose precoded channel symbols are
+    # modulated here: the data bits are the running parity of the symbols.
+    # A prefix of 0 to 3 symbols with an even or odd number of ones moves
+    # each window to all four decision phases mod 4 and both parities
     c = constants(cfg)
     assert c.table is not None
     bits_per_key = c.key_bits
@@ -97,17 +97,43 @@ def test_every_table_entry_is_the_noiseless_waveform_statistic(cfg):
     for prefix in ([], [1], [1, 1], [1, 0, 0]):
         tx = np.concatenate([np.array(prefix, dtype=np.uint8), db])
         stat = _statistic(_modulate_tx(tx, c), c, tx.size)
-        # window p starts after p symbols; decision k reads it
+        # window p starts after p symbols; decision k reads it; its key is
+        # the data bits from the one before symbol p on, a 0 before the first
         p = np.arange(len(prefix), len(prefix) + db.size - bits_per_key + 1)
         k = p + window - 1 - c.q
         ones = np.concatenate([[0], np.cumsum(tx, dtype=np.int64)])
-        key = (ones[p] % 2) << bits_per_key
-        for d in range(bits_per_key):
-            key |= tx[p + d].astype(np.int64) << d
+        key = np.zeros(p.size, dtype=np.int64)
+        for d in range(bits_per_key + 1):
+            key |= (ones[p + d] % 2) << d
         np.testing.assert_allclose(c.table[key], stat[k], rtol=0, atol=1e-12,
                                    err_msg=f"prefix {prefix}")
         seen[key] = True
     assert seen.all()
+
+
+@pytest.mark.parametrize("cfg", _GRID, ids=_name)
+def test_data_bit_table_is_the_parity_and_symbol_window_table(cfg):
+    # the table keyed by the parity of the ones before a decision's channel
+    # symbols and by those symbols, made as the waveform chain made it
+    # before it was keyed by data bits: the data bits w precode to the
+    # parity w & 1 and the symbols (w ^ w >> 1) & mask
+    c = constants(cfg)
+    bits_per_key = c.key_bits
+    tx = _de_bruijn(bits_per_key)
+    parity = _parity(tx)
+    lo, hi = _inner(c, tx.size)
+    p = lo + c.q - c.cumtaps.shape[0] + 1 + np.arange(hi - lo)
+    key = parity[p].astype(np.int64) << bits_per_key
+    for d in range(bits_per_key):
+        key |= tx[p + d].astype(np.int64) << d
+    old = np.empty(2 << bits_per_key)
+    old[key] = value = _noiseless(c, tx, parity, lo, hi)
+    old[key ^ (1 << bits_per_key)] = -value
+    w = np.arange(2 << bits_per_key)
+    mask = (1 << bits_per_key) - 1
+    np.testing.assert_array_equal(c.table.view(np.uint64),
+                                  old[(w & 1) << bits_per_key | (w ^ w >> 1) & mask]
+                                  .view(np.uint64))
 
 
 @pytest.mark.parametrize("cfg", _CONFIGS, ids=_name)
@@ -151,9 +177,10 @@ def test_noise_term_is_linear(cfg):
 def test_statistic_peak_memory():
     # 100 012 decisions added into the caller's noise array block by block:
     # no statistic, key or symbol array spans the stream.  The peak read
-    # 0.44 MiB (one gather block's keys and values, and the symbols and
-    # parity it reads), against 0.60 MiB with the stream's symbols and
-    # parity and 1.91 MiB with whole-stream arrays.
+    # 0.41 MiB (one gather block's keys, read from the data bits, and
+    # values), against 0.44 MiB with the symbols and parity each block
+    # precoded, 0.60 MiB with the stream's symbols and parity and 1.91 MiB
+    # with whole-stream arrays.
     cfg = ModemConfig()
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, 100_012).astype(np.uint8)
@@ -218,8 +245,9 @@ def _whole_stream_statistic(bits, cfg, noise=None, scale=0.0):
         lo, hi = _inner(c, n)
         start = lo + c.q - c.cumtaps.shape[0] + 1
         parts = [(0, lo, _noiseless(c, tx, parity, 0, lo)),
-                 (lo, hi, c.table[_keys(c, tx[start:], parity[start:], hi - lo)]),
                  (hi, n, _noiseless(c, tx, parity, hi, n))]
+        if lo < hi:
+            parts.append((lo, hi, c.table[_keys(c, bits, start, hi - lo)]))
     if noise is None:
         stat = np.empty(n)
         for k0, k1, part in parts:

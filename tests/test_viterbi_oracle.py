@@ -3,7 +3,10 @@
 ``reference_viterbi_decode_batch`` is the earlier decoder: per step it
 gathers both predecessor metrics of every state and selects with
 ``np.where``, in int32 with a 2**20 start penalty.  The production decoder
-must return the same bits on every input, ties included.
+must return the same bits on every input, ties included, though it keeps
+its metrics in int8, renormalised once per 8-step stage, with a start
+penalty of 13: long worst-case segments, restarts at every offset of a
+stage and one-row batches check that.
 """
 
 import numpy as np
@@ -11,8 +14,8 @@ import pytest
 
 from gmsklink.fec import CODECS, apply_code, conv_spec, strip_code
 from gmsklink.fec.convolutional import (CONSTRAINT_LENGTH, G1_TAPS, G2_TAPS,
-                                        conv_encode, viterbi_decode,
-                                        viterbi_decode_segments)
+                                        _decode, _received_pairs, conv_encode,
+                                        viterbi_decode, viterbi_decode_segments)
 
 _N_STATES = 1 << (CONSTRAINT_LENGTH - 1)
 
@@ -115,7 +118,7 @@ def test_every_received_word_of_a_seven_step_block():
 
 
 def test_block_past_the_int16_metric_range():
-    # 9000 steps: metrics reach 4 * 9000 + 1 > 32767, so int32 is used
+    # 9000 steps: unrenormalised metrics would reach 4 * 9000 + 1 > 32767
     rng = np.random.default_rng(11)
     received = _noisy_blocks(rng, 1, 9000 - (CONSTRAINT_LENGTH - 1), 0.3)
     got = viterbi_decode(received[0])
@@ -171,3 +174,60 @@ def test_equal_length_streams_decode_as_segments_alone(remainder, p):
             np.testing.assert_array_equal(
                 viterbi_decode_segments(coded[:streams], spec.n), want[:streams])
         np.testing.assert_array_equal(viterbi_decode_segments(coded[0], spec.n), want[0])
+
+
+def _repeated(pattern, steps):
+    # the coded bits of `steps` received pairs repeating `pattern`
+    pairs = np.resize(np.array(pattern, dtype=np.uint8), steps)
+    return np.stack([pairs >> 1, pairs & 1], axis=1).reshape(-1)
+
+
+# received pairs that move the int8 metrics fastest or farthest apart: all
+# pairs flipped from the zero codeword (the all-ones codeword, whose path
+# metric falls by 1 a step below every other), alternating flipped and
+# clean pairs, and alternating pairs of one flipped bit
+_WORST = [(3,), (3, 0), (1, 2), (2, 1, 3, 0)]
+
+
+@pytest.mark.parametrize("steps", [4096, 4101])
+def test_long_worst_case_segments_match_reference(steps):
+    # each pattern alone (a one-row batch) and all of them with noisy
+    # codewords in one batch, whose rows' least metrics drift apart
+    rng = np.random.default_rng(steps)
+    rows = [_repeated(pattern, steps) for pattern in _WORST]
+    rows += list(_noisy_blocks(rng, 2, steps - (CONSTRAINT_LENGTH - 1), 0.3))
+    received = np.stack(rows)
+    want = reference_viterbi_decode_batch(received)
+    for row, bits in zip(received[:len(_WORST)], want):
+        np.testing.assert_array_equal(viterbi_decode(row), bits)
+    np.testing.assert_array_equal(viterbi_decode_segments(received, received.shape[1]), want)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.3])
+def test_one_row_batch_matches_reference(p):
+    rng = np.random.default_rng(int(p * 10) + 3)
+    for steps in (7, 8, 15, 518):
+        received = _noisy_blocks(rng, 1, steps - (CONSTRAINT_LENGTH - 1), p)
+        np.testing.assert_array_equal(_decode(_received_pairs(received, received.shape[1])),
+                                      reference_viterbi_decode_batch(received))
+
+
+@pytest.mark.parametrize("p", [0.05, 0.3])
+def test_restarts_at_every_offset_of_a_stage(p):
+    # one batch of rows that restart at every step 0 to 40, at every
+    # offset of an 8-step stage five times over, each after random pairs
+    # and then holding a noisy terminated block to the end, against that
+    # block decoded alone; at a channel error rate of 0.3 a path from the
+    # random pairs can win where a restart is missed
+    rng = np.random.default_rng(int(p * 100))
+    steps = 60
+    restart = np.arange(41)
+    pairs = rng.integers(0, 4, (restart.size, steps)).astype(np.uint8)
+    want = []
+    for row, t in zip(pairs, restart):
+        block = _noisy_blocks(rng, 1, steps - t - (CONSTRAINT_LENGTH - 1), p)
+        row[t:] = _received_pairs(block, block.shape[1])[0]
+        want.append(reference_viterbi_decode_batch(block)[0])
+    got = _decode(np.ascontiguousarray(pairs.T).T, restart)
+    for bits, t, expected in zip(got, restart, want):
+        np.testing.assert_array_equal(bits[t:], expected, err_msg=f"restart at {t}")
