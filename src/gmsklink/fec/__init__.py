@@ -5,6 +5,9 @@ rate-1/2 convolutional code with hard-decision Viterbi decoding, and the
 identity code ``none``.  :data:`CODECS` holds one :class:`Codec` per name;
 everything that depends on a codec name reads it.  Block codes zero-pad the
 last partial block; the convolutional code ends each segment with a tail.
+A codec encodes one stream of bits a byte each and decodes a batch of
+streams packed 8 bits to a byte; :func:`strip_code` is the one-stream
+decode of unpacked bits.
 """
 
 from __future__ import annotations
@@ -119,14 +122,16 @@ def _padded_layout(info_len: int, spec: CodeSpec) -> BlockLayout:
 class Codec:
     """One codec: ``spec(g_code_db)`` builds its :class:`CodeSpec`.
 
-    ``decode(coded, spec, info_len)`` undoes ``encode(bits, spec)`` for one
-    coded stream, or for a ``(P, L)`` array of ``P`` streams of equal
-    length in one call, and returns ``(bits, corrected, failed)``: the
-    decoded ``info_len`` bits of each stream, in the input's leading shape,
-    and the channel errors corrected (in the code's symbols) and the blocks
-    flagged uncorrectable, summed over the streams.  ``layout`` frames a
-    stream; a fixed code's specs all have its ``shape``, that is
-    ``(n, k, t, d_min, symbol_bits)``.
+    ``decode(rows, spec, info_len)`` undoes ``encode(bits, spec)`` for a
+    ``(P, ceil(L / 8))`` array of ``P`` coded streams of ``L`` bits each,
+    packed by ``np.packbits`` (``L`` is ``layout(info_len, spec)``'s coded
+    bits), in one call, and returns ``(bits, corrected, failed)``: the
+    decoded ``info_len`` bits of each stream, packed the same way with
+    their pad bits 0, and the channel errors corrected (in the code's
+    symbols) and the blocks flagged uncorrectable, summed over the streams.
+    Each codec reads the packed rows at its own width: pairs, words or
+    symbols.  ``layout`` frames a stream; a fixed code's specs all have its
+    ``shape``, that is ``(n, k, t, d_min, symbol_bits)``.
     """
 
     name: str
@@ -169,9 +174,13 @@ def _padded(bits: np.ndarray, spec: CodeSpec) -> np.ndarray:
     return np.concatenate([bits, np.zeros(pad, dtype=np.uint8)])
 
 
-def _streams(bits: np.ndarray, coded: np.ndarray, info_len: int) -> np.ndarray:
-    """Decoded ``bits`` of every block, split back into ``coded``'s streams."""
-    return bits.reshape(*coded.shape[:-1], -1)[..., :info_len]
+def _info_rows(rows: np.ndarray, info_len: int) -> np.ndarray:
+    """The first ``info_len`` bits of each packed row, as a new array whose
+    pad bits are 0."""
+    out = rows[:, :-(-info_len // 8)].copy()
+    if info_len % 8:
+        out[:, -1] &= (0xFF << (8 - info_len % 8)) & 0xFF
+    return out
 
 
 def _golay_encode(bits, spec):
@@ -179,11 +188,12 @@ def _golay_encode(bits, spec):
     return golay.unpack_codeword_bits(golay.encode_words(msgs)).reshape(-1)
 
 
-def _golay_decode(coded, spec, info_len):
-    words = golay.pack_codeword_bits(coded.reshape(-1, spec.n))
-    msgs, corrected, failed = golay.decode_words(words)
-    bits = _streams(golay.unpack_message_bits(msgs), coded, info_len)
-    return bits, int(corrected.sum()), int(failed.sum())
+def _golay_decode(rows, spec, info_len):
+    # a block is 24 bits, 3 whole bytes of its row
+    blocks = _padded_layout(info_len, spec).n_blocks
+    msgs, corrected, failed = golay.decode_words(golay.codeword_values(rows))
+    bits = golay.pack_messages(msgs.reshape(len(rows), blocks))
+    return _info_rows(bits, info_len), int(corrected.sum()), int(failed.sum())
 
 
 def _rs_encode(bits, spec):
@@ -191,11 +201,13 @@ def _rs_encode(bits, spec):
     return reed_solomon.symbols_to_bits(reed_solomon.encode_words(symbols))
 
 
-def _rs_decode(coded, spec, info_len):
-    received = reed_solomon.bits_to_symbols(coded).reshape(-1, spec.n)
-    words, corrected, failed = reed_solomon.decode_words(received)
-    bits = _streams(reed_solomon.symbols_to_bits(words[:, : spec.k]), coded, info_len)
-    return bits, int(corrected.sum()), int(failed.sum())
+def _rs_decode(rows, spec, info_len):
+    blocks = _padded_layout(info_len, spec).n_blocks
+    received = reed_solomon.unpack_nibbles(rows)[:, :blocks * spec.n]
+    words, corrected, failed = reed_solomon.decode_words(received.reshape(-1, spec.n))
+    message = words[:, :spec.k].reshape(len(rows), -1)
+    bits = reed_solomon.pack_nibbles(message)
+    return _info_rows(bits, info_len), int(corrected.sum()), int(failed.sum())
 
 
 def _conv_layout(info_len, spec):
@@ -204,13 +216,14 @@ def _conv_layout(info_len, spec):
     return BlockLayout(blocks, 2 * info_len + blocks * (spec.n - 2 * spec.k), 0)
 
 
-def _conv_decode(coded, spec, info_len):
+def _conv_decode(rows, spec, info_len):
     # Viterbi flags no block and counts no corrections
-    return viterbi_decode_segments(coded, spec.n), 0, 0
+    length = _conv_layout(info_len, spec).coded_bits
+    return convolutional.decode_rows(rows, length, spec.n), 0, 0
 
 
 _NONE = Codec("none", lambda g_code_db: none_spec(), lambda bits, spec: bits.copy(),
-              lambda coded, spec, info_len: (coded.copy(), 0, 0),
+              lambda rows, spec, info_len: (_info_rows(rows, info_len), 0, 0),
               layout=lambda info_len, spec: BlockLayout(1, info_len, 0),
               shape=(1, 1, 0, 1, 1))
 _GOLAY = Codec("golay", golay_spec, _golay_encode, _golay_decode,
@@ -240,7 +253,8 @@ def apply_code(bits, spec: CodeSpec) -> np.ndarray:
 def strip_code(coded, spec: CodeSpec, info_len: int) -> np.ndarray:
     """Decode a stream produced by :func:`apply_code` back to ``info_len`` bits.
 
-    This is the one-stream call; a codec's ``decode`` also takes a batch.
+    This is the one-stream call of unpacked bits: it packs them and calls
+    the codec's ``decode``, which takes a batch of packed streams.
     Uncorrectable Golay and Reed-Solomon blocks fall back to their raw
     systematic bits, so residual errors stay measurable instead of erasing
     whole blocks.
@@ -251,4 +265,5 @@ def strip_code(coded, spec: CodeSpec, info_len: int) -> np.ndarray:
         raise FramingError(
             f"coded stream has {coded.size} bits, expected {layout.coded_bits}"
         )
-    return CODECS[spec.name].decode(coded, spec, info_len)[0]
+    bits = CODECS[spec.name].decode(np.packbits(coded)[None], spec, info_len)[0]
+    return np.unpackbits(bits[0], count=info_len)

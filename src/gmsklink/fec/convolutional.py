@@ -4,7 +4,9 @@ Tail-terminated: every encoded block carries K - 1 = 6 flush bits so the
 trellis ends in the zero state.  Decoding is hard-decision Viterbi over the
 terminated trellis, vectorised across a batch of blocks (the time recursion
 is the only Python loop), one add-compare-select over the 32 butterflies of
-the trellis per step.  Free distance of this generator pair is 10.
+the trellis per step.  The decoder reads streams packed 8 bits to a byte,
+4 received pairs to a byte, and returns packed bits (:func:`decode_rows`).
+Free distance of this generator pair is 10.
 """
 
 from __future__ import annotations
@@ -108,10 +110,8 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
 
     ``coded`` is one stream, or a ``(P, L)`` array of ``P`` streams of equal
     length decoded in one batch; the result has the same number of
-    dimensions.  Each stream's short last segment rides in the batch with
-    the full ones: it is padded with zero pairs at the front, and its
-    trellis restarts in the zero state at its own first step, so it decodes
-    as it would alone.  Raises :class:`FramingError` unless every segment,
+    dimensions.  The streams are packed and decoded by :func:`decode_rows`,
+    the codec's path.  Raises :class:`FramingError` unless every segment,
     the short one too, is a whole number of steps and holds at least one
     information bit besides its tail, and raises ValueError unless every
     coded bit is 0 or 1 (see :func:`~gmsklink.errors.as_bits`).
@@ -120,38 +120,60 @@ def viterbi_decode_segments(coded: np.ndarray, n: int) -> np.ndarray:
     if raw.ndim not in (1, 2) or raw.shape[-1] == 0:
         raise FramingError("expected a nonempty coded stream or a (P, L) batch of them")
     c = as_bits(raw.reshape(-1)).reshape(raw.shape)
-    _check_segment(n)
-    _check_segment(c.shape[-1] % n or n)
     streams = c.reshape(-1, c.shape[-1])
-    count, length = streams.shape
+    length = streams.shape[1]
+    bits = decode_rows(np.packbits(streams, axis=1), length, n)
+    info = length // 2 - -(-length // n) * (CONSTRAINT_LENGTH - 1)
+    return np.unpackbits(bits, axis=1, count=info).reshape(*c.shape[:-1], -1)
+
+
+def decode_rows(rows: np.ndarray, length: int, n: int) -> np.ndarray:
+    """Decode the ``(P, ceil(length / 8))`` streams of ``length`` coded
+    bits packed by ``np.packbits``, each in terminated segments of ``n``
+    coded bits, the last of which may be shorter; returns their information
+    bits packed the same way, pad bits 0.
+
+    Each stream's short last segment rides in the batch with the full
+    ones: it is padded with zero pairs at the front, and its trellis
+    restarts in the zero state at its own first step, so it decodes as it
+    would alone.  Raises :class:`FramingError` unless every segment, the
+    short one too, is a whole number of steps and holds at least one
+    information bit besides its tail.
+    """
+    _check_segment(n)
+    _check_segment(length % n or n)
+    count = rows.shape[0]
     segments = -(-length // n)
     pad = (-length % n) // 2  # zero pairs before the short last segment
     restart = np.zeros((count, segments), dtype=np.intp)
     restart[:, -1] = pad
-    bits = _decode(_received_pairs(streams, n), restart.ravel())
+    bits = _decode(_received_pairs(rows, length, n), restart.ravel())
     bits = bits.reshape(count, segments, -1)
     out = np.concatenate([bits[:, :-1].reshape(count, -1), bits[:, -1, pad:]], axis=1)
-    return out.reshape(*c.shape[:-1], -1)
+    return np.packbits(out, axis=1)
 
 
-def _received_pairs(streams: np.ndarray, n: int) -> np.ndarray:
+def _received_pairs(rows: np.ndarray, length: int, n: int) -> np.ndarray:
     """The received pairs ``r1 << 1 | r2`` of every segment of ``n`` coded
-    bits of the ``(P, L)`` streams, as the ``(P * S, n // 2)`` transpose of
-    a C-ordered array: row ``p * S + g`` is segment ``g`` of stream ``p``,
-    a short last segment with zero pairs in front.  Each pair is written
-    in place, so the pairs are the one array made."""
-    count, length = streams.shape
+    bits of the packed ``(P, ceil(length / 8))`` streams of ``length``
+    bits, 4 pairs to a byte, as the ``(P * S, n // 2)`` transpose of a
+    C-ordered array: row ``p * S + g`` is segment ``g`` of stream ``p``, a
+    short last segment with zero pairs in front.  Each stream's pairs are
+    read from its bytes into one array of a byte a pair, then written in
+    place."""
+    count = rows.shape[0]
     steps = n // 2
     full, rest = divmod(length, n)
+    stream = np.empty((*rows.shape, 4), dtype=np.uint8)
+    for j in range(4):  # the first pair in a byte's top two bits
+        np.right_shift(rows, 6 - 2 * j, out=stream[..., j])
+    stream &= 3
+    stream = stream.reshape(count, -1)
     pairs = np.zeros((steps, count, full + (rest > 0)), dtype=np.uint8)
-    blocks = [(streams[:, :full * n].reshape(count, full, steps, 2),
-               pairs[:, :, :full].transpose(1, 2, 0))]
+    pairs[:, :, :full].transpose(1, 2, 0)[...] = (
+        stream[:, :full * steps].reshape(count, full, steps))
     if rest:
-        blocks.append((streams[:, full * n:].reshape(count, rest // 2, 2),
-                       pairs[steps - rest // 2:, :, full].T))
-    for bits, out in blocks:
-        np.left_shift(bits[..., 0], 1, out=out)
-        out |= bits[..., 1]
+        pairs[steps - rest // 2:, :, full] = stream[:, full * steps:length // 2].T
     return pairs.reshape(steps, -1).T
 
 
@@ -166,7 +188,8 @@ def _decode(pairs: np.ndarray, restart: np.ndarray | None = None) -> np.ndarray:
     ``r1 << 1 | r2`` (``uint8``, 0-3); returns (B, T - 6) ``uint8`` bits.
 
     The pairs are read a step at a time, so they are best the transpose of
-    a C-ordered (T, B) array (see :func:`_received_pairs`).  They, the
+    a C-ordered (T, B) array; the codec reads them so from its packed rows,
+    4 pairs to a byte (see :func:`_received_pairs`).  They, the
     stage and the metrics are let go once the forward pass is done, and the
     traceback writes its bits straight into the result: beside the packed
     choices, the traceback holds only the result and one unpacked stage.

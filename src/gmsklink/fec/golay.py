@@ -103,11 +103,31 @@ def unpack_message_bits(values: np.ndarray) -> np.ndarray:
 
 def pack_codeword_bits(bits: np.ndarray) -> np.ndarray:
     """(B, 24) bit array -> ``uint32`` 24-bit integers, first bit at the MSB."""
-    values = np.zeros(len(bits), dtype=np.uint32)
-    for byte in np.packbits(np.reshape(bits, -1)).reshape(-1, 3).T:  # 3 bytes a word
+    return codeword_values(np.packbits(np.reshape(bits, -1)))
+
+
+def codeword_values(packed: np.ndarray) -> np.ndarray:
+    """Bytes packed by ``np.packbits``, 3 a codeword, -> the flat ``uint32``
+    24-bit codewords, first bit at the MSB."""
+    values = np.zeros(packed.size // 3, dtype=np.uint32)
+    for byte in packed.reshape(-1, 3).T:
         values <<= 8
         values |= byte
     return values
+
+
+def pack_messages(messages: np.ndarray) -> np.ndarray:
+    """(R, B) 12-bit integers -> each row's message bits packed as
+    ``np.packbits`` packs them, first bit at the MSB, 3 bytes a pair of
+    messages (a last single one padded with a 0 message)."""
+    rows, count = messages.shape
+    pairs = np.zeros((rows, -(-count // 2), 2), dtype=np.uint32)
+    pairs.reshape(rows, -1)[:, :count] = messages
+    values = pairs[..., 0] << 12 | pairs[..., 1]
+    out = np.empty((*values.shape, 3), dtype=np.uint8)
+    for j in range(3):
+        out[..., j] = values >> (16 - 8 * j)  # cast to its low byte
+    return out.reshape(rows, -1)
 
 
 def unpack_codeword_bits(values: np.ndarray) -> np.ndarray:

@@ -36,6 +36,9 @@ T_CORRECT = 2
 _SHIFTS = np.array([12, 8, 4, 0], dtype=np.uint8)  # four 4-bit fields in 16 bits
 _BIT_SHIFTS = np.array([3, 2, 1, 0], dtype=np.uint8)  # a symbol's bits, MSB first
 _POSITIONS = np.arange(N_SYMBOLS)
+# row i * 16 of the flattened syndrome table starts position i's entries;
+# every index is below 240, so a uint8 symbol array indexes it in uint8
+_ROWS = (_POSITIONS * 16).astype(np.uint8)
 
 
 @functools.cache
@@ -121,12 +124,17 @@ def decode_words(received):
     symbols so residual errors stay measurable.
     """
     r = _as_symbols(received, N_SYMBOLS)
-    syndromes = np.bitwise_xor.reduce(_syndrome_table()[_POSITIONS, r], axis=1)
+    # flat indices into one table row per position: a 2-D fancy index, as
+    # the encoder's, costs about a quarter more here
+    syndromes = np.bitwise_xor.reduce(_syndrome_table().reshape(-1)[_ROWS + r], axis=1)
     fix, weight = (column[syndromes] for column in _decoding_table())
     hit = np.flatnonzero(weight > 0)
     words, fix = r.copy(), fix[hit]
+    # one flat index per correction: a 2-D fancy index costs about a fifth
+    # more
+    flat, first = words.reshape(-1), hit * N_SYMBOLS
     for shift in (8, 0):  # the first pair, then the second
-        words[hit, (fix >> (shift + 4)) & 15] ^= (fix >> shift) & 15
+        flat[first + ((fix >> (shift + 4)) & 15)] ^= (fix >> shift) & 15
     return words, np.maximum(weight, 0), weight < 0
 
 
@@ -151,6 +159,25 @@ def symbols_to_bits(symbols) -> np.ndarray:
     bits = s.reshape(-1, 1) >> _BIT_SHIFTS
     bits &= 1
     return bits.astype(np.uint8, copy=False).reshape(-1)
+
+
+def unpack_nibbles(packed: np.ndarray) -> np.ndarray:
+    """(R, m) bytes packed by ``np.packbits`` -> (R, 2 m) ``uint8``
+    symbols, the high nibble of each byte first."""
+    out = np.empty((*packed.shape, 2), dtype=np.uint8)
+    np.right_shift(packed, 4, out=out[..., 0])
+    np.bitwise_and(packed, 15, out=out[..., 1])
+    return out.reshape(len(packed), -1)
+
+
+def pack_nibbles(symbols: np.ndarray) -> np.ndarray:
+    """(R, m) symbols -> (R, ceil(m / 2)) bytes, two symbols a byte, the
+    first in the high nibble (a last single one beside a 0)."""
+    rows, count = symbols.shape
+    out = np.zeros((rows, -(-count // 2)), dtype=np.uint8)
+    out[:, :count // 2] = symbols[:, 1::2]
+    out |= symbols[:, ::2] << 4
+    return out
 
 
 def rs_encode(message) -> np.ndarray:

@@ -33,23 +33,25 @@ decisions are those of ``demodulate(awgn(modulate(bits)))`` up to a
 statistic within about 1e-15 of 0, where the two float evaluation orders
 may disagree.
 
-Decisions are made a block at a time as their noise completes
-(:func:`_statistics`).  The odd decisions read I, which comes first, so
-each keeps its sum until the stream's Q part, which the even ones read;
-an even decision keeps a sum only while a chunk of Q feeds it.  After each
-chunk of Q, the decisions whose frames have all been read are decided and
-their signs packed 8 to a byte; the transmitter precodes, so the signs are
-the hard bits the decoder reads.  At its peak a point's round holds each
-noisy codec's odd sums (4 bytes per decision), one chunk of normals and
-its filtered frames, and the packed decisions of the round's points.
+Each noise component's decisions are made a block at a time as their
+frames complete (:func:`_decide`).  I, which comes first, feeds the odd
+decisions and Q the even ones, and each component keeps a float sum only
+from its first undecided decision to the last one the chunk feeds.  After
+each chunk, the decisions whose frames have all been read are decided and
+their signs OR-ed into the stream's packed decisions, whole bytes at a time;
+the transmitter precodes, so the signs are the hard bits the decoder reads.
+At its peak a point's round holds its coded streams, one chunk of normals
+and its filtered frames, the sums of the components the chunk feeds, and
+the packed decisions and data bits of the round's points.
 
-Every codec keeps only its packed decisions and data bits until the end of
-the round, when its streams of that round, one per point, are decoded in
-one call: the Viterbi decoder's cost per call is mostly per trellis step,
-so a wide batch amortises it, and the block decoders take all their blocks
-as one array.  Each codec's streams are freed once stacked for its call,
-and its decode's arrays once it returns, so no two codecs' batches are
-held at once.  Points run in groups whose
+Every codec keeps only its packed decisions and the packed data bits until
+the end of the round, when its streams of that round, one per point, are
+decoded from the packed rows in one call, and bit errors are counted by XOR
+and popcount of the packed bits: the Viterbi decoder's cost per call is
+mostly per trellis step, so a wide batch amortises it, and the block
+decoders take all their blocks as one array.  Each codec's streams are
+freed once stacked for its call, and its decode's arrays once it returns,
+so no two codecs' batches are held at once.  Points run in groups whose
 round holds at most ``_GROUP_BITS`` information bits.  Since every point
 keeps its own keys, the results are those of running each point alone.
 
@@ -91,7 +93,10 @@ _GROUP_BITS = 512 * 512
 # Normals a point draws at a time, rounded down to whole frames.  Chunks
 # of 16 Ki normals cut the traced peak of a sweep at the benchmark's
 # sweep-dense shape from 2.95 to 2.15 MiB, but made its passes about 13 %
-# slower (best of 10, 2-vCPU Xeon).
+# slower (best of 10, 2-vCPU Xeon), when a float was held for every odd
+# decision until its stream's Q part.  Each component's sums now span at
+# most about one chunk of its decisions, so a smaller chunk would shrink
+# the normals and their filtered frames alone.
 _CHUNK_NORMALS = 1 << 16
 
 # Data bits drawn at a time: a 128 KiB int64 draw, not one of 8 bytes per
@@ -178,95 +183,100 @@ def _scale(ebno_db: float, n_bits: int, coded_bits: int, modem: ModemConfig) -> 
                                      samples_per_symbol=modem.samples_per_symbol))
 
 
-def _statistics(coded, scales, modem: ModemConfig, rng):
-    """Yield ``(i, stat)``: the statistic of the next block of stream
-    ``i``'s decisions, with AWGN of its noise scale whose normals are the
-    stream of ``rng``; each stream's blocks come in order and cover it.
+def _decide(coded, scales, modem: ModemConfig, rng) -> list:
+    """The hard decisions on each coded stream sent through AWGN of its
+    noise scale, whose normals are the stream of ``rng``, packed by
+    ``np.packbits``.
 
     Stream ``i``'s signal of ``f`` frames reads the first ``2 f sps``
     normals, frames ``[0, f)`` onto I and ``[f, 2 f)`` onto Q, as
-    :func:`awgn` draws them; a scale of 0 reads none, and its stream is one
-    block, made first.  The normals come in chunks of whole frames, each
-    filtered once for every stream whose component spans it; a component
-    that starts or ends inside a chunk filters its own frames, as it would
-    alone, since a BLAS kernel may round a row differently beside other
-    rows (OpenBLAS's Prescott kernel does).  I feeds the odd decisions,
-    which keep one float each; Q feeds the even ones, which keep one only
-    from the first undecided decision to the last one the chunk feeds.
-    After each chunk of its Q part, a stream's decisions whose frames have
-    all been read are one block, cut to a multiple of 8 decisions unless it
-    ends the stream, so that each block's signs pack into whole bytes.
+    :func:`awgn` draws them; a scale of 0 reads none, and its decisions are
+    made first.  The normals come in chunks of whole frames, each filtered
+    once for every component whose frames span it; a component that starts
+    or ends inside a chunk filters its own frames, as it would alone, since
+    a BLAS kernel may round a row differently beside other rows
+    (OpenBLAS's Prescott kernel does).  I feeds the odd decisions and Q the
+    even ones, each decided as its frames complete (:class:`_Component`).
     """
     c = constants(modem)
-    sps, frames = modem.samples_per_symbol, c.taps.shape[1]
-    blocks = [StatisticBlocks(bits, modem) for bits in coded]
-    for i, scale in enumerate(scales):
-        if not scale:
-            yield i, blocks[i].noiseless(blocks[i].size)
-            blocks[i] = None
-    noisy = [i for i, scale in enumerate(scales) if scale]
-    size = [bits.size for bits in coded]
-    length = [signal_length(n, modem) // sps for n in size]  # frames a component
-    odd = {i: np.zeros(size[i] // 2) for i in noisy}
-    even = {i: (0, np.empty(0)) for i in noisy}  # (first decision, sums)
-    done = dict.fromkeys(noisy, 0)  # the first undecided decision
-    total = max((2 * length[i] for i in noisy), default=0)
+    sps = modem.samples_per_symbol
+    packed = [np.zeros(-(-bits.size // 8), dtype=np.uint8) for bits in coded]
+    components = []
+    for bits, scale, out in zip(coded, scales, packed):
+        blocks = StatisticBlocks(bits, modem)
+        if scale:
+            f = signal_length(bits.size, modem) // sps
+            components += [_Component(blocks, scale, out, 1, 0, f),
+                           _Component(blocks, scale, out, 0, f, f)]
+        else:
+            for first in (1, 0):
+                _pack(out, 0, first, blocks.noiseless(first, (bits.size - first + 1) // 2))
+    total = max((comp.end for comp in components), default=0)
     step = max(1, _CHUNK_NORMALS // sps)
     z = np.empty(min(step, total) * sps)
     for g0 in range(0, total, step):
         g1 = min(g0 + step, total)
         rng.standard_normal(out=z[:(g1 - g0) * sps])
         part = _filter(z, 0, g1 - g0, c)
-        for i in noisy:
-            n, f, k = size[i], length[i], done[i]
-            if k == n:
-                continue  # decided before its last frames were read
-            if g0 < f:
-                add_filtered(odd[i], part if g1 <= f else _filter(z, 0, f - g0, c),
-                             g0, 1, c)
-            a, b = max(g0, f), min(g1, 2 * f)
-            if a >= b:
-                continue
-            # the even decisions from the first undecided one (a multiple
-            # of 8) to the last one these frames feed, with the sums carried
-            # from the last chunk
-            v0, sums = even[i]
-            carried = sums[(k - v0) // 2:]
-            sums = np.zeros(max(0, min(b - f - c.q, n) - k + 1) // 2)
-            sums[:carried.size] = carried
-            add_filtered(sums, part if (a, b) == (g0, g1) else _filter(z, a - g0, b - g0, c),
-                         a - f, k, c)
-            even[i] = k, sums
-            ready = n if b == 2 * f else min(n, max(k, (b - f - c.q - frames + 1) & ~7))
-            if ready == k:
-                continue
-            noise = np.empty(ready - k)
-            noise[::2] = sums[:(ready - k + 1) // 2]
-            noise[1::2] = odd[i][k // 2:ready // 2]
-            yield i, blocks[i].statistic(noise, scales[i])
-            done[i] = ready
-            if ready == n:
-                blocks[i] = odd[i] = even[i] = None
+        for comp in components:
+            a, b = max(g0, comp.start), min(g1, comp.end)
+            # a component may be decided before its last frames are read
+            if a < b and comp.done < comp.blocks.size:
+                comp.feed(part if (a, b) == (g0, g1) else _filter(z, a - g0, b - g0, c),
+                          a - comp.start, b == comp.end, c)
+    return packed
+
+
+class _Component:
+    """One noise component of a noisy stream: frames ``[start, end)`` of
+    the normals, which feed the stream's decisions ``first, first + 2,
+    ...``, the odd ones from I and the even ones from Q.
+
+    It keeps a float sum only from its first undecided decision ``done``, a
+    multiple of 8, to the last decision the frames read so far feed.  After
+    each chunk, its decisions whose frames have all been read are one block,
+    cut to a multiple of 8 decisions unless it ends the stream; their
+    statistic is made in place in their sums and their signs are OR-ed into
+    the stream's packed decisions, whole bytes at a time."""
+
+    def __init__(self, blocks: StatisticBlocks, scale: float, packed: np.ndarray,
+                 first: int, start: int, frames: int):
+        self.blocks, self.scale, self.packed, self.first = blocks, scale, packed, first
+        self.start, self.end = start, start + frames
+        self.done = 0
+        self.sums = np.empty(0)  # of the decisions done + first, done + first + 2, ...
+
+    def feed(self, part: np.ndarray, frame: int, last: bool, c) -> None:
+        """Add ``part``, the component's filtered frames from ``frame`` on
+        (the last ones if ``last``), and decide the decisions they
+        complete."""
+        n, k, first = self.blocks.size, self.done, self.first
+        read = frame + part.shape[0]  # frames read
+        fed = min(read - c.q, n)  # the decisions before it have frames read
+        sums = np.zeros(max(0, fed - k - first + 1) // 2)
+        sums[:self.sums.size] = self.sums
+        add_filtered(sums, part, frame, k + first, c)
+        ready = n if last else min(n, max(k, (read - c.q - c.taps.shape[1] + 1) & ~7))
+        decided = max(0, ready - k - first + 1) // 2
+        if decided:
+            stat = self.blocks.statistic(first, sums[:decided], self.scale)
+            _pack(self.packed, k, first, stat)
+        self.sums, self.done = sums[decided:], ready
+
+
+def _pack(packed: np.ndarray, k: int, first: int, stat: np.ndarray) -> None:
+    """OR the signs of ``stat``, the statistic of the decisions ``k +
+    first, k + first + 2, ...`` (``k`` a multiple of 8), into ``packed``."""
+    signs = np.zeros(first + 2 * stat.size - 1, dtype=bool)  # to the last decision
+    np.less(stat, 0, out=signs[first::2])
+    signs = np.packbits(signs)
+    packed[k // 8:k // 8 + signs.size] |= signs
 
 
 def _filter(z: np.ndarray, m0: int, m1: int, c) -> np.ndarray:
     """Frames ``[m0, m1)`` of the normals ``z`` times the receiver taps."""
     sps = c.taps.shape[0]
     return z[m0 * sps:m1 * sps].reshape(-1, sps) @ c.taps
-
-
-def _decide(coded, scales, modem: ModemConfig, rng) -> list:
-    """The hard decisions on each coded stream sent through AWGN of its
-    noise scale, whose normals are the stream of ``rng``, packed by
-    ``np.packbits``: the signs of :func:`_statistics`'s blocks, each packed
-    as it comes."""
-    packed = [np.empty(-(-bits.size // 8), dtype=np.uint8) for bits in coded]
-    made = [0] * len(coded)  # decisions packed
-    for i, stat in _statistics(coded, scales, modem, rng):
-        k = made[i]
-        packed[i][k // 8:(k + stat.size + 7) // 8] = np.packbits(stat < 0)
-        made[i] = k + stat.size
-    return packed
 
 
 def _data_bits(rng, n_bits: int) -> np.ndarray:
@@ -330,18 +340,20 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
         if not any(running):
             break
         simulated += n_bits
-        held = [[] for _ in codecs]  # each codec's (point, bits, packed decisions)
+        held = [[] for _ in codecs]  # each codec's (point, data, decisions), all packed
         for point, ids in zip(points, running):
             if not ids:
                 continue
             bits = _data_bits(point.data_rng, n_bits)
             coded = [apply_code(bits, codecs[i]) for i in ids]
+            data = np.packbits(bits)
+            del bits
             scales = [_scale(point.ebno_db, n_bits, c.size, modem) for c in coded]
             # a point whose codecs read no noise keys no stream
             rng = (substream(_noise_seed(seed, point.ebits, chunk_index))
                    if any(scales) else None)
             for i, hard in zip(ids, _decide(coded, scales, modem, rng)):
-                held[i].append((point, bits, hard))
+                held[i].append((point, data, hard))
                 point.bits_simulated[i] = simulated
             del coded  # free the point's coded streams before the decodes
         for i, codec in enumerate(codecs):
@@ -351,18 +363,18 @@ def _run_rounds(points, codecs, modem, stop_rule, seed):
 
 def _decode_round(held, i, codec, n_bits):
     """Decode codec ``i``'s streams of a round in one call and add each
-    point's bit errors.  Taken out of ``held``, the streams are freed once
-    stacked and the stack once decoded; the decode's arrays go on return,
-    so none of them is alive in the next codec's decode or the next
-    round."""
+    point's bit errors, counted on the packed bits.  Taken out of ``held``,
+    the streams are freed once stacked and the stack once decoded; the
+    decode's arrays go on return, so none of them is alive in the next
+    codec's decode or the next round."""
     owners, data, packed = zip(*held[i])
     held[i] = None
-    hard = np.unpackbits(np.stack(packed), axis=1,
-                         count=block_layout(n_bits, codec).coded_bits)
+    rows = np.stack(packed)
     del packed
-    decoded, _, _ = CODECS[codec.name].decode(hard, codec, n_bits)
-    del hard
-    wrong = np.count_nonzero(decoded != np.stack(data), axis=1)
+    decoded, _, _ = CODECS[codec.name].decode(rows, codec, n_bits)
+    del rows
+    decoded ^= np.stack(data)
+    wrong = np.bitwise_count(decoded).sum(axis=1)
     for point, w in zip(owners, wrong.tolist()):
         point.errors[i] += w
 

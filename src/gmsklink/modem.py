@@ -12,8 +12,9 @@ derotation by powers of j, and a sign decision.  The transmitter always
 precodes differentially, so those decisions are the information bits.
 
 The value a decision takes the sign of is linear in the signal and the
-noise.  :class:`StatisticBlocks` computes it a block of decisions at a
-time, from the waveform of only the few symbols the decision's frames read
+noise.  :class:`StatisticBlocks` computes it a block of the even or the
+odd decisions at a time, from the waveform of only the few symbols the
+decision's frames read
 or from a table of such values, and the noise part from the receiver
 filter applied to the noise alone (:func:`add_filtered`).  The BER engine
 decides every bit that way;
@@ -70,10 +71,12 @@ _PRODUCT_SIZE = 1 << 17
 # and up, very narrow receiver filters) have no table.
 _KEY_BITS = 14
 
-# Decisions whose table keys and values are made at a time, so that no key
-# or value array spans a stream.  At 16 Ki decisions (a 128 KiB block of
-# values) a block's fixed cost is lost in its work; blocks of 4 Ki made a
-# sweep pass's statistic about 18 % slower.
+# Decisions of one component whose table keys and values are made at a
+# time, so that no key or value array spans a stream.  At 16 Ki decisions
+# (a 128 KiB block of values) a block's fixed cost is lost in its work;
+# blocks of 4 Ki made a sweep pass's statistic about 18 % slower.  The
+# engine's blocks are smaller: one chunk of normals completes about 4 Ki
+# decisions of a component.
 _GATHER_BLOCK = 1 << 14
 
 # Narrowest receiver lowpass: 64 symbol periods each side, as for the pulse.
@@ -453,31 +456,44 @@ def _inner(c: ModemConstants, n: int) -> tuple[int, int]:
     return lo, max(lo, n - c.taps.shape[1] + 1 - c.q)
 
 
-def _keys(c: ModemConstants, bits: np.ndarray, s: int, m: int) -> np.ndarray:
-    """The statistic-table keys of ``m`` inner decisions in a row, the first
-    of whose windows starts at symbol ``s`` of the data bits ``bits``: the
-    ``key_bits + 1`` bits from ``bits[s - 1]`` on, with a 0 before the
-    stream (see :class:`StatisticBlocks`).
+def _keys(c: ModemConstants, bits: np.ndarray, s: int, m: int,
+          stride: int = 1) -> np.ndarray:
+    """The statistic-table keys of ``m`` inner decisions ``stride`` apart,
+    the first of whose windows starts at symbol ``s`` of the data bits
+    ``bits``: the ``key_bits + 1`` bits from ``bits[s - 1]`` on, with a 0
+    before the stream (see :class:`StatisticBlocks`).
 
     The window bits take ``log2(key_bits)`` array passes, not ``key_bits``,
-    which keeps a block's fixed cost low: ``run[i]`` holds the ``width``
-    bits from ``i`` on, ``width`` doubles from 1, and the key takes in
-    the run of each binary digit of ``key_bits + 1``.
+    which keeps a block's fixed cost low.  The bits are first read as
+    digits of ``stride`` bits, so every pass runs over one digit per key:
+    ``run[i]`` holds the ``width`` digits from digit ``i`` on, ``width``
+    doubles from 1, and the key takes in the run of each binary digit of
+    its digit count, and is cut to ``key_bits + 1`` bits.
     """
     wanted = c.key_bits + 1
-    run = np.zeros(m + wanted - 1, dtype=np.uint16)
+    digits = -(-wanted // stride)
+    raw = np.zeros(stride * (m + digits - 1), dtype=np.uint16)
     a = max(s - 1, 0)
-    run[a - s + 1:] = bits[a:s + m + wanted - 2]
-    key = np.zeros(m, dtype=np.uint16)
-    width, done = 1, 0
+    window = bits[a:s - 1 + raw.size]  # short by up to stride - 1 at the stream's end
+    raw[a - s + 1:a - s + 1 + window.size] = window
+    run = raw[::stride]
+    for r in range(1, stride):
+        run = run | raw[r::stride] << r
+    key, width, done = None, 1, 0
     while True:
-        if wanted & width:
-            key |= run[done:done + m] << done
+        if digits & width:
+            if key is None:  # the first run taken starts the key
+                key = run[:m].copy()
+            else:
+                key |= run[done:done + m] << stride * done
             done += width
-        if done == wanted:
-            return key
-        run = run[:-width] | run[width:] << width
+        if done == digits:
+            break
+        run = run[:-width] | run[width:] << stride * width
         width *= 2
+    if stride * digits > wanted:
+        key &= (1 << wanted) - 1
+    return key
 
 
 def _noiseless(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
@@ -504,8 +520,10 @@ def _noiseless(c: ModemConstants, tx: np.ndarray, parity: np.ndarray,
 
 
 class StatisticBlocks:
-    """The decision statistic of one bit stream, made one block of
-    consecutive decisions at a time, in order, from their filtered noise.
+    """The decision statistic of one bit stream, made for one of its two
+    components at a time, the even decisions (``first = 0``) or the odd
+    ones (``first = 1``), a block of consecutive decisions of that parity
+    at a time, in order, from their filtered noise.
 
     The value is linear in the signal and the noise.  The noiseless part of
     an inner decision, whose frames all lie in the signal and carry no
@@ -519,13 +537,16 @@ class StatisticBlocks:
     have the parity of ``bits[s - 1]`` (with a 0 before the stream).  So
     those values are read from the statistic table at the ``key_bits + 1``
     data bits from ``bits[s - 1]`` on, where ``s`` is the window's first
-    symbol, ``_GATHER_BLOCK`` decisions at a time.  The first and last few
-    decisions, once per stream, and every decision of a config without a
-    table, in :func:`_noiseless`'s blocks, are read from the waveform of
-    their symbols.  No array spans the stream: a table gather makes its
-    keys from the data bits, and a waveform block its channel symbols and
-    their parity, alone.  A block may start and end at any decision: each
-    value is the same float whatever the blocks.
+    symbol, with keys made at stride 2 for ``_GATHER_BLOCK`` decisions of
+    one component at a time: each value is gathered once.  The first and
+    last few decisions of a tabled stream, and every decision of a config
+    without a table, in :func:`_noiseless`'s blocks, are read from the
+    waveform of their symbols.  Each such block is made once: the half of
+    its values the other component reads is kept until it reads them.  No
+    other array spans the stream: a table gather makes its keys from the
+    data bits, and a waveform block its channel symbols and their parity,
+    alone.  A block may start and end at any decision: each value is the
+    same float whatever the blocks.
     """
 
     def __init__(self, bits, config: ModemConfig):
@@ -534,62 +555,76 @@ class StatisticBlocks:
         self.size = n = self._bits.size
         # the inner decisions, read from the table; none without one
         self._lo, self._hi = _inner(c, n) if c.table is not None else (0, 0)
-        self._made = (0, np.empty(0))  # the last waveform block: (first decision, values)
-        self._next = 0  # the first decision of the next block
+        # the waveform blocks' halves not yet read, by (first decision of
+        # the block, parity)
+        self._halves = {}
+        self._next = [0, 1]  # the first decision of each component's next block
 
-    def statistic(self, noise: np.ndarray, scale: float) -> np.ndarray:
-        """The statistic of the next ``noise.size`` decisions, made in place
-        in ``noise``, their filtered unit noise: scaled and derotated, then
-        plus the noiseless part."""
-        k0 = self._next
-        for r in range(4):
-            noise[(r - k0) % 4::4] *= _DEROTATE[r] * scale
-        for a, values in self._pieces(noise.size):
+    def statistic(self, first: int, noise: np.ndarray, scale: float) -> np.ndarray:
+        """The statistic of the next ``noise.size`` decisions of component
+        ``first``, made in place in ``noise``, their filtered unit noise:
+        scaled and derotated, then plus the noiseless part."""
+        k0 = self._next[first]
+        for j in (0, 1):
+            noise[j::2] *= _DEROTATE[(k0 + 2 * j) % 4] * scale
+        for a, values in self._pieces(first, noise.size):
             noise[a:a + values.size] += values
         return noise
 
-    def noiseless(self, m: int) -> np.ndarray:
-        """The noiseless statistic of the next ``m`` decisions."""
+    def noiseless(self, first: int, m: int) -> np.ndarray:
+        """The noiseless statistic of the next ``m`` decisions of component
+        ``first``."""
         stat = np.empty(m)
-        for a, values in self._pieces(m):
+        for a, values in self._pieces(first, m):
             stat[a:a + values.size] = values
         return stat
 
-    def _pieces(self, m: int):
-        # (offset, values) covering the next m decisions' noiseless part
-        c, k0, k1 = self._c, self._next, self._next + m
-        self._next = k1
+    def _pieces(self, first: int, m: int):
+        # (offset, values) covering the noiseless part of the component's
+        # next m decisions
+        c, k0 = self._c, self._next[first]
+        k1 = k0 + 2 * m
+        self._next[first] = k1
         k = k0
         while k < k1:
             if self._lo <= k < self._hi:
-                b = min(k1, self._hi, k + _GATHER_BLOCK)
+                b = min(k1, self._hi, k + 2 * _GATHER_BLOCK)
                 s = k + c.q - c.cumtaps.shape[0] + 1
-                values = np.take(c.table, _keys(c, self._bits, s, b - k), mode="clip")
+                key = _keys(c, self._bits, s, (b - k + 1) // 2, stride=2)
+                values = np.take(c.table, key, mode="clip")
             else:
-                s0, values = self._waveform_block(k)
-                values = values[k - s0:k1 - s0]
-            yield k - k0, values
-            k += values.size
+                values = self._waveform_half(k, (k1 - k + 1) // 2)
+            yield (k - k0) // 2, values
+            k += 2 * values.size
 
-    def _waveform_block(self, k: int):
-        """``(b0, values)``: the noiseless statistic of the waveform block
-        ``[b0, b1)`` that holds decision ``k``, made once: an edge of a
-        tabled stream, or one of :func:`_noiseless`'s blocks."""
-        b0, values = self._made
-        if not b0 <= k < b0 + values.size:
-            c, n = self._c, self.size
-            if c.table is not None:
-                b0, b1 = (0, self._lo) if k < self._lo else (self._hi, n)
-            else:
-                step = max(1, _PRODUCT_SIZE // c.taps.size)
-                b0 = k - k % step
-                b1 = min(b0 + step, n)
+    def _waveform_half(self, k: int, most: int) -> np.ndarray:
+        """The noiseless statistic of decision ``k`` and of the next ones of
+        its parity, at most ``most`` in all, in the waveform block ``[b0,
+        b1)`` that holds ``k``: an edge of a tabled stream, or one of
+        :func:`_noiseless`'s blocks.  The block is made once, when either
+        component first reads it, and each half is dropped once read."""
+        c, n = self._c, self.size
+        if c.table is not None:
+            b0, b1 = (0, self._lo) if k < self._lo else (self._hi, n)
+        else:
+            step = max(1, _PRODUCT_SIZE // c.taps.size)
+            b0 = k - k % step
+            b1 = min(b0 + step, n)
+        if (b0, k % 2) not in self._halves:
             # the symbols _noiseless reads
             s = max(b0 + c.q - c.cumtaps.shape[0] + 1, 0)
             tx, parity = self._symbols(s, min(b1 + c.q + c.taps.shape[1] - 1, n))
             values = _noiseless(c, tx, parity, b0 - s, b1 - s)
-            self._made = b0, values
-        return b0, values
+            for p in (0, 1):
+                half = values[(p - b0) % 2::2]
+                if half.size:
+                    self._halves[b0, p] = half.copy()
+        half = self._halves[b0, k % 2]
+        j = (k - b0) // 2
+        values = half[j:j + most]
+        if j + values.size == half.size:
+            del self._halves[b0, k % 2]
+        return values
 
     def _symbols(self, s: int, e: int):
         """The channel symbols ``[s, e)`` and, for ``i <= e - s``, the

@@ -7,7 +7,7 @@ import pytest
 
 from gmsklink.errors import FramingError
 from gmsklink.fec import conv_encode, viterbi_decode
-from gmsklink.fec import CODECS, apply_code, conv_spec
+from gmsklink.fec import apply_code, conv_spec, strip_code
 from gmsklink.fec.convolutional import (D_FREE, G1_TAPS, G2_TAPS,
                                         conv_encode_segments,
                                         viterbi_decode_segments)
@@ -137,11 +137,12 @@ def test_single_block_decode_takes_one_stream():
 
 @pytest.mark.parametrize("value", [2, 255, -1, 0.5])
 def test_values_other_than_bits_rejected(value):
-    # an int64 or float block alone, in a batch, and through the codec
+    # an int64 or float block alone, in a batch, and through the codec's
+    # unpacked entry (the codec's own decode takes packed bits)
     coded = np.tile(conv_encode(np.ones(8, np.uint8)), (3, 1)).astype(type(value))
     coded[1, 3] = value
     for decode in (lambda: viterbi_decode(coded[1]), lambda: viterbi_decode_segments(coded, 28),
-                   lambda: CODECS["convolutional"].decode(coded, conv_spec(8), 8)):
+                   lambda: strip_code(coded[1], conv_spec(8), 8)):
         with pytest.raises(ValueError, match="may only contain 0s and 1s"):
             decode()
 

@@ -111,16 +111,19 @@ class TestRoundtrip:
 
     @pytest.mark.parametrize("spec", ALL_SPECS + [conv_spec(16)], ids=lambda s: s.name)
     def test_batch_decode_equals_each_stream(self, spec):
-        # five noisy streams of one length decoded in one call, against
-        # strip_code of each; the counts are summed over the streams
+        # five noisy streams of one length, packed, decoded in one call,
+        # against strip_code of each; the decoded bits come packed, with
+        # their 3 pad bits 0, and the counts are summed over the streams
         rng = np.random.default_rng(12)
         info = rng.integers(0, 2, (5, 301)).astype(np.uint8)
         coded = np.stack([apply_code(row, spec) for row in info])
         coded ^= (rng.random(coded.shape) < 0.03).astype(np.uint8)
         decode = CODECS[spec.name].decode
-        bits, corrected, failed = decode(coded, spec, 301)
-        alone = [decode(row, spec, 301) for row in coded]
-        np.testing.assert_array_equal(bits, [strip_code(row, spec, 301) for row in coded])
+        rows = np.packbits(coded, axis=1)
+        bits, corrected, failed = decode(rows, spec, 301)
+        alone = [decode(row[None], spec, 301) for row in rows]
+        want = np.stack([strip_code(row, spec, 301) for row in coded])
+        np.testing.assert_array_equal(bits, np.packbits(want, axis=1))
         assert (corrected, failed) == (sum(a[1] for a in alone), sum(a[2] for a in alone))
 
 

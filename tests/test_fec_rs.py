@@ -193,13 +193,14 @@ def test_uint8_batch_decode_matches_streams_and_int64_path(p):
                       for _ in range(5)])
     coded ^= (rng.random(coded.shape) < p).astype(np.uint8)
     decode = CODECS["reed_solomon"].decode
-    bits, corrected, failed = decode(coded, spec, info_len)
-    assert bits.dtype == np.uint8 and bits.shape == (5, info_len)
+    rows = np.packbits(coded, axis=1)
+    bits, corrected, failed = decode(rows, spec, info_len)
+    assert bits.dtype == np.uint8 and bits.shape == (5, info_len // 8)
     want_bits, want_corrected, want_failed = _int64_decode(coded, info_len)
-    np.testing.assert_array_equal(bits, want_bits)
+    np.testing.assert_array_equal(bits, np.packbits(want_bits, axis=1))
     assert (corrected, failed) == (want_corrected, want_failed)
-    alone = [decode(stream, spec, info_len) for stream in coded]
-    np.testing.assert_array_equal(bits, np.stack([b for b, _, _ in alone]))
+    alone = [decode(row[None], spec, info_len) for row in rows]
+    np.testing.assert_array_equal(bits, np.concatenate([b for b, _, _ in alone]))
     assert (corrected, failed) == (sum(c for _, c, _ in alone), sum(f for _, _, f in alone))
     if p == 0.05:
         assert corrected > 0 and failed > 0

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from gmsklink import cli, link
+from gmsklink import cli, link, modem
 from gmsklink.channel import ChannelConfig, awgn, substream
 from gmsklink.errors import ConfigError
 from gmsklink.fec import (CODECS, apply_code, block_layout, conv_spec, convolutional,
@@ -302,26 +302,57 @@ class TestRunGrid:
         assert calls == [3 * math.ceil(25_000 / 12), 3 * math.ceil(50_000 / 12)]
 
 
+@pytest.mark.parametrize("cfg", [ModemConfig(), ModemConfig(rx_bt=0.1)],
+                         ids=["tabled", "untabled"])
+def test_each_waveform_block_is_made_once(cfg, monkeypatch):
+    # the engine reads a stream's odd decisions with I and its even ones
+    # with Q, but makes each waveform block of their noiseless statistic
+    # once: a tabled stream its first and last few decisions, an untabled
+    # one each of _noiseless's blocks.  Streams at noise and at a zero
+    # scale, one shorter than a decision's frames, in chunks of 80 normals
+    c = modem.constants(cfg)  # built untraced: the table build makes blocks
+    made = []
+    noiseless = modem._noiseless
+    monkeypatch.setattr(modem, "_noiseless", lambda c, tx, parity, k0, k1: (
+        made.append(k1 - k0) or noiseless(c, tx, parity, k0, k1)))
+    monkeypatch.setattr(link, "_CHUNK_NORMALS", 80)
+    sizes, scales = (3000, 7, 12_001, 2500), (0.7, 0.9, 1.1, 0.0)
+    rng = np.random.default_rng(6)
+    coded = [rng.integers(0, 2, n).astype(np.uint8) for n in sizes]
+    link._decide(coded, scales, cfg, substream(6))
+    want = []
+    for n in sizes:
+        if c.table is not None:
+            lo, hi = modem._inner(c, n)
+            want += [size for size in (lo, n - hi) if size]
+        else:
+            step = modem._PRODUCT_SIZE // c.taps.size
+            want += [min(step, n - b0) for b0 in range(0, n, step)]
+    assert sorted(made) == sorted(want)
+
+
 @pytest.mark.parametrize("grid, stop_rule, bound_mib", [
-    ((0.0,), StopRule(1, 25_000), 2.3),
-    ((0.0, 1.0, 2.0, 3.0), StopRule(1, 25_000), 2.3),
-    (tuple(1.5 * i for i in range(7)), StopRule(1, 25_000), 2.7),
-    ((0.0, 1.5, 3.0), StopRule(10**9, 75_000), 3.2),
+    ((0.0,), StopRule(1, 25_000), 1.6),
+    ((0.0, 1.0, 2.0, 3.0), StopRule(1, 25_000), 1.7),
+    (tuple(1.5 * i for i in range(7)), StopRule(1, 25_000), 2.2),
+    ((0.0, 1.5, 3.0), StopRule(10**9, 75_000), 1.9),
 ], ids=["1-point", "4-points", "sweep-curve", "sweep-dense"])
 def test_one_round_peak_memory(grid, stop_rule, bound_mib):
     # rounds of 25 000 bits (and, at the benchmark's sweep-dense shape, a
     # second of 50 000): no waveform and no buffer of a point's normals is
-    # made.  A point keeps one filtered noise value per odd decision (0.6
-    # MiB over the four codecs in a round of 25 000 bits), the even ones'
-    # sums only from the first undecided decision to the last one the
-    # chunk feeds, one chunk of normals (0.5 MiB) and its filtered frames
-    # (0.25 MiB), and frees them before the next point; every point's
-    # decisions are held packed, 8 to a byte, until each codec decodes
-    # every point's stream of the round in one batch, freeing its streams
-    # once stacked, in 8-step Viterbi stages.  The peak read 1.97 MiB for
-    # one point, 2.10 MiB for four and 2.95 MiB for sweep-dense, in the
-    # last point's decisions, and 2.36 MiB for the seven of sweep-curve, in
-    # its Viterbi decode (2.50 MiB with int16 metrics and two unpacked
+    # made.  Each noise component of a stream keeps float sums only from
+    # its first undecided decision to the last one the chunk feeds, the odd
+    # decisions' while I is read and the even ones' while Q is, beside one
+    # chunk of normals (0.5 MiB) and its filtered frames (0.19 MiB); every
+    # point's decisions and data bits are held packed, 8 to a byte, until
+    # each codec decodes every point's packed streams of the round in one
+    # batch, freeing its streams once stacked, in 8-step Viterbi stages.
+    # The peak read 1.37 MiB for one point, 1.44 MiB for four, in the last
+    # point's decisions, and 1.91 MiB for the seven of sweep-curve and
+    # 1.64 MiB for sweep-dense, in the Viterbi decode.  Each bound fails at
+    # the engine that held a float for every odd decision until its stream's
+    # Q part and decoded unpacked bits: it read 1.97, 2.10, 2.35 and 2.95
+    # MiB (2.50 MiB for seven with int16 Viterbi metrics and two unpacked
     # stages alive at once).  With one noise value per decision and the
     # decisions held a byte each, it read 2.15, 2.69, 4.26 and 3.22 MiB,
     # all in the last point's decisions.  RS decoding in int64 symbols,
@@ -362,11 +393,15 @@ def test_cold_pass_imports_and_peak_memory():
     # the first round of a fresh process, as every ber-sweep run is, at the
     # sweep-curve shape: its first calls build the codecs' tables and the
     # modem's statistic table and import numpy.random, and nothing else of
-    # numpy.  The peak read 3.37 MiB, in the first Viterbi call, with the
-    # block codecs' tables kept at their natural widths (the RS decoding
-    # table 0.19 MiB) and int8 Viterbi metrics (3.52 MiB with int16 ones
-    # and two unpacked stages alive at once); the last point's decisions
-    # read 3.05 MiB (4.04 MiB
+    # numpy.  The peak read 2.93 MiB, in the first Viterbi call, with each
+    # noise component's decisions made as its frames complete and the
+    # round decoded from packed bits; the last point's decisions read 2.32
+    # MiB.  The bound fails at the engine that held a float for every odd
+    # decision until its stream's Q part and decoded unpacked bits: its
+    # first Viterbi call read 3.37 MiB, with the block codecs' tables kept
+    # at their natural widths (the RS decoding table 0.19 MiB) and int8
+    # Viterbi metrics (3.52 MiB with int16 ones and two unpacked stages
+    # alive at once), and its last point's decisions 3.05 MiB (4.04 MiB
     # with one noise value per decision and the decisions held a byte
     # each).  With the RS decoding tables kept as 23 852 15-byte patterns
     # and an index (0.49 MiB), the first Viterbi call read 3.84 MiB.  With
@@ -384,7 +419,7 @@ def test_cold_pass_imports_and_peak_memory():
     numpy_imports = [m for m in result["imported"]
                      if m.split(".")[0] == "numpy" and m.split(".")[:2] != ["numpy", "random"]]
     assert numpy_imports == []
-    assert result["peak"] <= 3.7 * 2**20
+    assert result["peak"] <= 3.2 * 2**20
 
 
 def test_route_sim_peak_memory(tmp_path, capsys):

@@ -14,12 +14,13 @@ gives the same value before the sign (``modem._statistic``):
   noise term ``scale * d_k * N_k``;
 - the engine's hard decisions equal ``demodulate(awgn(modulate(bits)))`` at
   0 dB, over more than a million decisions on the modem config grid;
-- the engine's statistics, made a block at a time as each chunk of normals
-  is filtered, equal bit for bit those made from each stream's normals
-  filtered into one array, with the noiseless part of the whole stream.
+- the engine's statistics, made a block of one noise component's
+  decisions at a time as each chunk of normals is filtered, equal bit for
+  bit those made from each stream's normals filtered into one array, with
+  the noiseless part of the whole stream, and so do its packed decisions.
 
 It also bounds the memory the engine's statistic of a stream takes beside
-the caller's noise array.
+the caller's noise arrays.
 """
 
 import math
@@ -79,7 +80,12 @@ def _filter_noise(noise, z, frame, component, cfg):
 
 
 def _noiseless_statistic(bits, cfg):
-    return StatisticBlocks(bits, cfg).noiseless(bits.size)
+    # the odd decisions' component first, as the engine reads them
+    blocks = StatisticBlocks(bits, cfg)
+    stat = np.empty(bits.size)
+    for first in (1, 0):
+        stat[first::2] = blocks.noiseless(first, stat[first::2].size)
+    return stat
 
 
 @pytest.mark.parametrize("cfg", _GRID, ids=_name)
@@ -169,26 +175,31 @@ def test_noise_term_is_linear(cfg):
             component = int(a >= m)
             _filter_noise(noise, z[a:b], (a - component * m) // sps, component, cfg)
         scale = noise_scale(chan)
-        got = (StatisticBlocks(bits, cfg).statistic(noise, scale)
-               - _noiseless_statistic(bits, cfg))
+        blocks = StatisticBlocks(bits, cfg)
+        for first in (1, 0):
+            noise[first::2] = blocks.statistic(first, noise[first::2].copy(), scale)
+        got = noise - _noiseless_statistic(bits, cfg)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_statistic_peak_memory():
-    # 100 012 decisions added into the caller's noise array block by block:
-    # no statistic, key or symbol array spans the stream.  The peak read
-    # 0.41 MiB (one gather block's keys, read from the data bits, and
-    # values), against 0.44 MiB with the symbols and parity each block
-    # precoded, 0.60 MiB with the stream's symbols and parity and 1.91 MiB
-    # with whole-stream arrays.
+    # 100 012 decisions, the odd ones and then the even ones, added into
+    # the caller's noise arrays block by block: no statistic, key or symbol
+    # array spans the stream.  The peak read 0.41 MiB (one gather block's
+    # keys, read from the data bits, and values).  With both components in
+    # one array it read 0.41 MiB, against 0.44 MiB with the symbols and
+    # parity each block precoded, 0.60 MiB with the stream's symbols and
+    # parity and 1.91 MiB with whole-stream arrays.
     cfg = ModemConfig()
     rng = np.random.default_rng(4)
     bits = rng.integers(0, 2, 100_012).astype(np.uint8)
-    noise = rng.standard_normal(bits.size)
+    noise = [rng.standard_normal(bits.size // 2) for _ in range(2)]
     _noiseless_statistic(bits[:100], cfg)  # build the constants untraced
     tracemalloc.start()
     try:
-        StatisticBlocks(bits, cfg).statistic(noise, 0.5)
+        blocks = StatisticBlocks(bits, cfg)
+        for first in (1, 0):
+            blocks.statistic(first, noise[first], 0.5)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -282,6 +293,31 @@ def _oracle(coded, scales, cfg, seed):
             for bits, acc, scale in zip(coded, noise, scales)]
 
 
+def _engine(coded, scales, cfg, rng, monkeypatch):
+    """``link._decide``'s packed decisions, and each stream's statistic
+    assembled from the blocks it packed, each decision's once."""
+    blocks = []
+    pack = link._pack
+    monkeypatch.setattr(link, "_pack", lambda packed, k, first, stat: (
+        blocks.append((packed, k + first, stat.copy())), pack(packed, k, first, stat)))
+    decided = link._decide(coded, scales, cfg, rng)
+    stats = [np.zeros(bits.size) for bits in coded]
+    times = [np.zeros(bits.size, dtype=int) for bits in coded]
+    for packed, k, stat in blocks:
+        i = next(i for i, out in enumerate(decided) if out is packed)
+        stats[i][k:k + 2 * stat.size:2] = stat
+        times[i][k:k + 2 * stat.size:2] += 1
+    for i, count in enumerate(times):
+        assert (count == 1).all(), f"stream {i}: a decision packed {count.max()} times"
+    return decided, stats
+
+
+def _assert_decisions(decided, want, coded):
+    for i, (packed, bits, stat) in enumerate(zip(decided, coded, want)):
+        assert packed.size == -(-bits.size // 8)
+        np.testing.assert_array_equal(packed, np.packbits(stat < 0), err_msg=f"stream {i}")
+
+
 @pytest.mark.parametrize("chunk, sizes", [
     # a round's streams at the shipped chunk size
     (link._CHUNK_NORMALS, (25_000, 50_000, 34_140, 50_012)),
@@ -293,35 +329,35 @@ def _oracle(coded, scales, cfg, seed):
 ], ids=["chunk64Ki", "chunk80"])
 @pytest.mark.parametrize("cfg", _PINNED, ids=_name)
 def test_engine_statistics_are_the_whole_stream_statistics(cfg, chunk, sizes, monkeypatch):
-    # the third stream is at a zero noise scale
+    # the engine decides each noise component's decisions a block at a
+    # time as its frames complete; its packed decisions are exactly the
+    # signs of the whole-stream statistics, and the statistics it took
+    # them from are those statistics bit for bit.  The third stream is at
+    # a zero noise scale
     monkeypatch.setattr(link, "_CHUNK_NORMALS", chunk)
     rng = np.random.default_rng(cfg.samples_per_symbol + chunk)
     coded = [rng.integers(0, 2, n).astype(np.uint8) for n in sizes]
     scales = [0.6, 0.9, 0.0, 1.3, 0.45, 0.8][:len(coded)]
     want = _oracle(coded, scales, cfg, seed=5)
-    got = [[] for _ in coded]
-    for i, stat in link._statistics(coded, scales, cfg, substream(5)):
-        got[i].append(stat.copy())
-    for i, (bits, stat) in enumerate(zip(coded, want)):
-        engine = np.concatenate(got[i])
-        assert engine.size == bits.size
-        np.testing.assert_array_equal(engine.view(np.uint64), stat.view(np.uint64),
+    decided, stats = _engine(coded, scales, cfg, substream(5), monkeypatch)
+    _assert_decisions(decided, want, coded)
+    for i, (got, stat) in enumerate(zip(stats, want)):
+        np.testing.assert_array_equal(got.view(np.uint64), stat.view(np.uint64),
                                       err_msg=f"stream {i}")
-    for i, packed in enumerate(link._decide(coded, scales, cfg, substream(5))):
-        hard = np.unpackbits(packed, count=coded[i].size)
-        np.testing.assert_array_equal(hard, want[i] < 0, err_msg=f"stream {i}")
 
 
 def test_engine_without_noise_draws_none(monkeypatch):
     # every stream at a zero noise scale: their statistics are the
-    # noiseless ones, and no normal is drawn
+    # noiseless ones, their decisions those statistics' signs, and no
+    # normal is drawn
     class NoDraws:
         def standard_normal(self, *args, **kwargs):
             raise AssertionError("a normal was drawn")
 
     cfg = ModemConfig()
     coded = [np.random.default_rng(n).integers(0, 2, n).astype(np.uint8) for n in (17, 900)]
-    got = dict(link._statistics(coded, [0.0, 0.0], cfg, NoDraws()))
-    for i, bits in enumerate(coded):
-        np.testing.assert_array_equal(got[i].view(np.uint64),
-                                      _whole_stream_statistic(bits, cfg).view(np.uint64))
+    want = [_whole_stream_statistic(bits, cfg) for bits in coded]
+    decided, stats = _engine(coded, [0.0, 0.0], cfg, NoDraws(), monkeypatch)
+    _assert_decisions(decided, want, coded)
+    for got, stat in zip(stats, want):
+        np.testing.assert_array_equal(got.view(np.uint64), stat.view(np.uint64))

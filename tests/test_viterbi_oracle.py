@@ -138,7 +138,8 @@ def test_short_last_segment_in_the_batch(short):
                            reference_viterbi_decode_batch(received[None, 3 * spec.n:])[0]])
     np.testing.assert_array_equal(viterbi_decode_segments(received, spec.n), want)
     np.testing.assert_array_equal(strip_code(received, spec, info.size), want)
-    assert CODECS["convolutional"].decode(received, spec, info.size)[0].size == info.size
+    bits, _, _ = CODECS["convolutional"].decode(np.packbits(received)[None], spec, info.size)
+    np.testing.assert_array_equal(bits, np.packbits(want)[None])
 
 
 def test_short_segment_alone():
@@ -203,12 +204,18 @@ def test_long_worst_case_segments_match_reference(steps):
     np.testing.assert_array_equal(viterbi_decode_segments(received, received.shape[1]), want)
 
 
+def _pairs(blocks):
+    # the received pairs of (B, L) terminated blocks, read as the codec
+    # reads them, from packed bits
+    return _received_pairs(np.packbits(blocks, axis=1), blocks.shape[1], blocks.shape[1])
+
+
 @pytest.mark.parametrize("p", [0.0, 0.3])
 def test_one_row_batch_matches_reference(p):
     rng = np.random.default_rng(int(p * 10) + 3)
     for steps in (7, 8, 15, 518):
         received = _noisy_blocks(rng, 1, steps - (CONSTRAINT_LENGTH - 1), p)
-        np.testing.assert_array_equal(_decode(_received_pairs(received, received.shape[1])),
+        np.testing.assert_array_equal(_decode(_pairs(received)),
                                       reference_viterbi_decode_batch(received))
 
 
@@ -226,7 +233,7 @@ def test_restarts_at_every_offset_of_a_stage(p):
     want = []
     for row, t in zip(pairs, restart):
         block = _noisy_blocks(rng, 1, steps - t - (CONSTRAINT_LENGTH - 1), p)
-        row[t:] = _received_pairs(block, block.shape[1])[0]
+        row[t:] = _pairs(block)[0]
         want.append(reference_viterbi_decode_batch(block)[0])
     got = _decode(np.ascontiguousarray(pairs.T).T, restart)
     for bits, t, expected in zip(got, restart, want):
