@@ -91,9 +91,12 @@ _HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 _HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED
 _POOL_WORDS = 4
-# Philox4x64-10: round multipliers and key bumps
-_PHILOX_M0, _PHILOX_M1 = 0xD2E7470EE14C6C93, 0xCA5A826395121157
-_PHILOX_W0, _PHILOX_W1 = 0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B
+# Philox4x64-10: round multipliers, each as (word, low half, high half),
+# and key bumps
+_PHILOX_M = tuple(tuple(np.uint64(w) for w in (m, m & _MASK32, m >> 32))
+                  for m in (0xD2E7470EE14C6C93, 0xCA5A826395121157))
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_LO32, _SHIFT32, _SHIFT11 = np.uint64(_MASK32), np.uint64(32), np.uint64(11)
 
 
 def substream(*entropy) -> np.random.Generator:
@@ -127,7 +130,7 @@ def _philox_keys(values: np.ndarray) -> tuple:
     rows of one table can hash different numbers of words.
     """
     rows, k = values.shape
-    low, high = values & np.uint64(_MASK32), values >> np.uint64(32)
+    low, high = values & _LO32, values >> _SHIFT32
     words = np.zeros((rows, max(2 * k, _POOL_WORDS)), dtype=np.uint32)
     n_words = np.zeros(rows, dtype=np.intp)
     every = np.arange(rows)
@@ -159,60 +162,88 @@ def _philox_keys(values: np.ndarray) -> tuple:
     for word in pool:
         word, const = _hashmix(word, const, _HASH_MULT_B)
         state.append(word.astype(np.uint64))
-    return state[0] | state[1] << np.uint64(32), state[2] | state[3] << np.uint64(32)
+    return state[0] | state[1] << _SHIFT32, state[2] | state[3] << _SHIFT32
 
 
-def _mulhilo(a: int, b: np.ndarray) -> tuple:
-    """The high and low 64-bit words of the 128-bit product ``a * b``."""
-    a_lo, a_hi = np.uint64(a & _MASK32), np.uint64(a >> 32)
-    b_lo, b_hi = b & np.uint64(_MASK32), b >> np.uint64(32)
-    low = b_lo * a_lo
-    mid1 = b_lo * a_hi + (low >> np.uint64(32))
-    mid2 = b_hi * a_lo + (mid1 & np.uint64(_MASK32))
-    high = b_hi * a_hi + (mid1 >> np.uint64(32)) + (mid2 >> np.uint64(32))
-    return high, b * np.uint64(a)
+def _mulhi(a_lo, a_hi, b: np.ndarray, out: np.ndarray, t1: np.ndarray,
+           t2: np.ndarray) -> None:
+    """Write to ``out`` the high 64-bit word of the 128-bit product
+    ``a * b``, the constant ``a`` given as its 32-bit halves; ``t1`` and
+    ``t2`` are scratch buffers of ``b``'s shape."""
+    np.bitwise_and(b, _LO32, out=t1)
+    np.multiply(t1, a_lo, out=out)
+    out >>= _SHIFT32
+    t1 *= a_hi
+    t1 += out  # the middle product b_lo a_hi with the low product's carry
+    np.bitwise_and(t1, _LO32, out=out)
+    t1 >>= _SHIFT32
+    np.right_shift(b, _SHIFT32, out=t2)
+    t2 *= a_lo
+    out += t2
+    out >>= _SHIFT32
+    t1 += out  # the carries of both middle products
+    np.right_shift(b, _SHIFT32, out=out)
+    out *= a_hi
+    out += t1
 
 
-def substream_random(entropy, count: int) -> np.ndarray:
-    """``(len(entropy), count)`` doubles whose row ``r`` is
-    ``substream(*entropy[r]).random(count)``, bit for bit.
+def substream_random(keys: np.ndarray, count: int) -> np.ndarray:
+    """``(len(keys), count)`` doubles whose row ``r`` is
+    ``substream(*keys[r]).random(count)``, bit for bit.
 
-    ``entropy`` is a sequence of equal-length tuples of integers, each taken
-    modulo 2**64 as :func:`substream` takes it.  Every row is computed in one
-    array pass: numpy's ``SeedSequence`` hash of the row's 32-bit words
-    gives the two Philox4x64-10 key words, the key encrypts the counters
-    1, 2, ... (numpy's generator steps its zero counter before its first
-    block), and each 64-bit output ``x`` in order reads as
-    ``(x >> 11) * 2**-53``.  Philox is counter-based, so no row waits on
-    another (Salmon et al., "Parallel Random Numbers: As Easy as 1, 2, 3",
-    SC'11).  The outputs are shifted in the one buffer that holds them,
-    and their doubles are scaled in the one array returned.
+    ``keys`` is a ``(rows, k)`` ``uint64`` array, a stream's entropy values
+    a row, already taken modulo 2**64 as :func:`substream` takes them.
+    Every row is computed in one array pass: numpy's ``SeedSequence`` hash
+    of the row's 32-bit words gives the two Philox4x64-10 key words, the key
+    encrypts the counters 1, 2, ... (numpy's generator steps its zero
+    counter before its first block), and each 64-bit output ``x`` in order
+    reads as ``(x >> 11) * 2**-53``.  Philox is counter-based, so no row
+    waits on another (Salmon et al., "Parallel Random Numbers: As Easy as
+    1, 2, 3", SC'11).  The rounds run in place on preallocated buffers, and
+    each output word is shifted in its buffer and scaled into the one
+    array returned.
     """
-    values = np.array([[int(e) & _MASK64 for e in row] for row in entropy],
-                      dtype=np.uint64)
-    blocks = -(-count // 4)
-    words = _philox_words(*_philox_keys(values), blocks)
-    words >>= np.uint64(11)
-    out = words.reshape(len(values), 4 * blocks)[:, :count].astype(np.float64)
-    out *= 2.0**-53
-    return out
+    rows, blocks = len(keys), -(-count // 4)
+    words = _philox_words(*_philox_keys(keys), blocks)
+    out = np.empty((rows, blocks, 4))
+    for j, word in enumerate(words):
+        word >>= _SHIFT11
+        np.multiply(word, 2.0**-53, out=out[:, :, j])
+    return out.reshape(rows, 4 * blocks)[:, :count]
 
 
-def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> np.ndarray:
-    """``(keys, blocks, 4)``: the 64-bit outputs of Philox4x64-10 under each
-    key ``(key0[r], key1[r])`` for the counters 1 to ``blocks``; the round
-    temporaries are freed on return."""
-    key0, key1 = key0[:, None], key1[:, None]
-    zero = np.zeros((1, blocks), dtype=np.uint64)
-    ctr = [np.arange(1, blocks + 1, dtype=np.uint64)[None, :], zero, zero, zero]
+def _philox_words(key0: np.ndarray, key1: np.ndarray, blocks: int) -> list:
+    """The four ``(keys, blocks)`` arrays of 64-bit words that Philox4x64-10
+    outputs under each key ``(key0[r], key1[r])`` for the counters 1 to
+    ``blocks``, word ``j`` of every block in array ``j``.
+
+    Each round writes its four words over spent buffers: two high products
+    go to the spare buffer and to the first word's, the low products to the
+    second and fourth words' once those are read, and the third word's
+    buffer becomes the next round's spare.
+    """
+    rows = len(key0)
+    (m0, m0_lo, m0_hi), (m1, m1_lo, m1_hi) = _PHILOX_M
+    key0, key1 = key0[:, None].copy(), key1[:, None].copy()
+    c0, c1, c2, c3, spare, t1, t2 = (np.empty((rows, blocks), dtype=np.uint64)
+                                     for _ in range(7))
+    c0[:] = np.arange(1, blocks + 1, dtype=np.uint64)
+    for word in (c1, c2, c3):
+        word.fill(0)
     for round_index in range(10):
         if round_index:  # the key is bumped before every round but the first
-            key0 = key0 + np.uint64(_PHILOX_W0)
-            key1 = key1 + np.uint64(_PHILOX_W1)
-        hi0, lo0 = _mulhilo(_PHILOX_M0, ctr[0])
-        hi1, lo1 = _mulhilo(_PHILOX_M1, ctr[2])
-        ctr = [hi1 ^ ctr[1] ^ key0, lo1, hi0 ^ ctr[3] ^ key1, lo0]
-    return np.stack(ctr, axis=-1)
+            key0 += _PHILOX_W0
+            key1 += _PHILOX_W1
+        _mulhi(m0_lo, m0_hi, c0, spare, t1, t2)
+        spare ^= c3
+        spare ^= key1
+        np.multiply(c0, m0, out=c3)
+        _mulhi(m1_lo, m1_hi, c2, c0, t1, t2)
+        c0 ^= c1
+        c0 ^= key0
+        np.multiply(c2, m1, out=c1)
+        c2, spare = spare, c2
+    return [c0, c1, c2, c3]
 
 
 def noise_variance(config: ChannelConfig) -> float:

@@ -24,11 +24,13 @@ draws.
 
 The geometry trials of a slice are routed together on its ``(trials,
 nodes)`` coordinate arrays (:func:`_route_slice`): each array step moves
-every unfinished trial one greedy hop.  ``np.hypot`` may differ from
-``math.hypot`` by an ulp, so a trial that compares two distances within a
-relative 1e-12 of each other is routed again, exactly, by the greedy
-function :func:`build_route` calls; every hop distance is ``math.hypot``'s,
-so the routes are those of the per-trial router, byte for byte.
+every unfinished trial one greedy hop, ranking the squared distances
+``dx*dx + dy*dy``.  Those order two distances as ``math.hypot`` does except
+within a few ulps, so a trial that compares two squares within a relative
+2e-12 of each other, or whose squares could overflow or lose precision to
+underflow, is routed again, exactly, by the greedy function
+:func:`build_route` calls; every hop distance is ``math.hypot``'s, so the
+routes are those of the per-trial router, byte for byte.
 
 Every route of an ensemble is priced in one array pass: the powers sit in a
 ``(routes, widest route)`` table padded with zeros, every hop shares one
@@ -59,9 +61,16 @@ _TRIAL_TAG = 0x7472
 # trials whose streams are computed in one array pass, which bounds its memory
 _DRAW_ROWS = 1024
 # relative gap within which two distances a geometry route compares could
-# order one way under np.hypot and the other under math.hypot (they differ by
-# at most 1 ulp, 2.2e-16 relative), so the route is made by _trial_route
+# order one way by their squares and the other under math.hypot, so the
+# route is made by _trial_route; on squares the gap is twice this.  A square
+# dx*dx + dy*dy is within 2.3e-16 of d**2 relative, math.hypot within 1 ulp
+# of d, so the guard is some 2000 times what the two can differ by
 _TIE_GUARD = 1e-12
+# squares are ranked only between these: below _SQ_LO (2**53 times the
+# smallest normal double) a nonzero square may have lost its precision to
+# underflow, and a row whose squares from its first node stay below _SQ_HI
+# has every pairwise square below 4 * _SQ_HI, which is finite
+_SQ_LO, _SQ_HI = 2.0**-969, 2.0**1020
 
 
 @dataclass(frozen=True)
@@ -362,28 +371,49 @@ def _trial_route(xs, ys, max_hop_m: float):
     return dists if path[-1] == sink else None
 
 
+def _squares(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``dx*dx + dy*dy``, written over ``dx``; ``dy`` is spent."""
+    np.multiply(dx, dx, out=dx)
+    dx += np.multiply(dy, dy, out=dy)
+    return dx
+
+
+# the squares of rows that are routed exactly may overflow, and their gaps
+# subtract infinities
+@np.errstate(over="ignore", invalid="ignore")
 def _route_slice(xs: np.ndarray, ys: np.ndarray, max_hop_m: float) -> list:
     """:func:`_trial_route` of every row of the ``(rows, nodes)`` coordinate
     arrays, routing all rows together.
 
     Each step advances every unfinished row: the candidates are the in-range
     nodes strictly closer to the sink, and the next node is the first of
-    them closest to it.  ``np.hypot`` and ``math.hypot`` differ by up to
-    1 ulp, so a row that compares two distances within a relative
-    ``_TIE_GUARD`` of each other (the two farthest nodes, two distances to
-    the sink, or a hop and ``max_hop_m``) is routed by :func:`_trial_route`
-    instead.  Every other row takes the path ``_greedy`` would, and its hop
-    distances are ``math.hypot``'s along that path.
+    them closest to it.  Distances are ranked, and held against the reach,
+    by their squares ``dx*dx + dy*dy``, which can order two distances
+    unlike ``math.hypot`` only when they are a few ulps apart.  So a row
+    that compares two squares within a relative ``2 * _TIE_GUARD`` of each
+    other (the two farthest nodes, two squares to the sink, or a hop's and
+    ``max_hop_m``'s) is routed by :func:`_trial_route` instead.  So is a row
+    whose squares could overflow (its farthest square from node 0 is above
+    ``_SQ_HI``) or underflow (a square to the sink other than the sink's
+    own, or the farthest from node 0, is below ``_SQ_LO``), and so is every
+    row when ``max_hop_m**2`` is below ``_SQ_LO``.  Every other row takes the
+    path ``_greedy`` would, and its hop distances are ``math.hypot``'s along
+    that path.
     """
+    reach = max_hop_m * max_hop_m
+    if reach < _SQ_LO:
+        return [_trial_route(x, y, max_hop_m) for x, y in zip(xs.tolist(), ys.tolist())]
     rows = len(xs)
-    tie = _TIE_GUARD
+    tie = 2.0 * _TIE_GUARD
     every = np.arange(rows)
-    from0 = np.hypot(xs[:, 1:] - xs[:, :1], ys[:, 1:] - ys[:, :1])
+    from0 = _squares(xs[:, 1:] - xs[:, :1], ys[:, 1:] - ys[:, :1])
     sink = np.argmax(from0, axis=1) + 1
-    far = from0.max(axis=1, keepdims=True)
-    exact = np.count_nonzero(from0 >= far * (1.0 - tie), axis=1) > 1
+    far = from0[every, sink - 1]
+    exact = np.count_nonzero(from0 >= (far * (1.0 - tie))[:, None], axis=1) > 1
+    exact |= (far < _SQ_LO) | (far > _SQ_HI)
     del from0, far
-    to_sink = np.hypot(xs - xs[every, sink, None], ys - ys[every, sink, None])
+    to_sink = _squares(xs - xs[every, sink, None], ys - ys[every, sink, None])
+    exact |= np.count_nonzero(to_sink < _SQ_LO, axis=1) > 1
     routes = [[] for _ in range(rows)]
     here = np.zeros(rows, dtype=np.intp)
     stuck = np.zeros(rows, dtype=bool)
@@ -392,22 +422,29 @@ def _route_slice(xs: np.ndarray, ys: np.ndarray, max_hop_m: float) -> list:
     # arrays of one size are reused by the allocator, where arrays shrinking
     # with the unfinished rows fragment the heap and raise the peak RSS
     while not done.all():
-        t = to_sink.copy()
-        t_here = t[every, here][:, None]
-        gap = t - t_here
+        t_here = to_sink[every, here][:, None]
+        # a row left unguarded has every square below 4 * _SQ_HI, so an
+        # infinite square of the reach puts all its nodes in reach
+        if reach < math.inf:
+            t = np.subtract(ys[every, here, None], ys)
+            hop = _squares(np.subtract(xs[every, here, None], xs), t)
+            beyond = hop > reach
+            gap = np.abs(np.subtract(hop, reach, out=hop), out=hop)
+            unsure = (gap <= tie * reach).any(axis=1)
+            # the reach is tested first, so its two spent arrays take the
+            # copy of to_sink and the gaps
+            np.copyto(t, to_sink)
+            del hop
+        else:
+            t, gap, beyond, unsure = to_sink.copy(), None, False, False
+        gap = np.subtract(t, t_here, out=gap)
         # more than one: the current node's own gap is 0
-        unsure = np.count_nonzero(np.abs(gap, out=gap) <= tie * t_here, axis=1) > 1
-        # t becomes the distances to the sink of the candidates, inf elsewhere
-        t[t >= t_here] = np.inf
-        if max_hop_m < math.inf:
-            # the gaps are spent, so their array takes the y offsets
-            dx = np.subtract(xs[every, here, None], xs)
-            hop = np.hypot(dx, np.subtract(ys[every, here, None], ys, out=gap), out=dx)
-            t[hop > max_hop_m] = np.inf
-            gap = np.abs(np.subtract(hop, max_hop_m, out=hop), out=hop)
-            unsure |= (gap <= tie * max_hop_m).any(axis=1)
+        unsure |= np.count_nonzero(np.abs(gap, out=gap) <= tie * t_here, axis=1) > 1
+        # t becomes the squares to the sink of the candidates, inf elsewhere
+        t[(t >= t_here) | beyond] = np.inf
         step = np.argmin(t, axis=1)
         moved = t[every, step] < np.inf
+        del t, gap  # before the next step makes its arrays
         unsure &= ~done
         exact |= unsure
         sure = ~(done | unsure)
@@ -429,15 +466,27 @@ def _route_slice(xs: np.ndarray, ys: np.ndarray, max_hop_m: float) -> list:
 
 def _draw_slice(ens: EnsembleSpec, rows: range, k_exp: float) -> tuple:
     """``(kept, table, n_hops)``: the trials of ``rows`` that build a route
-    and their :func:`_hop_table`, their streams computed in one array pass."""
+    and their :func:`_hop_table`, their streams computed in one array pass
+    from a ``uint64`` key array, a trial a row."""
+    trial = np.arange(rows.start, rows.stop, dtype=np.uint64)
+    seed = np.uint64(ens.seed % 2**64)
     if ens.mode == "replication":
+        keys = np.empty((len(trial), 3), dtype=np.uint64)
+        keys[:, 0], keys[:, 1], keys[:, 2] = seed, _TRIAL_TAG, trial
+        d = substream_random(keys, ens.n_relays + 1)
+        # the bytes of Generator.uniform(lo, hi): lo + (hi - lo) * u, so
+        # every hop is at least lo, which is positive
         lo, hi = ens.hop_range
-        u = substream_random([(ens.seed, _TRIAL_TAG, t) for t in rows],
-                             ens.n_relays + 1)
-        # the bytes of Generator.uniform(lo, hi): lo + (hi - lo) * u
-        return (rows, *_hop_table((lo + (hi - lo) * u).tolist(), k_exp))
+        d *= hi - lo
+        d += lo
+        table = np.array([x**k_exp for x in d.ravel().tolist()]).reshape(d.shape)
+        return rows, table, np.full(len(trial), d.shape[1], dtype=np.intp)
     n = ens.n_nodes
-    u = substream_random([(ens.seed + t, _DEPLOY_TAG) for t in rows], 2 * n)
+    keys = np.empty((len(trial), 2), dtype=np.uint64)
+    # seed + t wraps modulo 2**64, as substream takes it
+    np.add(trial, seed, out=keys[:, 0])
+    keys[:, 1] = _DEPLOY_TAG
+    u = substream_random(keys, 2 * n)
     # the coordinates, scaled in place to the bytes of
     # Generator.uniform(0.0, extent)
     u[:, :n] *= ens.field_width

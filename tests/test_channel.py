@@ -1,5 +1,7 @@
 """Tests for AWGN calibration and the path-gain model."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -156,8 +158,14 @@ def test_substream_reproducible_and_independent():
     assert not np.array_equal(a, c)
 
 
+def _keys(entropy) -> np.ndarray:
+    """The ``uint64`` key array of equal-length entropy tuples, each value
+    taken modulo 2**64."""
+    return np.array([[e % 2**64 for e in row] for row in entropy], dtype=np.uint64)
+
+
 def _assert_rows_are_substreams(entropy, count):
-    rows = substream_random(entropy, count)
+    rows = substream_random(_keys(entropy), count)
     assert rows.shape == (len(entropy), count) and rows.dtype == np.float64
     for row, e in zip(rows, entropy):
         assert row.tobytes() == substream(*e).random(count).tobytes()
@@ -187,7 +195,7 @@ class TestSubstreamRandom:
     def test_seed_plus_trial_wraps_past_two_to_the_64(self):
         entropy = [(2**64 - 3 + t, 0x6465) for t in range(6)]
         rows = _assert_rows_are_substreams(entropy, 40)
-        assert np.array_equal(rows[3], substream_random([(0, 0x6465)], 40)[0])
+        assert np.array_equal(rows[3], substream_random(_keys([(0, 0x6465)]), 40)[0])
 
     @pytest.mark.parametrize("n_relays", [0, 2])
     def test_counts_not_a_multiple_of_four(self, n_relays):
@@ -204,3 +212,18 @@ class TestSubstreamRandom:
     @settings(max_examples=60, deadline=None)
     def test_random_tuples(self, entropy, count):
         _assert_rows_are_substreams(entropy, count)
+
+    def test_peak_memory(self):
+        # a geometry slice: 1024 deployments of 20 nodes, 40 doubles each.
+        # The ten Philox rounds run in seven preallocated (rows, blocks)
+        # buffers; the peak read 0.69 MiB, and 1.23 MiB with each round's
+        # products in new arrays
+        keys = _keys([(7 + t, 0x6465) for t in range(1024)])
+        substream_random(keys, 40)  # first calls untraced
+        tracemalloc.start()
+        try:
+            substream_random(keys, 40)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 0.75 * 2**20

@@ -118,6 +118,9 @@ _EDGE_CASES = [
     ("route-sim", "route.hop_min_m = 100"),
     ("route-sim", "route.hop_max_m = 1e90"),
     ("route-sim", "route.max_hop_m = 1e300"),
+    # node positions whose squared distances are subnormal, or 0
+    ("route-sim", "route.field_m = 1e-160"),
+    ("route-sim", "route.field_m = 5e-324"),
     # every hop's energy is finite, but a route of 10 001 of them overflows
     ("route-sim", "energy.alpha = 1e-307\nroute.n_relays = 10000"),
     # route.n_nodes - 1 such hops would overflow, but the drawn routes are
