@@ -6,16 +6,19 @@ Subcommands: ``ber-sweep`` (BER curves per codec), ``energy-distance``
 (pass/fail codec verification).  Exit codes: 0 success, 1 usage or
 configuration error, 2 runtime failure.  Diagnostics go to stderr; stdout
 and output files carry data only.  Every output is reproducible
-byte-for-byte from (config, seed): files are fully computed first, then
-written through an atomic rename.
+byte-for-byte from (config, seed).  A command writes its files into a stage
+directory inside the output directory, and they are renamed into place only
+when it succeeds, so a command that fails leaves none of them.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import errno
 import itertools
 import os
+import shutil
 import sys
 import tempfile
 
@@ -57,26 +60,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(_EXIT_USAGE)
 
 
-def _umask() -> int:
-    # the umask can only be read by setting it, so put it back at once
-    mask = os.umask(0o077)
-    os.umask(mask)
-    return mask
-
-
 def _write_atomic(path: str, text: str):
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-gmsklink-")
-    try:
-        with os.fdopen(fd, "w") as fh:
-            fh.write(text)
-        # mkstemp creates the file 0600; give it the mode open() would
-        os.chmod(tmp, 0o666 & ~_umask())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    """Write one output file into its command's stage; ``main`` renames it
+    into the output directory only when the command succeeds.  The
+    benchmark's tracer wraps this binding by name."""
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _variants(selection: str):
@@ -88,7 +77,7 @@ def _variants(selection: str):
 # ---------------------------------------------------------------- ber-sweep
 
 
-def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
+def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> None:
     codecs = cfg["run.codecs"]
     if quick:
         grid = [0.0, 3.0, 6.0]
@@ -122,13 +111,12 @@ def cmd_ber_sweep(cfg, out_dir: str, quick: bool) -> int:
 
     for fname, text in outputs.items():
         _write_atomic(os.path.join(out_dir, fname), text)
-    return _EXIT_OK
 
 
 # ----------------------------------------------------------- energy-distance
 
 
-def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
+def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> None:
     model = cfg.energy_model()
     spec = golay_spec(cfg["codec.g_code_db"])
     grid = cfg.distance_grid(5.0 if quick else 0.0)
@@ -165,7 +153,6 @@ def cmd_energy_distance(cfg, out_dir: str, quick: bool) -> int:
     for variant, d in crossovers.items():
         print(f"crossover [{variant.value}]: {d if d is not None else 'none'} m",
               file=sys.stderr)
-    return _EXIT_OK
 
 
 def _crossover(model, spec, variant):
@@ -195,7 +182,7 @@ def _sensitivity(cfg):
 # ----------------------------------------------------------------- route-sim
 
 
-def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int:
+def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> None:
     """Draw every ensemble, then price and write one ``(mode, variant)``
     file at a time.
 
@@ -235,7 +222,6 @@ def cmd_route_sim(cfg, out_dir: str, quick: bool, variant_selection: str) -> int
             print(f"{mode}/{variant.value}: mean savings {stats.mean:+.4f} "
                   f"over {stats.n_trials} trials, {trials - stats.n_trials} "
                   f"skipped", file=sys.stderr)
-    return _EXIT_OK
 
 
 def _uncoded_text(stats) -> tuple:
@@ -377,16 +363,29 @@ def main(argv=None) -> int:
             except OSError as exc:
                 raise ConfigError(f"cannot make output directory {out_dir}: "
                                   f"{exc}") from exc
-            if args.command == "ber-sweep":
-                return cmd_ber_sweep(cfg, out_dir, args.quick)
-            if args.command == "energy-distance":
-                return cmd_energy_distance(cfg, out_dir, args.quick)
-            if args.command == "route-sim":
-                return cmd_route_sim(cfg, out_dir, args.quick, cfg["run.variant"])
-            parser.error(f"unknown command {args.command!r}")
+            stage = tempfile.mkdtemp(dir=out_dir, prefix=".stage-gmsklink-")
+            try:
+                if args.command == "ber-sweep":
+                    cmd_ber_sweep(cfg, stage, args.quick)
+                elif args.command == "energy-distance":
+                    cmd_energy_distance(cfg, stage, args.quick)
+                else:
+                    cmd_route_sim(cfg, stage, args.quick, cfg["run.variant"])
+                names = sorted(os.listdir(stage))
+                # an output name held by a directory would fail its rename
+                # after the earlier ones: fail before any
+                for name in names:
+                    target = os.path.join(out_dir, name)
+                    if os.path.isdir(target):
+                        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR),
+                                                target)
+                for name in names:
+                    os.replace(os.path.join(stage, name), os.path.join(out_dir, name))
+            finally:
+                shutil.rmtree(stage, ignore_errors=True)
         except BaseException:
-            # a command that fails before writing a file leaves no
-            # directory it made: rmdir removes only an empty one
+            # a failed command leaves no directory it made: its stage is
+            # gone, and rmdir removes only an empty one
             for path in made:
                 try:
                     os.rmdir(path)

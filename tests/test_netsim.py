@@ -607,6 +607,34 @@ class TestRouteSlice:
             [expected])
         assert len(calls) == 1
 
+    def test_overflowing_squares_take_the_exact_path(self, monkeypatch):
+        # the sink is out of reach of the source, but the squares of the hop
+        # and of the reach both overflow, so by squares alone the source
+        # would hop straight to the sink: the check on the farthest square
+        # from node 0 sends the row to the exact path
+        xs, ys, max_hop_m = [0.0, 1.5e154], [0.0, 0.0], 1.4e154
+        assert xs[1] * xs[1] == max_hop_m * max_hop_m == math.inf
+        calls = _count_greedy(monkeypatch)
+        assert _route_slice(np.array([xs]), np.array([ys]), max_hop_m) == [None]
+        assert len(calls) == 1
+
+    def test_subnormal_squares_to_the_sink_take_the_exact_path(self, monkeypatch):
+        # relays b (node 2) and a (node 3) about 7e-157 m from the sink at
+        # the origin, a the nearer, whose subnormal squares to the sink
+        # order b first, one quantum apart.  No other pair of squares is
+        # within the tie guard, so by squares alone the route would go by
+        # b: the count of squares to the sink below _SQ_LO sends the row to
+        # the exact path
+        a, bx, by = 6.993747131443905e-157, 6.255397601339906e-157, 3.1276988006966095e-157
+        assert math.hypot(bx, by) > a and bx * bx + by * by < a * a
+        xs, ys, max_hop_m = [1e-145, 0.0, bx, a], [0.0, 0.0, by, 0.0], 1e-145 * (1 - 2.5e-12)
+        expected = _trial_route(xs, ys, max_hop_m)
+        assert expected[-1] == a
+        calls = _count_greedy(monkeypatch)
+        got = _route_slice(np.array([xs]), np.array([ys]), max_hop_m)
+        assert repr(got) == repr([expected])
+        assert len(calls) == 1
+
     @pytest.mark.parametrize("scale", [1e160, 1e-160, 5e-324])
     def test_squares_out_of_range_take_the_exact_path(self, monkeypatch, scale):
         # at 1e160 the squares overflow, at 1e-160 they are subnormal and at

@@ -366,6 +366,37 @@ class TestCliBasics:
         assert cli.main(["energy-distance", "--quick", "--out", str(tmp_path)]) == 2
         assert capsys.readouterr().err.startswith("gmsklink: runtime failure: ")
 
+    def test_failed_command_leaves_none_of_its_files(self, tmp_path, capsys, monkeypatch):
+        # route-sim writes four files; the third write fails after two are
+        # written, and the output directory is left as it was
+        (tmp_path / "energy_distance.csv").write_text("kept\n")
+        (tmp_path / "route_geometry_literal.csv").write_text("old\n")
+        written = []
+
+        def third_fails(path, text):
+            written.append(path)
+            if len(written) == 3:
+                raise OSError(28, "No space left on device")
+            write(path, text)
+
+        write = cli._write_atomic
+        monkeypatch.setattr(cli, "_write_atomic", third_fails)
+        assert cli.main(["route-sim", "--quick", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "gmsklink: runtime failure: [Errno 28] No space left on device")
+        assert len(written) == 3
+        assert {p.name: p.read_text() for p in tmp_path.iterdir()} == {
+            "energy_distance.csv": "kept\n", "route_geometry_literal.csv": "old\n"}
+
+    def test_output_name_held_by_a_directory_leaves_no_file(self, tmp_path, capsys):
+        # energy_distance.csv is renamed into place before sensitivity.csv
+        (tmp_path / "sensitivity.csv").mkdir()
+        assert cli.main(["energy-distance", "--quick", "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            f"gmsklink: runtime failure: [Errno 21] Is a directory: "
+            f"'{tmp_path / 'sensitivity.csv'}'")
+        assert [p.name for p in tmp_path.iterdir()] == ["sensitivity.csv"]
+
     @pytest.mark.parametrize("command", ["ber-sweep", "route-sim"])
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
     def test_seed_option_outside_64_bits_fails_at_load(self, tmp_path, capsys,

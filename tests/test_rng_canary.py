@@ -1,14 +1,14 @@
 """Canary for the numpy random layers under the pinned outputs.
 
-Every byte in ``tests/golden/`` and ``benchmark/reference/`` rests on
+Every byte in ``tests/pins/`` and ``benchmark/reference/`` rests on
 numpy's ``SeedSequence`` hash, its Philox4x64-10 bit generator and two
 ``Generator`` algorithms: ``integers(0, 2, n)`` for data bits and the
 ziggurat of ``standard_normal`` for noise.  NEP 19 promises stable streams
 for the bit generators, not for ``Generator``'s methods, so a numpy release
 may move the pins.  This test keys one stream through
 :func:`gmsklink.channel.substream` the way the BER engine does and pins the
-first values of each layer, bottom first, so that when the golden test
-fails this one says which layer moved.
+first values of each layer, bottom first, so that when a pinned case of
+``tests/test_pins.py`` fails this one says which layer moved.
 """
 
 import numpy as np
@@ -16,7 +16,7 @@ import numpy as np
 from gmsklink.channel import substream
 from gmsklink.link import _DATA_TAG, _ebno_entropy, _noise_seed
 
-SEED = 99  # the golden outputs' seed
+SEED = 99  # the pinned cases' seed
 EBITS = _ebno_entropy(3.0)
 
 

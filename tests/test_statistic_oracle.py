@@ -37,6 +37,9 @@ from gmsklink.modem import (_DEROTATE, ModemConfig, StatisticBlocks, _de_bruijn,
                             _inner, _keys, _modulate_tx, _noiseless, _parity,
                             _precode, _statistic, add_filtered, constants,
                             demodulate, modulate, signal_length)
+from gmsklink.params import load_config
+
+from test_pins import CASES
 
 _SHAPES = [(1, 0.6), (1, 1.0)] + [
     (span, bt) for span in (2, 3, 4) for bt in (0.25, 0.3, 0.5, 1.0)
@@ -235,10 +238,10 @@ def test_constants_are_built_on_first_use_not_at_import():
     assert proc.stdout.strip() == "0"
 
 
-# the default modem and the engine's other paths, pinned by tests/test_pins.py
-_PINNED = [ModemConfig(), ModemConfig(pulse_span_symbols=4),
-           ModemConfig(samples_per_symbol=16), ModemConfig(pulse_span_symbols=6),
-           ModemConfig(rx_bt=0.3), ModemConfig(bt_product=0.5), ModemConfig(rx_bt=0.1)]
+# the modem configs of the pinned BER cases: the default modem and the
+# engine's other paths
+_PINNED = [load_config().with_overrides(overrides).modem_config()
+           for commands, overrides, _ in CASES.values() if "ber-sweep" in commands]
 
 
 def _whole_stream_statistic(bits, cfg, noise=None, scale=0.0):
